@@ -18,6 +18,10 @@ from .optim import Parameter
 from .rng import truncated_normal
 from .tensor import ShapeError, Tensor
 
+# Largest score tensor (bytes) one inference attention chunk may build. A
+# constant, not a setting: it bounds memory without changing any result.
+_SCORE_BUDGET_BYTES = 8 * 2**20
+
 
 class Module:
     """Minimal container: child modules and parameters are attributes."""
@@ -92,8 +96,13 @@ class CrossAttention(Module):
         self.w_v = Linear(d_kv, d, name=f"{name}.v", rng=rng)
         self.w_o = Linear(d, d_out, name=f"{name}.o", rng=rng)
 
-    def __call__(self, queries: Tensor, keys_values: Tensor) -> Tensor:
-        """Queries (N_q, D_q) or batched (B, N_q, D_q); KV shaped likewise."""
+    def _heads(self, queries: Tensor, keys_values: Tensor):
+        """Check shapes, project and split heads.
+
+        Returns queries (..., h, N_q, dh) pre-scaled by 1/sqrt(dh), transposed
+        keys (..., h, dh, N_kv), values (..., h, N_kv, dh), and the axis
+        permutation that swaps the token and head axes (its own inverse).
+        """
         if queries.ndim not in (2, 3) or keys_values.ndim != queries.ndim:
             raise ShapeError(
                 f"cross_attention: rank mismatch {queries.shape} vs {keys_values.shape}"
@@ -108,7 +117,6 @@ class CrossAttention(Module):
         batch = queries.shape[:-2]
         h = self.heads
         dh = self.d // h
-        # (..., N, D) -> (..., h, N, dh); fold the 1/sqrt(dh) scale into Q
         q = self.w_q(queries) * (1.0 / math.sqrt(dh))
         k = self.w_k(keys_values)
         v = self.w_v(keys_values)
@@ -118,22 +126,34 @@ class CrossAttention(Module):
         k = T.transpose(T.reshape(k, batch + (nkv, h, dh)), perm)
         v = T.transpose(T.reshape(v, batch + (nkv, h, dh)), perm)
         swap = lead + (len(batch), len(batch) + 2, len(batch) + 1)
-        scores = T.matmul(q, T.transpose(k, swap))           # (..., h, Nq, Nkv)
-        weights = T.softmax(scores, axis=-1)
-        mixed = T.matmul(weights, v)                          # (..., h, Nq, dh)
-        merged = T.reshape(T.transpose(mixed, perm), batch + (nq, self.d))
+        return q, T.transpose(k, swap), v, perm
+
+    def __call__(self, queries: Tensor, keys_values: Tensor) -> Tensor:
+        """Queries (N_q, D_q) or batched (B, N_q, D_q); KV shaped likewise.
+
+        Without grad mode, queries run in row chunks whose scores fit in
+        ``_SCORE_BUDGET_BYTES`` (at least one row per chunk). Each row still
+        takes its softmax over every key, so the result is the dense one.
+        """
+        q, kt, v, perm = self._heads(queries, keys_values)
+        nq, nkv = q.shape[-2], kt.shape[-1]
+        rows = max(1, _SCORE_BUDGET_BYTES // (8 * math.prod(q.shape[:-2]) * nkv))
+        if T._grad_enabled() or rows >= nq:
+            mixed = T.matmul(T.softmax(T.matmul(q, kt), axis=-1), v)   # (..., h, Nq, dh)
+        else:
+            mixed = T.concat([
+                T.matmul(T.softmax(T.matmul(T.slice_(q, (..., slice(r, r + rows), slice(None))),
+                                            kt), axis=-1), v)
+                for r in range(0, nq, rows)
+            ], axis=-2)
+        merged = T.reshape(T.transpose(mixed, perm), queries.shape[:-2] + (nq, self.d))
         return self.w_o(merged)
 
     def attention_weights(self, queries: Tensor, keys_values: Tensor) -> np.ndarray:
-        """Per-head softmax weights (h, Nq, Nkv), for inspection and tests."""
-        nq, nkv = queries.shape[0], keys_values.shape[0]
-        h, dh = self.heads, self.d // self.heads
+        """Per-head softmax weights (..., h, Nq, Nkv), for inspection and tests."""
         with T.no_grad():
-            q = self.w_q(queries) * (1.0 / math.sqrt(dh))
-            k = self.w_k(keys_values)
-            q = T.transpose(T.reshape(q, (nq, h, dh)), (1, 0, 2))
-            k = T.transpose(T.reshape(k, (nkv, h, dh)), (1, 0, 2))
-            return T.softmax(T.matmul(q, T.transpose(k, (0, 2, 1))), axis=-1).data
+            q, kt, _, _ = self._heads(queries, keys_values)
+            return T.softmax(T.matmul(q, kt), axis=-1).data
 
 
 class FeedForward(Module):

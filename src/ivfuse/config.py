@@ -7,7 +7,7 @@ listed in KEY_DOCS (and rendered in docs/file_formats.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .losses import LossWeights
@@ -112,9 +112,6 @@ class RunConfig:
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         return self
-
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):

@@ -10,13 +10,12 @@ fixture file the providers need, so the whole pipeline runs offline.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .imgio import ImageFormatError, load_image, save_image
+from .imgio import load_image, save_image
 from .providers import (HashTextEncoder, LookupCaptioner, PlantedRegionDenoiser,
                         Rect)
 from .rng import derive

@@ -11,6 +11,7 @@ Variants switch stages off for the ablation harness:
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 
@@ -29,6 +30,10 @@ from .tdaf import (GateMaps, TextFusionParams, compute_gates,
 from .tensor import Tensor
 
 VARIANTS = ("full", "no-mgca", "no-tivr", "no-gaf")
+
+# The forward stage the calling thread is in, for StageError messages. Per
+# thread because concurrent ``fuse`` calls share one model.
+_stage = threading.local()
 
 
 @dataclass(frozen=True)
@@ -82,22 +87,22 @@ class FusionModel(Module):
         i_ir = i_ir if isinstance(i_ir, Tensor) else Tensor(i_ir)
         _, h, w = i_vis.shape
 
-        self._stage = "encode-streams"
+        _stage.name = "encode-streams"
         if self.variant == "no-mgca":
             bundle = encode_streams(i_vis, i_ir, mask, self.vis_encoder,
                                     self.ir_encoder, streams="global")
-            self._stage = "cross-reconstruct"
+            _stage.name = "cross-reconstruct"
             bundle = reconstruct_unmasked(bundle, self.mgca)
         else:
             only = "masked" if self.variant == "no-gaf" else "all"
             bundle = encode_streams(i_vis, i_ir, mask, self.vis_encoder,
                                     self.ir_encoder, streams=only)
-            self._stage = "cross-reconstruct"
+            _stage.name = "cross-reconstruct"
             bundle = cross_reconstruct(bundle, self.mgca)
 
-        self._stage = "token-fusion"
+        _stage.name = "token-fusion"
         tokens = self._fuse_tokens(bundle, text, alpha_override)
-        self._stage = "decode"
+        _stage.name = "decode"
         for block in self.decoder_blocks:
             tokens = block(tokens)
         logits = self.unembed(tokens, h, w)
@@ -157,12 +162,13 @@ def fuse(model: FusionModel, pair: ImagePair,
     mask_arr = _pad_to_multiple(mask.m, p)
     padded_mask = MaskSemantics(mask_arr, provenance=mask.provenance) \
         if mask_arr.shape != mask.m.shape else mask
+    _stage.name = "setup"
     try:
         with T.no_grad():
             out = model.forward(i_vis, i_ir, padded_mask, text)
     except Exception as e:
-        stage = getattr(model, "_stage", "setup")
-        raise StageError(f"fuse failed in stage {stage} for pair {pair.pair_id!r}: {e}") from e
+        raise StageError(
+            f"fuse failed in stage {_stage.name} for pair {pair.pair_id!r}: {e}") from e
     img = out.data[:, :h, :w]
     return np.clip(img, 0.0, 1.0)
 

@@ -109,12 +109,3 @@ class PlantedRegionDenoiser:
                 plane += self.amplitude * rect.indicator(h, w)
         return np.broadcast_to(plane, (c, h, w)).copy()
 
-
-class ConstantCaptioner:
-    """Same caption for every image; handy for single-scene experiments."""
-
-    def __init__(self, text: str):
-        self.text = text
-
-    def caption(self, image: np.ndarray) -> str:
-        return self.text

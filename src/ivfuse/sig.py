@@ -238,6 +238,10 @@ def embed_text(t: TextDescription, encoder) -> TextSemantics:
 MASK_MAGIC = b"IVM1"
 
 
+class MaskCacheError(ValueError):
+    """A mask cache file is not a whole, well-formed mask."""
+
+
 def write_mask(path, mask: np.ndarray) -> None:
     """Packed 1-bit bitmap with an 8-byte header (magic, H, W); atomic write."""
     mask = np.asarray(mask)
@@ -252,11 +256,15 @@ def write_mask(path, mask: np.ndarray) -> None:
 
 
 def read_mask(path) -> np.ndarray:
+    """Inverse of ``write_mask``; the file must be exactly 8 + ceil(H*W/8) bytes."""
     with open(path, "rb") as f:
         raw = f.read()
-    if raw[:4] != MASK_MAGIC:
-        raise ValueError(f"{path}: not a mask cache file")
+    if len(raw) < 8 or raw[:4] != MASK_MAGIC:
+        raise MaskCacheError(f"{path}: not a mask cache file")
     h, w = struct.unpack("<HH", raw[4:8])
+    want = 8 + (h * w + 7) // 8
+    if len(raw) != want:
+        raise MaskCacheError(f"{path}: {len(raw)} bytes, expected {want} for a {h}x{w} mask")
     bits = np.unpackbits(np.frombuffer(raw[8:], dtype=np.uint8), count=h * w)
     return bits.reshape(h, w).astype(np.float64)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ivfuse import blocks
 from ivfuse import rng as ivrng
 from ivfuse import tensor as T
 from ivfuse.blocks import (CrossAttention, Encoder, PatchEmbed, PatchUnembed,
@@ -77,6 +78,16 @@ def test_attention_rows_sum_to_one(rng):
     np.testing.assert_allclose(w.sum(axis=-1), np.ones((4, 5)), atol=1e-9)
 
 
+def test_batched_attention_weights_match_per_sample(rng):
+    ca = make_ca(4, 4, 8, 4, 4)
+    q = rng.standard_normal((3, 5, 4))
+    kv = rng.standard_normal((3, 6, 4))
+    w = ca.attention_weights(Tensor(q), Tensor(kv))
+    assert w.shape == (3, 4, 5, 6)
+    for i in range(3):
+        np.testing.assert_array_equal(w[i], ca.attention_weights(Tensor(q[i]), Tensor(kv[i])))
+
+
 def test_query_permutation_equivariance(rng):
     ca = make_ca(4, 4, 8, 6, 2)
     q = rng.standard_normal((5, 4))
@@ -95,6 +106,59 @@ def test_kv_permutation_invariance(rng):
     out = ca(Tensor(q), Tensor(kv)).data
     out_p = ca(Tensor(q), Tensor(kv[perm])).data
     np.testing.assert_allclose(out_p, out, atol=1e-12)
+
+
+# -- chunked inference attention ---------------------------------------------
+
+CHUNK_ROWS = 4
+
+
+def count_softmax(monkeypatch, budget=None):
+    """Wrap T.softmax: record each call's input size, and check it against
+    ``budget`` when one is given."""
+    sizes = []
+    real = T.softmax
+
+    def wrapped(a, axis=-1):
+        sizes.append(a.data.nbytes)
+        assert budget is None or a.data.nbytes <= budget
+        return real(a, axis=axis)
+
+    monkeypatch.setattr(T, "softmax", wrapped)
+    return sizes
+
+
+@pytest.mark.parametrize("batch, nq, nkv", [
+    ((), 11, 7),        # ragged last chunk, unbatched
+    ((3,), 11, 7),      # batched
+    ((2,), 13, 40),     # more keys than queries
+    ((), 10, 1),        # a single KV token
+])
+def test_chunked_inference_matches_dense(rng, monkeypatch, batch, nq, nkv):
+    ca = make_ca(6, 5, 8, 4, 2)
+    q = Tensor(rng.standard_normal(batch + (nq, 6)))
+    kv = Tensor(rng.standard_normal(batch + (nkv, 5)))
+    with T.no_grad():
+        dense = ca(q, kv).data
+    budget = 8 * ca.heads * nkv * int(np.prod(batch)) * CHUNK_ROWS
+    monkeypatch.setattr(blocks, "_SCORE_BUDGET_BYTES", budget)
+    sizes = count_softmax(monkeypatch, budget)
+    with T.no_grad():
+        chunked = ca(q, kv).data
+    assert len(sizes) == -(-nq // CHUNK_ROWS)
+    assert chunked.shape == dense.shape == batch + (nq, 4)
+    np.testing.assert_allclose(chunked, dense, rtol=0, atol=1e-12)
+
+
+def test_grad_mode_attention_is_dense(rng, monkeypatch):
+    ca = make_ca(4, 4, 8, 4, 2)
+    monkeypatch.setattr(blocks, "_SCORE_BUDGET_BYTES", 8)
+    sizes = count_softmax(monkeypatch)
+    q = Tensor(rng.standard_normal((2, 9, 4)), requires_grad=True)
+    out = ca(q, Tensor(rng.standard_normal((2, 7, 4))))
+    assert sizes == [8 * 2 * 2 * 9 * 7]
+    T.reduce_sum(out).backward()
+    assert q.grad.shape == q.shape
 
 
 def make_block(dim=6, heads=2, seed=3):

@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from ivfuse import model as model_module
 from ivfuse import tensor as T
 from ivfuse.dataset import ImagePair
 from ivfuse.model import (FuseResult, FusionModel, ModelConfig, StageError,
@@ -166,6 +169,51 @@ def test_fuse_batch_collects_failures_and_continues(rng):
 
 def sems_text(rng):
     return TextSemantics(rng.standard_normal((2, 6)))
+
+
+def test_stage_error_is_per_thread(rng, monkeypatch):
+    """B fails in encode-streams while A, on the same model, sits in decode."""
+    model = FusionModel(SMALL, seed=13)
+    pairs = {pid: make_pair(rng, pair_id=pid) for pid in ("a", "b")}
+    sems = {"a": semantics_for(rng, 12, 12),
+            "b": (MaskSemantics(np.ones((5, 5))), sems_text(rng))}
+    b_encoding, a_decoding, release_a = threading.Event(), threading.Event(), threading.Event()
+    real_encode = model_module.encode_streams
+    first_block = model.decoder_blocks[0]
+
+    def encode_streams(*args, **kwargs):
+        if threading.current_thread().name == "b":
+            b_encoding.set()
+            a_decoding.wait(timeout=30)
+        return real_encode(*args, **kwargs)
+
+    def parked_block(tokens):
+        a_decoding.set()
+        release_a.wait(timeout=30)
+        return first_block(tokens)
+
+    monkeypatch.setattr(model_module, "encode_streams", encode_streams)
+    model.decoder_blocks[0] = parked_block
+    errors = {}
+
+    def run(pair_id):
+        try:
+            fuse(model, pairs[pair_id], sems[pair_id])
+        except Exception as e:
+            errors[pair_id] = e
+
+    thread_b = threading.Thread(target=run, args=("b",), name="b")
+    thread_a = threading.Thread(target=run, args=("a",), name="a")
+    thread_b.start()
+    assert b_encoding.wait(timeout=30)
+    thread_a.start()
+    thread_b.join(timeout=60)
+    release_a.set()
+    thread_a.join(timeout=60)
+    assert not thread_a.is_alive() and not thread_b.is_alive()
+    assert "a" not in errors
+    assert isinstance(errors["b"], StageError)
+    assert "stage encode-streams" in str(errors["b"])
 
 
 def test_variant_flag_validation():

@@ -3,7 +3,7 @@ import pytest
 
 from ivfuse.providers import (HashTextEncoder, LookupCaptioner,
                               PlantedRegionDenoiser, Rect)
-from ivfuse.sig import (KeywordSpec, MaskSemantics, ProviderError,
+from ivfuse.sig import (KeywordSpec, MaskCacheError, MaskSemantics, ProviderError,
                         SemanticGenerator, TextDescription, describe,
                         embed_text, image_content_hash, mask_from_noise_diff,
                         otsu_threshold, read_mask, select_keyword,
@@ -245,6 +245,17 @@ def test_mask_cache_round_trip(tmp_path, rng):
     assert int.from_bytes(raw[4:6], "little") == 13
     assert int.from_bytes(raw[6:8], "little") == 17
     np.testing.assert_array_equal(read_mask(path), mask)
+
+
+@pytest.mark.parametrize("keep", [0, 5, 8, 8 + 10, 8 + 31, 8 + 33])
+def test_malformed_mask_cache_rejected(tmp_path, keep):
+    """A 16x16 mask is exactly 8 + 32 bytes; any other length is refused."""
+    path = tmp_path / "p.mask"
+    write_mask(path, np.ones((16, 16)))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:keep] if keep <= len(raw) else raw + b"\0" * (keep - len(raw)))
+    with pytest.raises(MaskCacheError):
+        read_mask(path)
 
 
 def test_semantic_generator_uses_mask_cache(tmp_path, rng):
