@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 import zlib
 
 import numpy as np
@@ -45,17 +46,18 @@ def _read_pnm(raw: bytes, path) -> np.ndarray:
             raise ImageFormatError(f"{path}: truncated PNM header")
         fields.append(raw[start:pos])
     pos += 1  # single whitespace after maxval
-    try:
-        width, height, maxval = (int(f) for f in fields)
-    except ValueError as e:
-        raise ImageFormatError(f"{path}: bad PNM header fields {fields}") from e
-    if maxval <= 0 or maxval > 65535:
+    if not all(f.isdigit() and int(f) > 0 for f in fields):
+        raise ImageFormatError(f"{path}: PNM header fields {fields} are not positive integers")
+    width, height, maxval = (int(f) for f in fields)
+    if maxval > 65535:
         raise ImageFormatError(f"{path}: unsupported maxval {maxval}")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
     count = width * height * channels
     if len(raw) - pos < count * dtype.itemsize:
         raise ImageFormatError(f"{path}: pixel payload truncated")
     data = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
+    if data.max() > maxval:
+        raise ImageFormatError(f"{path}: PNM sample {data.max()} exceeds maxval {maxval}")
     img = data.reshape(height, width, channels).astype(np.float64) / maxval
     return np.ascontiguousarray(img.transpose(2, 0, 1))
 
@@ -74,39 +76,44 @@ def _write_pnm(img: np.ndarray, path, bit_depth: int) -> None:
 # -- PNG (color types 0 and 2, bit depths 8 and 16, no interlace) ---------------
 
 
-def _paeth(a, b, c):
-    p = a.astype(np.int32) + b - c
-    pa, pb, pc = np.abs(p - a), np.abs(p - b), np.abs(p - c)
-    out = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
-    return out.astype(np.uint8)
-
-
-def _unfilter(raw: np.ndarray, height: int, stride: int, bpp: int, path) -> np.ndarray:
-    rows = raw.reshape(height, stride + 1)
-    out = np.zeros((height, stride), dtype=np.uint8)
-    for y in range(height):
-        ftype = rows[y, 0]
-        cur = rows[y, 1:].copy()
-        prev = out[y - 1] if y > 0 else np.zeros(stride, dtype=np.uint8)
+def _unfilter(data: bytes, height: int, stride: int, bpp: int, path) -> np.ndarray:
+    rows = np.frombuffer(data, dtype=np.uint8).reshape(height, stride + 1)
+    ftypes = rows[:, 0]
+    bad = np.flatnonzero(ftypes > 4)
+    if bad.size:
+        raise ImageFormatError(
+            f"{path}: unknown PNG filter type {ftypes[bad[0]]} in row {bad[0]}")
+    out = np.empty((height, stride), dtype=np.uint8)
+    prev = np.zeros(stride, dtype=np.uint8)
+    for y, ftype in enumerate(ftypes.tolist()):
+        cur = rows[y, 1:]
         if ftype == 0:
             out[y] = cur
+        elif ftype == 1:
+            # uint8 accumulation wraps mod 256; each of the bpp byte lanes
+            # is an independent running sum along the row
+            np.add.accumulate(cur.reshape(-1, bpp), axis=0, dtype=np.uint8,
+                              out=out[y].reshape(-1, bpp))
         elif ftype == 2:
-            out[y] = cur + prev
-        elif ftype in (1, 3, 4):
-            line = out[y]
-            for x in range(stride):
-                left = line[x - bpp] if x >= bpp else 0
-                up = prev[x]
-                ul = prev[x - bpp] if x >= bpp else 0
-                if ftype == 1:
-                    line[x] = (int(cur[x]) + int(left)) & 0xFF
-                elif ftype == 3:
-                    line[x] = (int(cur[x]) + ((int(left) + int(up)) >> 1)) & 0xFF
-                else:
-                    line[x] = (int(cur[x]) + int(_paeth(np.uint8(left), np.uint8(up),
-                                                        np.uint8(ul)))) & 0xFF
+            np.add(cur, prev, out=out[y])
         else:
-            raise ImageFormatError(f"{path}: unknown PNG filter type {ftype}")
+            # Average and Paeth depend on the byte just decoded, so they run
+            # sequentially, on Python ints: a numpy scalar per byte costs far
+            # more. The bpp leading zeros are the bytes left of column 0.
+            line = bytearray(bpp) + cur.tobytes()
+            up = bytes(bpp) + prev.tobytes()
+            if ftype == 3:
+                for x in range(bpp, bpp + stride):
+                    line[x] = (line[x] + ((line[x - bpp] + up[x]) >> 1)) & 0xFF
+            else:
+                for x in range(bpp, bpp + stride):
+                    a, b, c = line[x - bpp], up[x], up[x - bpp]
+                    # |p - a|, |p - b|, |p - c| for the Paeth estimate p = a + b - c
+                    pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
+                    pred = a if pa <= pb and pa <= pc else (b if pb <= pc else c)
+                    line[x] = (line[x] + pred) & 0xFF
+            out[y] = np.frombuffer(line, dtype=np.uint8, offset=bpp)
+        prev = out[y]
     return out
 
 
@@ -116,19 +123,33 @@ def _read_png(raw: bytes, path) -> np.ndarray:
     pos = 8
     ihdr = None
     idat = bytearray()
-    while pos + 8 <= len(raw):
-        length, ctype = struct.unpack(">I4s", raw[pos:pos + 8])
-        chunk = raw[pos + 8:pos + 8 + length]
-        pos += 12 + length
+    while True:
+        if pos + 8 > len(raw):
+            raise ImageFormatError(f"{path}: PNG ends without an IEND chunk")
+        length, ctype = struct.unpack_from(">I4s", raw, pos)
+        end = pos + 8 + length
+        if end + 4 > len(raw):
+            raise ImageFormatError(f"{path}: PNG chunk {ctype!r} runs past the end of the file")
+        chunk = raw[pos + 8:end]
+        if zlib.crc32(raw[pos + 4:end]) != struct.unpack_from(">I", raw, end)[0]:
+            raise ImageFormatError(f"{path}: PNG chunk {ctype!r} fails its CRC check")
+        pos = end + 4
+        if (ctype == b"IHDR") != (ihdr is None):
+            raise ImageFormatError(f"{path}: IHDR must be the first PNG chunk, and only once")
         if ctype == b"IHDR":
+            if length != 13:
+                raise ImageFormatError(f"{path}: IHDR is {length} bytes, not 13")
             ihdr = struct.unpack(">IIBBBBB", chunk)
         elif ctype == b"IDAT":
             idat.extend(chunk)
         elif ctype == b"IEND":
             break
-    if ihdr is None:
-        raise ImageFormatError(f"{path}: missing IHDR chunk")
     width, height, depth, color, comp, filt, interlace = ihdr
+    if width == 0 or height == 0:
+        raise ImageFormatError(f"{path}: PNG has zero size {width}x{height}")
+    if comp != 0 or filt != 0:
+        raise ImageFormatError(
+            f"{path}: unknown PNG compression/filter method {comp}/{filt} (only 0/0)")
     if interlace != 0:
         raise ImageFormatError(f"{path}: interlaced PNG not supported")
     if color not in (0, 2):
@@ -138,13 +159,17 @@ def _read_png(raw: bytes, path) -> np.ndarray:
     channels = 1 if color == 0 else 3
     bpp = channels * depth // 8
     stride = width * bpp
+    size = height * (stride + 1)
+    inflate = zlib.decompressobj()
     try:
-        decompressed = zlib.decompress(bytes(idat))
+        # inflate at most one byte past the image, so a stream that expands
+        # far beyond it is rejected without ever being held in memory
+        decompressed = inflate.decompress(bytes(idat), min(size + 1, sys.maxsize))
     except zlib.error as e:
         raise ImageFormatError(f"{path}: corrupt PNG stream: {e}") from e
-    if len(decompressed) != height * (stride + 1):
-        raise ImageFormatError(f"{path}: PNG payload has wrong length")
-    flat = _unfilter(np.frombuffer(decompressed, dtype=np.uint8), height, stride, bpp, path)
+    if len(decompressed) != size or not inflate.eof:
+        raise ImageFormatError(f"{path}: PNG image data is not one zlib stream of {size} bytes")
+    flat = _unfilter(decompressed, height, stride, bpp, path)
     if depth == 8:
         img = flat.reshape(height, width, channels).astype(np.float64) / 255.0
     else:

@@ -156,6 +156,9 @@ def fuse(model: FusionModel, pair: ImagePair,
     if mask is None or text is None:
         raise StageError("fuse: pair has no mask/text semantics and none were supplied")
     h, w = pair.height, pair.width
+    if mask.m.shape != (h, w):
+        raise StageError(f"fuse: mask {mask.m.shape} does not match pair "
+                         f"{pair.pair_id!r} of size {(h, w)}")
     p = model.config.patch
     i_vis = _pad_to_multiple(pair.i_vis, p)
     i_ir = _pad_to_multiple(pair.i_ir, p)

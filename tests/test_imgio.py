@@ -1,7 +1,13 @@
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ivfuse.imgio import ImageFormatError, load_image, save_image
+from ivfuse.imgio import PNG_SIGNATURE, ImageFormatError, load_image, save_image
 
 
 def quantized(rng, channels, h, w, levels=255):
@@ -65,70 +71,195 @@ def test_corrupt_and_unsupported_rejected(tmp_path):
         load_image(truncated)
 
 
-def test_png_filters_decoded(tmp_path, rng):
-    # a gradient image makes the encoder's filter-0 rows exercise the
-    # unfilter path; synthetic filtered rows cover types 1-4
-    import struct
-    import zlib
+# -- pure-Python reference PNG codec (RFC 2083 section 6), independent of imgio --
 
-    from ivfuse.imgio import PNG_SIGNATURE, _png_chunk
 
-    h = w = 5
+def _predict(ftype, a, b, c):
+    if ftype == 0:
+        return 0
+    if ftype == 1:
+        return a
+    if ftype == 2:
+        return b
+    if ftype == 3:
+        return (a + b) // 2
+    p = a + b - c
+    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+    return a if pa <= pb and pa <= pc else (b if pb <= pc else c)
+
+
+def ref_filter(rows, filters, bpp):
+    """Filtered scanlines (type byte + bytes) for raw rows of equal length."""
+    out = bytearray()
+    prev = bytes(len(rows[0]))
+    for row, ftype in zip(rows, filters):
+        out.append(ftype)
+        for x, v in enumerate(row):
+            a = row[x - bpp] if x >= bpp else 0
+            c = prev[x - bpp] if x >= bpp else 0
+            out.append((v - _predict(ftype, a, prev[x], c)) & 0xFF)
+        prev = row
+    return bytes(out)
+
+
+def ref_unfilter(data, height, stride, bpp):
     rows = []
-    raw_rows = []
-    prev = np.zeros(w, dtype=np.uint8)
-    for y, ftype in enumerate([0, 1, 2, 3, 4]):
-        cur = ((np.arange(w) * 37 + 11 * y) % 256).astype(np.uint8)
-        raw_rows.append(cur.copy())
-        if ftype == 0:
-            enc = cur.copy()
-        elif ftype == 1:
-            enc = cur.copy()
-            for x in range(w - 1, 0, -1):
-                enc[x] = (int(cur[x]) - int(cur[x - 1])) & 0xFF
-        elif ftype == 2:
-            enc = (cur.astype(int) - prev.astype(int)) & 0xFF
-            enc = enc.astype(np.uint8)
-        elif ftype == 3:
-            enc = cur.copy()
-            for x in range(w):
-                left = int(cur[x - 1]) if x else 0
-                enc[x] = (int(cur[x]) - ((left + int(prev[x])) >> 1)) & 0xFF
-        else:
-            enc = cur.copy()
-            for x in range(w):
-                a = int(cur[x - 1]) if x else 0
-                b = int(prev[x])
-                c = int(prev[x - 1]) if x else 0
-                p = a + b - c
-                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                pred = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
-                enc[x] = (int(cur[x]) - pred) & 0xFF
-        rows.append(bytes([ftype]) + enc.tobytes())
-        prev = cur
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0)
-    blob = (PNG_SIGNATURE + _png_chunk(b"IHDR", ihdr)
-            + _png_chunk(b"IDAT", zlib.compress(b"".join(rows)))
-            + _png_chunk(b"IEND", b""))
-    path = tmp_path / "filters.png"
-    path.write_bytes(blob)
-    img = load_image(path)
-    want = np.stack(raw_rows).astype(np.float64) / 255.0
-    np.testing.assert_array_equal(img[0], want)
+    prev = bytes(stride)
+    for y in range(height):
+        ftype = data[y * (stride + 1)]
+        enc = data[y * (stride + 1) + 1:(y + 1) * (stride + 1)]
+        row = bytearray(stride)
+        for x in range(stride):
+            a = row[x - bpp] if x >= bpp else 0
+            c = prev[x - bpp] if x >= bpp else 0
+            row[x] = (enc[x] + _predict(ftype, a, prev[x], c)) & 0xFF
+        rows.append(bytes(row))
+        prev = row
+    return rows
+
+
+def chunk(ctype, payload, crc=None):
+    if crc is None:
+        crc = zlib.crc32(ctype + payload)
+    return struct.pack(">I", len(payload)) + ctype + payload + struct.pack(">I", crc)
+
+
+def ihdr(width, height, depth=8, color=0, comp=0, filt=0, interlace=0):
+    return struct.pack(">IIBBBBB", width, height, depth, color, comp, filt, interlace)
+
+
+def png_file(header, filtered):
+    return (PNG_SIGNATURE + chunk(b"IHDR", header) + chunk(b"IDAT", zlib.compress(filtered))
+            + chunk(b"IEND", b""))
+
+
+def wrapped_sums(filtered, rows, bpp):
+    """How many decoded bytes come from a filter sum past 255."""
+    stride = len(rows[0])
+    prev = bytes(stride)
+    count = 0
+    for y, row in enumerate(rows):
+        ftype = filtered[y * (stride + 1)]
+        for x in range(stride):
+            a = row[x - bpp] if x >= bpp else 0
+            c = prev[x - bpp] if x >= bpp else 0
+            count += filtered[y * (stride + 1) + 1 + x] + _predict(ftype, a, prev[x], c) > 255
+        prev = row
+    return count
+
+
+# (depth, color type) -> bytes per pixel 1, 2, 3, 6
+FORMATS = [(8, 0), (16, 0), (8, 2), (16, 2)]
+
+
+def raw_to_image(rows, width, depth, color):
+    channels = 1 if color == 0 else 3
+    dtype = np.uint8 if depth == 8 else np.dtype(">u2")
+    px = np.frombuffer(b"".join(rows), dtype=dtype).reshape(len(rows), width, channels)
+    return px.transpose(2, 0, 1).astype(np.float64) / (255.0 if depth == 8 else 65535.0)
+
+
+def test_png_filters_decoded(tmp_path, rng):
+    """Every filter type at every supported bpp, against the reference codec;
+    random bytes make Sub, Average and Paeth sums wrap past 255."""
+    width, height = 7, 6
+    for depth, color in FORMATS:
+        bpp = (1 if color == 0 else 3) * depth // 8
+        stride = width * bpp
+        for filters in [[f] * height for f in range(5)] + [[0, 1, 2, 3, 4, 4]]:
+            rows = [rng.integers(0, 256, stride, dtype=np.uint8).tobytes()
+                    for _ in range(height)]
+            filtered = ref_filter(rows, filters, bpp)
+            assert ref_unfilter(filtered, height, stride, bpp) == rows
+            if any(filters):
+                assert wrapped_sums(filtered, rows, bpp) > 0
+            path = tmp_path / f"f{depth}_{color}_{filters[0]}{filters[-1]}.png"
+            path.write_bytes(png_file(ihdr(width, height, depth, color), filtered))
+            np.testing.assert_array_equal(load_image(path),
+                                          raw_to_image(rows, width, depth, color),
+                                          err_msg=f"depth {depth} color {color} {filters}")
+
+
+def test_png_unknown_filter_type_rejected(tmp_path):
+    filtered = bytes([0, 1, 2]) + bytes([5, 1, 2])
+    path = tmp_path / "f5.png"
+    path.write_bytes(png_file(ihdr(2, 2), filtered))
+    with pytest.raises(ImageFormatError, match="filter type 5 in row 1"):
+        load_image(path)
+
+
+def _framing_case(name):
+    good_ihdr = ihdr(2, 2)
+    idat = chunk(b"IDAT", zlib.compress(bytes(6)))
+    iend = chunk(b"IEND", b"")
+    if name == "crc":
+        return PNG_SIGNATURE + chunk(b"IHDR", good_ihdr, crc=0) + idat + iend
+    if name == "past-end":
+        # IEND declares 64 data bytes; the file ends 8 bytes later
+        return PNG_SIGNATURE + chunk(b"IHDR", good_ihdr) + idat \
+            + struct.pack(">I", 64) + b"IEND" + bytes(8)
+    if name == "ihdr-not-first":
+        return PNG_SIGNATURE + idat + chunk(b"IHDR", good_ihdr) + iend
+    if name == "ihdr-short":
+        return PNG_SIGNATURE + chunk(b"IHDR", good_ihdr[:12]) + idat + iend
+    if name == "compression-method":
+        return PNG_SIGNATURE + chunk(b"IHDR", ihdr(2, 2, comp=1)) + idat + iend
+    if name == "filter-method":
+        return PNG_SIGNATURE + chunk(b"IHDR", ihdr(2, 2, filt=1)) + idat + iend
+    if name == "zero-width":
+        return PNG_SIGNATURE + chunk(b"IHDR", ihdr(0, 2)) \
+            + chunk(b"IDAT", zlib.compress(bytes(2))) + iend
+    if name == "zero-height":
+        return PNG_SIGNATURE + chunk(b"IHDR", ihdr(2, 0)) \
+            + chunk(b"IDAT", zlib.compress(b"")) + iend
+    assert name == "no-iend"
+    return PNG_SIGNATURE + chunk(b"IHDR", good_ihdr) + idat
+
+
+@pytest.mark.parametrize("case, message", [
+    ("crc", "CRC"),
+    ("past-end", "past the end"),
+    ("ihdr-not-first", "IHDR must be the first"),
+    ("ihdr-short", "IHDR is 12 bytes"),
+    ("compression-method", "compression/filter method 1/0"),
+    ("filter-method", "compression/filter method 0/1"),
+    ("zero-width", "zero size 0x2"),
+    ("zero-height", "zero size 2x0"),
+    ("no-iend", "without an IEND"),
+])
+def test_png_chunk_framing_rejected(tmp_path, case, message):
+    path = tmp_path / f"{case}.png"
+    path.write_bytes(_framing_case(case))
+    with pytest.raises(ImageFormatError, match=message):
+        load_image(path)
+
+
+def test_png_stream_longer_than_image_rejected_in_bounded_memory(tmp_path):
+    """A 1x1 image whose IDAT inflates to 16 MiB is rejected without holding it."""
+    path = tmp_path / "inflates.png"
+    path.write_bytes(png_file(ihdr(1, 1), bytes(16 * 2**20)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ImageFormatError):
+            load_image(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_png_of_largest_declared_size_rejected(tmp_path):
+    """2^31 - 1 square RGB16, the largest IHDR allows, with a 2-byte stream."""
+    path = tmp_path / "huge.png"
+    path.write_bytes(png_file(ihdr(2**31 - 1, 2**31 - 1, 16, 2), bytes(2)))
+    with pytest.raises(ImageFormatError, match="not one zlib stream"):
+        load_image(path)
 
 
 def test_unsupported_png_features_rejected(tmp_path):
-    import struct
-    import zlib
-
-    from ivfuse.imgio import PNG_SIGNATURE, _png_chunk
-
     def make(color, depth, interlace=0):
-        ihdr = struct.pack(">IIBBBBB", 2, 2, depth, color, 0, 0, interlace)
         stride = 2 * (3 if color == 2 else 1) * depth // 8
-        payload = zlib.compress(bytes((stride + 1) * 2))
-        return PNG_SIGNATURE + _png_chunk(b"IHDR", ihdr) + _png_chunk(b"IDAT", payload) \
-            + _png_chunk(b"IEND", b"")
+        return png_file(ihdr(2, 2, depth, color, interlace=interlace), bytes((stride + 1) * 2))
 
     palette = tmp_path / "palette.png"
     palette.write_bytes(make(color=3, depth=8))
@@ -138,3 +269,99 @@ def test_unsupported_png_features_rejected(tmp_path):
     inter.write_bytes(make(color=0, depth=8, interlace=1))
     with pytest.raises(ImageFormatError, match="interlaced"):
         load_image(inter)
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"P6\n-1 2\n255\n" + bytes(12), "not positive integers"),
+    (b"P5\n0 0\n255\n", "not positive integers"),
+    (b"P5\n2 +1\n255\n" + bytes(2), "not positive integers"),
+    (b"P5\n2 1\n100\n" + bytes([7, 101]), "sample 101 exceeds maxval 100"),
+], ids=["negative-width", "zero-size", "plus-sign", "sample-over-maxval"])
+def test_malformed_pnm_rejected(tmp_path, blob, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(blob)
+    with pytest.raises(ImageFormatError, match=message):
+        load_image(path)
+
+
+# -- property test: mutated files decode to valid pixels or raise ImageFormatError --
+
+
+@st.composite
+def valid_png(draw):
+    depth, color = draw(st.sampled_from(FORMATS))
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    stride = width * (1 if color == 0 else 3) * depth // 8
+    rows = [draw(st.binary(min_size=stride, max_size=stride)) for _ in range(height)]
+    filters = draw(st.lists(st.integers(0, 4), min_size=height, max_size=height))
+    return ihdr(width, height, depth, color), ref_filter(rows, filters, stride // width)
+
+
+@st.composite
+def valid_pnm(draw):
+    magic = draw(st.sampled_from([b"P5", b"P6"]))
+    maxval = draw(st.sampled_from([1, 100, 255, 256, 1000, 65535]))
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    count = width * height * (1 if magic == b"P5" else 3)
+    samples = draw(st.lists(st.integers(0, maxval), min_size=count, max_size=count))
+    dtype = np.uint8 if maxval <= 255 else np.dtype(">u2")
+    return magic + f"\n{width} {height}\n{maxval}\n".encode() \
+        + np.array(samples, dtype=dtype).tobytes()
+
+
+MUTATION = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(0, 7)),
+    st.tuples(st.just("insert"), st.integers(0, 10**6), st.integers(0, 255)),
+    st.tuples(st.just("delete"), st.integers(0, 10**6), st.just(0)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**6), st.just(0)),
+)
+
+
+def mutate(blob, ops):
+    data = bytearray(blob)
+    for op, index, value in ops:
+        i = index % (len(data) + 1)
+        if op == "insert":
+            data.insert(i, value)
+        elif op == "truncate":
+            del data[i:]
+        elif i < len(data) and op == "flip":
+            data[i] ^= 1 << value
+        elif i < len(data):
+            del data[i]
+    return bytes(data)
+
+
+@st.composite
+def mutated_image(draw):
+    """A valid PNG or PNM with bytes flipped, inserted, deleted or cut. PNG
+    mutations land either in the file (chunk framing) or, re-framed with valid
+    CRCs, in the IHDR fields or the filtered scanlines (the decoder proper)."""
+    ops = draw(st.lists(MUTATION, min_size=1, max_size=4))
+    kind = draw(st.sampled_from(["pnm", "png-file", "png-ihdr", "png-scanlines"]))
+    if kind == "pnm":
+        return mutate(draw(valid_pnm()), ops)
+    header, filtered = draw(valid_png())
+    if kind == "png-file":
+        return mutate(png_file(header, filtered), ops)
+    if kind == "png-ihdr":
+        return png_file(mutate(header, ops), filtered)
+    return png_file(header, mutate(filtered, ops))
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(blob=mutated_image())
+def test_mutated_images_decode_or_raise_format_error(mutation_dir, blob):
+    path = mutation_dir / "img"
+    path.write_bytes(blob)
+    try:
+        img = load_image(path)
+    except ImageFormatError:
+        return
+    assert img.ndim == 3 and img.shape[0] in (1, 3)
+    assert np.all(np.isfinite(img)) and img.min() >= 0.0 and img.max() <= 1.0

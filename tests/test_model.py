@@ -64,6 +64,15 @@ def test_missing_semantics_raises_stage_error(rng):
         fuse(model, make_pair(rng), None)
 
 
+def test_mask_shape_checked_before_padding(rng):
+    model = FusionModel(SMALL, seed=3)
+    _, text = semantics_for(rng, 12, 12)
+    mask = MaskSemantics(np.zeros((5, 5)))
+    with pytest.raises(StageError,
+                       match=r"mask \(5, 5\) does not match pair 'p0' of size \(12, 12\)"):
+        fuse(model, make_pair(rng), (mask, text))
+
+
 def test_no_gaf_equals_composed_stages(rng):
     """decode(F_vi + F_iv) assembled stage by stage outside the model."""
     model = FusionModel(SMALL, variant="no-gaf", seed=4)
@@ -175,17 +184,19 @@ def test_stage_error_is_per_thread(rng, monkeypatch):
     """B fails in encode-streams while A, on the same model, sits in decode."""
     model = FusionModel(SMALL, seed=13)
     pairs = {pid: make_pair(rng, pair_id=pid) for pid in ("a", "b")}
-    sems = {"a": semantics_for(rng, 12, 12),
-            "b": (MaskSemantics(np.ones((5, 5))), sems_text(rng))}
+    sems = {pid: semantics_for(rng, 12, 12) for pid in ("a", "b")}
     b_encoding, a_decoding, release_a = threading.Event(), threading.Event(), threading.Event()
     real_encode = model_module.encode_streams
     first_block = model.decoder_blocks[0]
 
-    def encode_streams(*args, **kwargs):
+    def encode_streams(i_vis, i_ir, mask, *args, **kwargs):
         if threading.current_thread().name == "b":
             b_encoding.set()
             a_decoding.wait(timeout=30)
-        return real_encode(*args, **kwargs)
+            # fuse checks the mask's shape, so B's wrong one is passed in here,
+            # where decompose rejects it
+            mask = MaskSemantics(np.ones((5, 5)))
+        return real_encode(i_vis, i_ir, mask, *args, **kwargs)
 
     def parked_block(tokens):
         a_decoding.set()
