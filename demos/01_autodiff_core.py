@@ -7,11 +7,11 @@ and shows the AdamW update shrinking a quadratic.
 import numpy as np
 
 from ivfuse.optim import Parameter, adamw_step, zero_grads
-from ivfuse.tensor import Tensor, forward_op, reduce_sum, sigmoid
+from ivfuse.tensor import Tensor, reduce_sum, sigmoid, softmax
 
-print("== forward ops through the generic dispatcher ==")
+print("== forward ops ==")
 x = Tensor([[1.0, -2.0], [0.5, 3.0]])
-print("softmax rows:", forward_op("softmax", [x], {"axis": -1}).data)
+print("softmax rows:", softmax(x, axis=-1).data)
 print("sigmoid(0) :", sigmoid(Tensor([0.0])).data)
 
 print("\n== reverse mode ==")

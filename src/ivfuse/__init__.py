@@ -21,7 +21,7 @@ from .providers import HashTextEncoder, LookupCaptioner, PlantedRegionDenoiser, 
 from .sig import (MaskSemantics, SemanticGenerator, TextDescription, TextSemantics,
                   embed_text, mask_from_noise_diff, strip_keyword, union_masks)
 from .tdaf import GateMaps, compute_gates, gated_fusion, spatial_attention
-from .tensor import Tensor, forward_op, no_grad
+from .tensor import Tensor, no_grad
 from .training import TrainConfig, sample_crop, train
 
 __version__ = "0.1.0"

@@ -18,10 +18,6 @@ from .optim import Parameter
 from .rng import truncated_normal
 from .tensor import ShapeError, Tensor
 
-# Largest score tensor (bytes) one inference attention chunk may build. A
-# constant, not a setting: it bounds memory without changing any result.
-_SCORE_BUDGET_BYTES = 8 * 2**20
-
 
 class Module:
     """Minimal container: child modules and parameters are attributes."""
@@ -131,29 +127,19 @@ class CrossAttention(Module):
     def __call__(self, queries: Tensor, keys_values: Tensor) -> Tensor:
         """Queries (N_q, D_q) or batched (B, N_q, D_q); KV shaped likewise.
 
-        Without grad mode, queries run in row chunks whose scores fit in
-        ``_SCORE_BUDGET_BYTES`` (at least one row per chunk). Each row still
-        takes its softmax over every key, so the result is the dense one.
+        ``T.attention`` bounds the score memory (row chunks without a tape).
         """
         q, kt, v, perm = self._heads(queries, keys_values)
-        nq, nkv = q.shape[-2], kt.shape[-1]
-        rows = max(1, _SCORE_BUDGET_BYTES // (8 * math.prod(q.shape[:-2]) * nkv))
-        if T._grad_enabled() or rows >= nq:
-            mixed = T.matmul(T.softmax(T.matmul(q, kt), axis=-1), v)   # (..., h, Nq, dh)
-        else:
-            mixed = T.concat([
-                T.matmul(T.softmax(T.matmul(T.slice_(q, (..., slice(r, r + rows), slice(None))),
-                                            kt), axis=-1), v)
-                for r in range(0, nq, rows)
-            ], axis=-2)
-        merged = T.reshape(T.transpose(mixed, perm), queries.shape[:-2] + (nq, self.d))
+        mixed = T.attention(q, kt, v)                          # (..., h, Nq, dh)
+        merged = T.reshape(T.transpose(mixed, perm), queries.shape[:-2] + (q.shape[-2], self.d))
         return self.w_o(merged)
 
     def attention_weights(self, queries: Tensor, keys_values: Tensor) -> np.ndarray:
         """Per-head softmax weights (..., h, Nq, Nkv), for inspection and tests."""
         with T.no_grad():
             q, kt, _, _ = self._heads(queries, keys_values)
-            return T.softmax(T.matmul(q, kt), axis=-1).data
+        scores = q.data @ kt.data
+        return T._softmax(scores, out=scores)
 
 
 class FeedForward(Module):

@@ -96,7 +96,7 @@ def _semantics(config: RunConfig, dataset, pairs, cache_dir):
         dataset, pairs, text_dim=config.text_dim, cache_dir=cache_dir,
         noise_level=config.noise_level, noise_seed=config.noise_seed,
         threshold_policy=config.threshold_policy, tau=config.tau,
-        keyword=config.keyword or None,
+        keyword=config.keyword or None, vocabulary=config.vocabulary,
         fixtures_path=config.fixtures or None)
 
 

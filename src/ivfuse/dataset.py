@@ -158,16 +158,19 @@ def providers_from_fixtures(fixtures: FixtureBundle, pairs) -> tuple:
 def semantic_generator_for(root, pairs, *, text_dim: int, cache_dir=None,
                            noise_level: float = 0.5, noise_seed: int = 0,
                            threshold_policy: str = "otsu", tau: float = 0.5,
-                           keyword: str | None = None,
+                           keyword: str | None = None, vocabulary=None,
                            fixtures_path=None) -> SemanticGenerator:
-    """Wire fixtures.json next to the dataset into a SemanticGenerator."""
+    """Wire fixtures.json next to the dataset into a SemanticGenerator.
+
+    ``vocabulary`` replaces the fixtures' own keyword list when given.
+    """
     path = Path(fixtures_path) if fixtures_path else Path(root) / "fixtures.json"
     if not path.exists():
         raise DatasetError(f"fixture file not found: {path}")
     fixtures = FixtureBundle.load(path)
     captioner, denoiser = providers_from_fixtures(fixtures, pairs)
     return SemanticGenerator(captioner, HashTextEncoder(text_dim), denoiser,
-                             vocabulary=fixtures.vocabulary, keyword=keyword,
+                             vocabulary=vocabulary or fixtures.vocabulary, keyword=keyword,
                              noise_level=noise_level, noise_seed=noise_seed,
                              threshold_policy=threshold_policy, tau=tau,
                              cache_dir=str(cache_dir) if cache_dir else None)

@@ -7,6 +7,12 @@ reverse topological order, accumulates gradients additively into leaves, and
 frees the tape. The op set is the minimum the fusion network and its losses
 need; image tensors use NCHW layout and kernels OIHW.
 
+``attention`` is one fused node for ``softmax(q @ kt) @ v``: its scores
+become the probabilities in place, and its tape keeps only those
+probabilities plus q, kt and v (not the scores as well), which halves what
+each attention holds until backward. Without a tape it runs the queries in
+row chunks under ``_SCORE_BUDGET_BYTES``.
+
 Concurrency: tensors are treated as immutable once built, so inference over
 a frozen parameter set is safe from many workers; anything that mutates
 parameters (optimizer steps, grad zeroing) needs exclusive access. No
@@ -15,6 +21,7 @@ interior locking is provided.
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 
@@ -23,6 +30,10 @@ from scipy.special import erf
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
+
+# Largest score array (bytes) one ``attention`` chunk may build when no tape
+# is recorded. A constant, not a setting: it bounds memory, not results.
+_SCORE_BUDGET_BYTES = 8 * 2**20
 
 
 class ShapeError(ValueError):
@@ -354,20 +365,27 @@ def gelu(a: Tensor) -> Tensor:
     return Tensor._result("gelu", out, (a,), vjp, check=False)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = _as_tensor(a)
-    out = a.data - a.data.max(axis=axis, keepdims=True)
+def _softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of ``x`` along ``axis`` into ``out`` (``out=x`` works in place)."""
+    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
+    return out
 
-    def vjp(g):
-        tmp = g * out
-        inner = tmp.sum(axis=axis, keepdims=True)
-        np.subtract(g, inner, out=tmp)
-        tmp *= out
-        return (tmp,)
 
-    return Tensor._result("softmax", out, (a,), vjp, check=False)
+def _softmax_vjp(g: np.ndarray, p: np.ndarray, axis: int = -1) -> np.ndarray:
+    tmp = g * p
+    inner = tmp.sum(axis=axis, keepdims=True)
+    np.subtract(g, inner, out=tmp)
+    tmp *= p
+    return tmp
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    a = _as_tensor(a)
+    out = _softmax(a.data, axis)
+    return Tensor._result("softmax", out, (a,), lambda g: (_softmax_vjp(g, out, axis),),
+                          check=False)
 
 
 def layer_norm(x: Tensor, scale: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -520,6 +538,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._result("matmul", out, (a, b), vjp)
 
 
+def attention(q: Tensor, kt: Tensor, v: Tensor) -> Tensor:
+    """``softmax(q @ kt) @ v`` as one tape node; q (..., N_q, d), kt (..., d, N_kv).
+
+    The scores array becomes the probabilities in place, and only they, q, kt
+    and v stay on the tape. With no tape to record, queries run in row chunks
+    whose scores fit in ``_SCORE_BUDGET_BYTES`` (at least one row each); every
+    row still takes its softmax over all keys, so the result is the dense one.
+    """
+    q, kt, v = _as_tensor(q), _as_tensor(kt), _as_tensor(v)
+    if (min(q.ndim, kt.ndim, v.ndim) < 2 or q.shape[-1] != kt.shape[-2]
+            or kt.shape[-1] != v.shape[-2]):
+        raise ShapeError(f"attention: shapes {q.shape}, {kt.shape}, {v.shape} do not chain")
+    lead = np.broadcast_shapes(q.shape[:-2], kt.shape[:-2], v.shape[:-2])
+    nq = q.shape[-2]
+    track = _grad_enabled() and any(t.requires_grad for t in (q, kt, v))
+    rows = max(1, nq if track else _SCORE_BUDGET_BYTES // (8 * math.prod(lead) * kt.shape[-1]))
+    out = np.empty(lead + (nq, v.shape[-1]))
+    for r in range(0, nq, rows):
+        p = q.data[..., r:r + rows, :] @ kt.data
+        _check_finite(p, "attention")
+        np.matmul(_softmax(p, out=p), v.data, out=out[..., r:r + rows, :])
+
+    def vjp(g):
+        gs = _softmax_vjp(g @ np.swapaxes(v.data, -1, -2), p)
+        gv = np.swapaxes(p, -1, -2) @ g
+        return (_unbroadcast(gs @ np.swapaxes(kt.data, -1, -2), q.shape),
+                _unbroadcast(np.swapaxes(q.data, -1, -2) @ gs, kt.shape),
+                _unbroadcast(gv, v.shape))
+
+    return Tensor._result("attention", out, (q, kt, v), vjp)
+
+
 # -- padding and convolution --------------------------------------------------
 
 
@@ -611,49 +661,3 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         return np.ascontiguousarray(gx), gw, g.sum(axis=(0, 2, 3))
 
     return Tensor._result("conv2d", out, parents, vjp)
-
-
-# -- generic dispatch ---------------------------------------------------------
-
-_OPS = {
-    "matmul": matmul,
-    "conv2d": conv2d,
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "neg": neg,
-    "concat": concat,
-    "softmax": softmax,
-    "sigmoid": sigmoid,
-    "relu": relu,
-    "gelu": gelu,
-    "layer_norm": layer_norm,
-    "reshape": reshape,
-    "transpose": transpose,
-    "slice": slice_,
-    "reduce_sum": reduce_sum,
-    "reduce_mean": reduce_mean,
-    "max_elementwise": max_elementwise,
-    "abs": abs_,
-    "pow": pow_,
-    "pad2d": pad2d,
-}
-
-
-def forward_op(op_kind: str, inputs, attrs: dict | None = None) -> Tensor:
-    """Dispatch ``op_kind`` over ``inputs`` with op-specific ``attrs``.
-
-    ``concat`` takes its tensors as the input list; every other op takes
-    positional tensors followed by keyword attributes.
-    """
-    if op_kind not in _OPS:
-        raise KeyError(f"forward_op: unknown op kind {op_kind!r}")
-    fn = _OPS[op_kind]
-    attrs = attrs or {}
-    if op_kind == "concat":
-        return fn(list(inputs), **attrs)
-    return fn(*inputs, **attrs)
-
-
-OP_KINDS = tuple(_OPS)

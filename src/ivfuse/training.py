@@ -159,7 +159,9 @@ def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
             members = order[batch_idx * config.batch_size:
                             (batch_idx + 1) * config.batch_size]
             try:
-                batch_total = None
+                # backward per member frees its graph before the next is built;
+                # parameter grads accumulate across the calls
+                value = 0.0
                 part_sums = {"ssim": 0.0, "grad": 0.0, "int": 0.0, "color": 0.0}
                 for dataset_idx in members:
                     pair = pairs[int(dataset_idx)]
@@ -169,13 +171,13 @@ def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
                     out = model.forward(Tensor(vis_c), Tensor(ir_c), mask_c, text)
                     loss, parts = total_loss(out, vis_c, ir_c, config.weights)
                     scaled = loss * (1.0 / len(members))
-                    batch_total = scaled if batch_total is None else batch_total + scaled
+                    member = scaled.item()
+                    if not math.isfinite(member):
+                        raise NonFiniteError(f"loss at step {step} is {member}")
+                    scaled.backward()
+                    value += member
                     for k in part_sums:
                         part_sums[k] += parts[k] / len(members)
-                value = batch_total.item()
-                if not math.isfinite(value):
-                    raise NonFiniteError(f"loss at step {step} is {value}")
-                batch_total.backward()
                 adamw_step(params, lr=_lr_at(config, step, total_steps))
                 zero_grads(params)
             except NonFiniteError:

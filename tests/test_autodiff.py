@@ -195,3 +195,33 @@ def test_no_grad_skips_tape(rng):
     with T.no_grad():
         y = T.reduce_sum(w * w)
     assert y._vjp is None and not y.requires_grad
+
+
+@pytest.mark.parametrize("lead", [(), (2, 3)])
+def test_attention_grads(lead, rng):
+    q = rng.standard_normal(lead + (4, 3))
+    kt = rng.standard_normal(lead + (3, 5))
+    v = rng.standard_normal(lead + (5, 2))
+    w = Tensor(rng.standard_normal(lead + (4, 2)))
+    check_op(lambda t: T.reduce_sum(T.attention(t, Tensor(kt), Tensor(v)) * w), q)
+    check_op(lambda t: T.reduce_sum(T.attention(Tensor(q), t, Tensor(v)) * w), kt)
+    check_op(lambda t: T.reduce_sum(T.attention(Tensor(q), Tensor(kt), t) * w), v)
+
+
+@pytest.mark.parametrize("lead", [(), (2, 3)])
+def test_attention_matches_unfused_chain_bitwise(lead, rng):
+    """Forward and all three gradients equal matmul -> softmax -> matmul."""
+    arrays = (rng.standard_normal(lead + (6, 4)), rng.standard_normal(lead + (4, 9)),
+              rng.standard_normal(lead + (9, 5)))
+    w = Tensor(rng.standard_normal(lead + (6, 5)))
+
+    def run(op):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*leaves)
+        T.reduce_sum(out * w).backward()
+        return [out.data] + [t.grad for t in leaves]
+
+    fused = run(T.attention)
+    chain = run(lambda q, kt, v: T.matmul(T.softmax(T.matmul(q, kt), axis=-1), v))
+    for got, want in zip(fused, chain):
+        np.testing.assert_array_equal(got, want)

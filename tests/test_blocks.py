@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ivfuse import blocks
 from ivfuse import rng as ivrng
 from ivfuse import tensor as T
 from ivfuse.blocks import (CrossAttention, Encoder, PatchEmbed, PatchUnembed,
@@ -113,18 +112,20 @@ def test_kv_permutation_invariance(rng):
 CHUNK_ROWS = 4
 
 
-def count_softmax(monkeypatch, budget=None):
-    """Wrap T.softmax: record each call's input size, and check it against
-    ``budget`` when one is given."""
+def score_sizes(monkeypatch, nkv, budget=None):
+    """Wrap T._check_finite: record the size of each score array the
+    attention op checks (its calls on arrays with N_kv columns), and check it
+    against ``budget`` when one is given."""
     sizes = []
-    real = T.softmax
+    real = T._check_finite
 
-    def wrapped(a, axis=-1):
-        sizes.append(a.data.nbytes)
-        assert budget is None or a.data.nbytes <= budget
-        return real(a, axis=axis)
+    def wrapped(arr, op):
+        if op == "attention" and arr.shape[-1] == nkv:
+            sizes.append(arr.nbytes)
+            assert budget is None or arr.nbytes <= budget
+        return real(arr, op)
 
-    monkeypatch.setattr(T, "softmax", wrapped)
+    monkeypatch.setattr(T, "_check_finite", wrapped)
     return sizes
 
 
@@ -141,8 +142,8 @@ def test_chunked_inference_matches_dense(rng, monkeypatch, batch, nq, nkv):
     with T.no_grad():
         dense = ca(q, kv).data
     budget = 8 * ca.heads * nkv * int(np.prod(batch)) * CHUNK_ROWS
-    monkeypatch.setattr(blocks, "_SCORE_BUDGET_BYTES", budget)
-    sizes = count_softmax(monkeypatch, budget)
+    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", budget)
+    sizes = score_sizes(monkeypatch, nkv, budget)
     with T.no_grad():
         chunked = ca(q, kv).data
     assert len(sizes) == -(-nq // CHUNK_ROWS)
@@ -152,13 +153,45 @@ def test_chunked_inference_matches_dense(rng, monkeypatch, batch, nq, nkv):
 
 def test_grad_mode_attention_is_dense(rng, monkeypatch):
     ca = make_ca(4, 4, 8, 4, 2)
-    monkeypatch.setattr(blocks, "_SCORE_BUDGET_BYTES", 8)
-    sizes = count_softmax(monkeypatch)
+    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8)
+    sizes = score_sizes(monkeypatch, 7)
     q = Tensor(rng.standard_normal((2, 9, 4)), requires_grad=True)
     out = ca(q, Tensor(rng.standard_normal((2, 7, 4))))
     assert sizes == [8 * 2 * 2 * 9 * 7]
     T.reduce_sum(out).backward()
     assert q.grad.shape == q.shape
+
+
+def retained_arrays(out):
+    """Every ndarray the tape behind ``out`` keeps alive: node values and
+    whatever the VJP closures captured (arrays, or tensors' values)."""
+    arrays, seen, stack = {}, set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        arrays[id(node.data)] = node.data
+        for cell in getattr(node._vjp, "__closure__", None) or ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray):
+                arrays[id(value)] = value
+            elif isinstance(value, Tensor):
+                stack.append(value)
+        stack.extend(node._parents)
+    return list(arrays.values())
+
+
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_attention_tape_keeps_only_probabilities(rng, batch):
+    nq, nkv = 5, 7
+    ca = make_ca(6, 6, 6, 6, 2)
+    q = Tensor(rng.standard_normal(batch + (nq, 6)), requires_grad=True)
+    kv = Tensor(rng.standard_normal(batch + (nkv, 6)))
+    out = ca(q, kv)
+    square = [a for a in retained_arrays(out) if a.shape[-2:] == (nq, nkv)]
+    assert len(square) == 1
+    np.testing.assert_array_equal(square[0], ca.attention_weights(q, kv))
 
 
 def make_block(dim=6, heads=2, seed=3):

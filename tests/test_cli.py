@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ivfuse.cli import main
-from ivfuse.dataset import generate_dataset
+from ivfuse.cli import _semantics, main
+from ivfuse.config import parse_config_text
+from ivfuse.dataset import FixtureBundle, generate_dataset, load_pairs
 from ivfuse.imgio import load_image
 
 SMALL_CONFIG = """
@@ -171,3 +172,17 @@ def test_ablate_produces_table4_schema(dataset):
         assert all(np.isfinite(float(v)) for v in values)
     table = (out / "ablation.txt").read_text()
     assert "setting" in table and "(d) full" in table
+
+
+def test_config_vocabulary_overrides_fixtures(dataset):
+    """The run config's keyword order, not fixtures.json's, picks the keyword."""
+    root, _, tmp = dataset
+    fixtures = FixtureBundle.load(root / "fixtures.json")
+    assert fixtures.vocabulary == ("car", "person", "bike")
+    fixtures.captions["pair0000"] = "a person beside a car"
+    fixtures.save(root / "fixtures.json")
+    pairs = load_pairs(root)
+    config = parse_config_text("vocabulary = person,car\n")
+    generator = _semantics(config, root, pairs, tmp / "cache")
+    caption = generator.caption_for(pairs[0].i_vis)
+    assert generator.contrast_caption(caption).text == "a beside a car"

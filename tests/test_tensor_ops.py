@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from ivfuse import tensor as T
-from ivfuse.tensor import (GraphError, NonFiniteError, ShapeError, Tensor,
-                           forward_op)
+from ivfuse.tensor import GraphError, NonFiniteError, ShapeError, Tensor
 
 from oracles import conv2d_direct, softmax_rows
 
 
 def test_softmax_symmetry():
-    out = forward_op("softmax", [Tensor([0.0, 0.0])], {"axis": -1})
+    out = T.softmax(Tensor([0.0, 0.0]), axis=-1)
     np.testing.assert_allclose(out.data, [0.5, 0.5])
 
 
@@ -24,7 +23,7 @@ def test_softmax_rows_sum_to_one(rng):
 def test_conv2d_identity_kernel(rng):
     img = Tensor(rng.random((1, 1, 3, 3)))
     kernel = Tensor(np.ones((1, 1, 1, 1)))
-    out = forward_op("conv2d", [img, kernel], {"stride": 1, "padding": 0})
+    out = T.conv2d(img, kernel, stride=1, padding=0)
     np.testing.assert_array_equal(out.data, img.data)
 
 
@@ -61,6 +60,11 @@ def test_shape_error_names_op_and_dims():
         T.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
     with pytest.raises(ShapeError, match="concat"):
         T.concat([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))], axis=0)
+    q = Tensor(np.ones((2, 3)))
+    with pytest.raises(ShapeError, match="attention"):
+        T.attention(q, Tensor(np.ones((4, 5))), Tensor(np.ones((5, 2))))
+    with pytest.raises(ShapeError, match="attention"):
+        T.attention(q, Tensor(np.ones((3, 5))), Tensor(np.ones((4, 2))))
 
 
 def test_non_finite_input_rejected():
@@ -105,11 +109,6 @@ def test_pad2d_reflect_matches_numpy(rng):
     np.testing.assert_array_equal(out.data, np.pad(x, [(0, 0), (0, 0), (2, 2), (1, 1)], mode="reflect"))
     out = T.pad2d(Tensor(x), 1, mode="zero")
     np.testing.assert_array_equal(out.data, np.pad(x, [(0, 0), (0, 0), (1, 1), (1, 1)]))
-
-
-def test_forward_op_rejects_unknown_kind():
-    with pytest.raises(KeyError):
-        forward_op("fft", [Tensor([1.0])])
 
 
 def test_backward_requires_scalar_and_graph(rng):
