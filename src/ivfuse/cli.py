@@ -37,8 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Text-guided infrared/visible image fusion toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
+    def add_common(p):
+        p.add_argument("--config", required=True,
                        help="run configuration file (key = value lines)")
 
     p_fuse = sub.add_parser("fuse", help="fuse every pair of a dataset")
@@ -60,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mask.add_argument("--out", required=True)
 
     p_eval = sub.add_parser("eval", help="metric report for fused images")
-    add_common(p_eval, config_required=False)
     p_eval.add_argument("--fused", required=True, help="directory of fused images")
     p_eval.add_argument("--in", dest="dataset", help="dataset root supplying vis/ and ir/")
     p_eval.add_argument("--vis", help="visible image directory (overrides --in)")
@@ -85,13 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> RunConfig:
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    return RunConfig().validate()
-
-
-def _semantics(config: RunConfig, dataset, pairs, cache_dir):
+def _generator(config: RunConfig, dataset, pairs, cache_dir):
     return semantic_generator_for(
         dataset, pairs, text_dim=config.text_dim, cache_dir=cache_dir,
         noise_level=config.noise_level, noise_seed=config.noise_seed,
@@ -100,57 +93,59 @@ def _semantics(config: RunConfig, dataset, pairs, cache_dir):
         fixtures_path=config.fixtures or None)
 
 
-def _pair_semantics(generator, pair):
-    mask = pair.mask or generator.mask_for_pair(pair.i_vis, pair.i_ir, pair.pair_id)
-    text = pair.text or generator.text_for_pair(pair.i_vis)
-    return mask, text
+def _semantics(config: RunConfig, dataset, pairs, cache_dir) -> dict:
+    """pair_id -> (mask, text); a shipped mask or caption wins over the generator."""
+    generator = _generator(config, dataset, pairs, cache_dir)
+    return {p.pair_id: (p.mask or generator.mask_for_pair(p.i_vis, p.i_ir, p.pair_id,
+                                                          caption=p.caption),
+                        generator.text_for_pair(p.i_vis, caption=p.caption))
+            for p in pairs}
+
+
+def _fuse_to(model, pairs, semantics, out_dir: Path, jobs: int) -> int:
+    """Fuse pairs on ``jobs`` threads, writing ``<pair>.png`` for each success.
+
+    A failed pair is reported and skipped; the exit code is 2 if any failed.
+    """
+    code = 0
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        futures = [(p.pair_id, pool.submit(fuse, model, p, semantics[p.pair_id]))
+                   for p in pairs]
+        for pair_id, future in futures:
+            try:
+                image = future.result()
+            except Exception as e:
+                print(f"fuse failed for {pair_id}: {e}", file=sys.stderr)
+                code = RUNTIME_EXIT
+                continue
+            save_image(image, out_dir / f"{pair_id}.png")
+    return code
 
 
 def cmd_fuse(args) -> int:
-    config = _load(args)
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError("--jobs must be >= 1")
+    config = load_config(args.config)
     pairs = load_pairs(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    generator = _semantics(config, args.dataset, pairs, out_dir / "cache")
     if args.checkpoint:
         model = load_model(args.checkpoint, config.model_config())
     else:
         model = FusionModel(config.model_config(), variant=config.variant, seed=config.seed)
-    jobs = args.jobs or config.jobs
-    semantics = {p.pair_id: _pair_semantics(generator, p) for p in pairs}
-
-    def run_one(pair):
-        try:
-            return pair.pair_id, fuse(model, pair, semantics[pair.pair_id]), None
-        except Exception as e:
-            return pair.pair_id, None, str(e)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(run_one, pairs))
-    else:
-        outputs = [run_one(pair) for pair in pairs]
-    written = 0
-    failures = [(pid, err) for pid, _, err in outputs if err is not None]
-    for pair_id, image, err in outputs:
-        if err is None:
-            save_image(image, out_dir / f"{pair_id}.png")
-            written += 1
-    if failures:
-        for pair_id, err in failures:
-            print(f"fuse failed for {pair_id}: {err}", file=sys.stderr)
-        return RUNTIME_EXIT
-    print(f"fused {written} pairs -> {out_dir}")
-    return 0
+    semantics = _semantics(config, args.dataset, pairs, out_dir / "cache")
+    code = _fuse_to(model, pairs, semantics, out_dir, args.jobs or config.jobs)
+    if code == 0:
+        print(f"fused {len(pairs)} pairs -> {out_dir}")
+    return code
 
 
 def cmd_train(args) -> int:
-    config = _load(args)
+    config = load_config(args.config)
     pairs = load_pairs(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    generator = _semantics(config, args.dataset, pairs, out_dir / "cache")
-    semantics = {p.pair_id: _pair_semantics(generator, p) for p in pairs}
+    semantics = _semantics(config, args.dataset, pairs, out_dir / "cache")
     result = train(config.train_config(), pairs, semantics, out_dir,
                    resume_from=args.resume)
     print(f"trained {result.steps} steps, final loss {result.final_loss:.6f}; "
@@ -159,18 +154,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_mask(args) -> int:
-    config = _load(args)
+    config = load_config(args.config)
     pairs = load_pairs(args.dataset)
     out_dir = Path(args.out)
     masks_dir = out_dir / "masks"
     preview_dir = out_dir / "previews"
     masks_dir.mkdir(parents=True, exist_ok=True)
     preview_dir.mkdir(parents=True, exist_ok=True)
-    generator = _semantics(config, args.dataset, pairs, out_dir / "cache")
-    for pair in pairs:
-        mask = pair.mask or generator.mask_for_pair(pair.i_vis, pair.i_ir, pair.pair_id)
-        write_mask(masks_dir / f"{pair.pair_id}.mask", mask.m)
-        save_image(mask.m[None], preview_dir / f"{pair.pair_id}.png")
+    semantics = _semantics(config, args.dataset, pairs, out_dir / "cache")
+    for pair_id, (mask, _) in semantics.items():
+        write_mask(masks_dir / f"{pair_id}.mask", mask.m)
+        save_image(mask.m[None], preview_dir / f"{pair_id}.png")
     print(f"wrote {len(pairs)} masks -> {masks_dir}")
     return 0
 
@@ -202,12 +196,11 @@ ABLATION_ORDER = (("no-mgca", "(a) w/o MGCA"), ("no-tivr", "(b) w/o TIVR"),
 def cmd_ablate(args) -> int:
     from dataclasses import replace
 
-    config = _load(args)
+    config = load_config(args.config)
     pairs = load_pairs(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    generator = _semantics(config, args.dataset, pairs, out_dir / "cache")
-    semantics = {p.pair_id: _pair_semantics(generator, p) for p in pairs}
+    semantics = _semantics(config, args.dataset, pairs, out_dir / "cache")
 
     rows = []
     for variant, label in ABLATION_ORDER:
@@ -218,9 +211,9 @@ def cmd_ablate(args) -> int:
         model = load_model(result.checkpoint_path, config.model_config())
         fused_dir = variant_dir / "fused"
         fused_dir.mkdir(exist_ok=True)
-        for pair in pairs:
-            save_image(fuse(model, pair, semantics[pair.pair_id]),
-                       fused_dir / f"{pair.pair_id}.png")
+        code = _fuse_to(model, pairs, semantics, fused_dir, config.jobs)
+        if code:
+            return code
         report = evaluate_dataset(fused_dir, Path(args.dataset) / "vis",
                                   Path(args.dataset) / "ir")
         means = report.means

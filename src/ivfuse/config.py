@@ -50,7 +50,7 @@ KEY_DOCS = {
     "tau": ("0.5", "threshold when threshold_policy = fixed"),
     "fixtures": ("", "path to fixtures.json (empty = <dataset>/fixtures.json)"),
     # execution
-    "jobs": ("1", "parallel workers for fuse/eval"),
+    "jobs": ("1", "threads fusing pairs in fuse and ablate"),
 }
 
 

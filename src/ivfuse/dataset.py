@@ -20,7 +20,7 @@ from .providers import (HashTextEncoder, LookupCaptioner, PlantedRegionDenoiser,
                         Rect)
 from .rng import derive
 from .sig import (MaskSemantics, SemanticGenerator, TextDescription,
-                  TextSemantics, image_content_hash, read_mask)
+                  image_content_hash, read_mask)
 
 IMAGE_EXTENSIONS = (".png", ".ppm", ".pgm", ".pnm")
 
@@ -37,7 +37,6 @@ class ImagePair:
     i_vis: np.ndarray
     i_ir: np.ndarray
     mask: MaskSemantics | None = None
-    text: TextSemantics | None = None
     caption: TextDescription | None = None
 
     def __post_init__(self):

@@ -12,7 +12,6 @@ Variants switch stages off for the ablation harness:
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,20 +140,16 @@ def _pad_to_multiple(arr: np.ndarray, p: int) -> np.ndarray:
 
 
 def fuse(model: FusionModel, pair: ImagePair,
-         semantics: tuple[MaskSemantics, TextSemantics] | None = None) -> np.ndarray:
+         semantics: tuple[MaskSemantics, TextSemantics]) -> np.ndarray:
     """Inference-mode fusion: returns a (3,H,W) float64 image in [0,1].
 
-    Dimensions that are not multiples of the patch size are reflect-padded
-    up front and the output is cropped back. Pure given a frozen model, so
-    concurrent calls over different pairs are safe; parameters must not be
-    mutated while a batch is in flight.
+    ``semantics`` is the pair's (mask, text). Dimensions that are not
+    multiples of the patch size are reflect-padded up front and the output
+    is cropped back. Pure given a frozen model, so concurrent calls over
+    different pairs are safe; parameters must not be mutated while any call
+    is in flight.
     """
-    if semantics is not None:
-        mask, text = semantics
-    else:
-        mask, text = pair.mask, pair.text
-    if mask is None or text is None:
-        raise StageError("fuse: pair has no mask/text semantics and none were supplied")
+    mask, text = semantics
     h, w = pair.height, pair.width
     if mask.m.shape != (h, w):
         raise StageError(f"fuse: mask {mask.m.shape} does not match pair "
@@ -174,29 +169,3 @@ def fuse(model: FusionModel, pair: ImagePair,
             f"fuse failed in stage {_stage.name} for pair {pair.pair_id!r}: {e}") from e
     img = out.data[:, :h, :w]
     return np.clip(img, 0.0, 1.0)
-
-
-@dataclass
-class FuseResult:
-    pair_id: str
-    image: np.ndarray | None
-    seconds: float
-    error: str | None = None
-
-
-def fuse_batch(model: FusionModel, pairs, semantics_for=None) -> list[FuseResult]:
-    """Fuse pairs in order; failures are collected, not raised.
-
-    ``semantics_for(pair)`` supplies (mask, text) when pairs do not carry
-    their own.
-    """
-    results: list[FuseResult] = []
-    for pair in pairs:
-        start = time.perf_counter()
-        try:
-            sem = semantics_for(pair) if semantics_for is not None else None
-            img = fuse(model, pair, sem)
-            results.append(FuseResult(pair.pair_id, img, time.perf_counter() - start))
-        except Exception as e:
-            results.append(FuseResult(pair.pair_id, None, time.perf_counter() - start, str(e)))
-    return results

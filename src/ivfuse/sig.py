@@ -323,15 +323,18 @@ class SemanticGenerator:
             return t
         return strip_keyword(t, spec)
 
-    def mask_for_pair(self, i_vis: np.ndarray, i_ir: np.ndarray,
-                      pair_id: str | None = None) -> MaskSemantics:
-        """Union of visible and infrared masks, cached per pair id."""
+    def mask_for_pair(self, i_vis: np.ndarray, i_ir: np.ndarray, pair_id: str | None = None,
+                      caption: TextDescription | None = None) -> MaskSemantics:
+        """Union of visible and infrared masks, cached per pair id.
+
+        A given ``caption`` replaces the captioner's caption of ``i_vis``.
+        """
         cache_path = None
         if self.cache_dir is not None and pair_id is not None:
             cache_path = os.path.join(self.cache_dir, "masks", pair_id + ".mask")
             if os.path.exists(cache_path):
                 return MaskSemantics(read_mask(cache_path), provenance="union")
-        t = self.caption_for(i_vis)
+        t = caption or self.caption_for(i_vis)
         t_hat = self.contrast_caption(t)
         m_vis = mask_from_noise_diff(i_vis, t, t_hat, self.denoiser, self.noise_seed,
                                      self.noise_level, self.threshold_policy, self.tau)
@@ -342,5 +345,6 @@ class SemanticGenerator:
             write_mask(cache_path, semantics.m)
         return semantics
 
-    def text_for_pair(self, i_vis: np.ndarray) -> TextSemantics:
-        return embed_text(self.caption_for(i_vis), self.text_encoder)
+    def text_for_pair(self, i_vis: np.ndarray,
+                      caption: TextDescription | None = None) -> TextSemantics:
+        return embed_text(caption or self.caption_for(i_vis), self.text_encoder)

@@ -107,18 +107,18 @@ def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
           resume_from=None) -> TrainResult:
     """Run the optimization loop and write checkpoints plus a loss history.
 
-    ``semantics`` maps pair_id -> (MaskSemantics, TextSemantics); it can be a
-    dict or a callable taking the pair. Masks and captions are expected to be
-    precomputed (the semantic generator caches them); crops slice the cached
-    mask.
+    ``semantics`` maps pair_id -> (MaskSemantics, TextSemantics), precomputed
+    (the semantic generator caches them); crops slice the pair's mask, which
+    must have the pair's size.
     """
     if not pairs:
         raise ValueError("train: empty dataset")
+    for pair in pairs:
+        shape = semantics[pair.pair_id][0].m.shape
+        if shape != (pair.height, pair.width):
+            raise ValueError(f"train: mask {shape} does not match pair "
+                             f"{pair.pair_id!r} of size {(pair.height, pair.width)}")
     os.makedirs(out_dir, exist_ok=True)
-
-    def sem_for(pair):
-        got = semantics(pair) if callable(semantics) else semantics[pair.pair_id]
-        return got
 
     model = FusionModel(config.model, variant=config.variant, seed=config.seed)
     params = model.trainable_parameters()
@@ -165,7 +165,7 @@ def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
                 part_sums = {"ssim": 0.0, "grad": 0.0, "int": 0.0, "color": 0.0}
                 for dataset_idx in members:
                     pair = pairs[int(dataset_idx)]
-                    mask, text = sem_for(pair)
+                    mask, text = semantics[pair.pair_id]
                     gen = derive(config.seed, "crop", epoch, int(dataset_idx))
                     vis_c, ir_c, mask_c = sample_crop(pair, mask, config.crop, gen)
                     out = model.forward(Tensor(vis_c), Tensor(ir_c), mask_c, text)

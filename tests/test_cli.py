@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from ivfuse.cli import _semantics, main
-from ivfuse.config import parse_config_text
+from ivfuse import cli
+from ivfuse.cli import _generator, _semantics, main
+from ivfuse.config import load_config, parse_config_text
 from ivfuse.dataset import FixtureBundle, generate_dataset, load_pairs
 from ivfuse.imgio import load_image
+from ivfuse.model import StageError
+from ivfuse.sig import TextDescription, embed_text, read_mask, write_mask
 
 SMALL_CONFIG = """
 patch = 2
@@ -57,6 +60,44 @@ def test_fuse_jobs_parallel_matches_serial(dataset):
                  "--jobs", "2"]) == 0
     for name in ("pair0000.png", "pair0001.png"):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_fuse_reports_failed_pair_and_writes_the_rest(dataset, capsys, jobs):
+    root, cfg, tmp = dataset
+    (root / "masks").mkdir()
+    write_mask(root / "masks" / "pair0001.mask", np.ones((5, 5)))
+    out = tmp / "fused"
+    code = main(["fuse", "--config", str(cfg), "--in", str(root), "--out", str(out),
+                 "--jobs", jobs])
+    assert code == 2
+    assert sorted(p.name for p in out.glob("*.png")) == ["pair0000.png"]
+    err = capsys.readouterr().err
+    assert "fuse failed for pair0001: " in err
+    assert "pair0000" not in err and "Traceback" not in err
+
+
+def test_shipped_caption_drives_mask_and_text(dataset):
+    """A dataset's captions/<pair>.txt replaces the captioner for that pair."""
+    root, cfg, tmp = dataset
+    (root / "captions").mkdir()
+    (root / "captions" / "pair0000.txt").write_text("an empty street\n")
+    out = tmp / "maskout"
+    with pytest.warns(UserWarning, match="no vocabulary keyword"):
+        assert main(["mask", "--config", str(cfg), "--in", str(root), "--out", str(out)]) == 0
+    # no keyword, so the contrast caption is the caption and nothing stands out
+    assert not read_mask(out / "masks" / "pair0000.mask").any()
+    assert read_mask(out / "masks" / "pair0001.mask").any()
+    config = load_config(cfg)
+    pairs = load_pairs(root)
+    with pytest.warns(UserWarning, match="no vocabulary keyword"):
+        semantics = _semantics(config, root, pairs, tmp / "cache")
+    generator = _generator(config, root, pairs, None)
+    shipped = embed_text(TextDescription.from_text("an empty street"), generator.text_encoder)
+    assert semantics["pair0000"][1].length == 3
+    np.testing.assert_array_equal(semantics["pair0000"][1].embeddings, shipped.embeddings)
+    np.testing.assert_array_equal(semantics["pair0001"][1].embeddings,
+                                  generator.text_for_pair(pairs[1].i_vis).embeddings)
 
 
 def test_mask_writes_caches_and_previews(dataset):
@@ -117,6 +158,10 @@ def test_usage_errors_exit_one(dataset, capsys):
     bad_cfg.write_text("warp_speed = 9\n")
     assert main(["fuse", "--config", str(bad_cfg), "--in", str(root),
                  "--out", str(tmp / "x")]) == 1
+    assert main(["fuse", "--config", str(cfg), "--in", str(root), "--out", str(tmp / "x"),
+                 "--jobs", "0"]) == 1
+    assert main(["eval", "--config", str(cfg), "--fused", str(root / "vis"),
+                 "--in", str(root), "--out", str(tmp / "r")]) == 1  # eval reads no config
 
 
 def test_runtime_errors_exit_two(dataset):
@@ -174,6 +219,26 @@ def test_ablate_produces_table4_schema(dataset):
     assert "setting" in table and "(d) full" in table
 
 
+def test_ablate_reports_failed_fuse_and_stops(dataset, capsys, monkeypatch):
+    root, cfg, tmp = dataset
+    real_fuse = cli.fuse
+
+    def fuse(model, pair, semantics):
+        if pair.pair_id == "pair0001":
+            raise StageError(f"fuse failed in stage decode for pair {pair.pair_id!r}: boom")
+        return real_fuse(model, pair, semantics)
+
+    monkeypatch.setattr(cli, "fuse", fuse)
+    out = tmp / "ablation"
+    assert main(["ablate", "--config", str(cfg), "--in", str(root), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "fuse failed for pair0001: " in err and "Traceback" not in err
+    fused = out / "no-mgca" / "fused"
+    assert sorted(p.name for p in fused.iterdir()) == ["pair0000.png"]
+    assert not (out / "no-mgca" / "report.csv").exists()
+    assert not (out / "no-tivr").exists() and not (out / "ablation.csv").exists()
+
+
 def test_config_vocabulary_overrides_fixtures(dataset):
     """The run config's keyword order, not fixtures.json's, picks the keyword."""
     root, _, tmp = dataset
@@ -183,6 +248,6 @@ def test_config_vocabulary_overrides_fixtures(dataset):
     fixtures.save(root / "fixtures.json")
     pairs = load_pairs(root)
     config = parse_config_text("vocabulary = person,car\n")
-    generator = _semantics(config, root, pairs, tmp / "cache")
+    generator = _generator(config, root, pairs, tmp / "cache")
     caption = generator.caption_for(pairs[0].i_vis)
     assert generator.contrast_caption(caption).text == "a beside a car"

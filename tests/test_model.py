@@ -6,8 +6,7 @@ import pytest
 from ivfuse import model as model_module
 from ivfuse import tensor as T
 from ivfuse.dataset import ImagePair
-from ivfuse.model import (FuseResult, FusionModel, ModelConfig, StageError,
-                          fuse, fuse_batch)
+from ivfuse.model import FusionModel, ModelConfig, StageError, fuse
 from ivfuse.sig import MaskSemantics, TextSemantics
 from ivfuse.tensor import Tensor
 
@@ -56,12 +55,6 @@ def test_non_divisible_dims_padded_and_cropped(rng):
     sem = semantics_for(rng, 11, 13)
     out = fuse(model, pair, sem)
     assert out.shape == (3, 11, 13)
-
-
-def test_missing_semantics_raises_stage_error(rng):
-    model = FusionModel(SMALL, seed=3)
-    with pytest.raises(StageError, match="semantics"):
-        fuse(model, make_pair(rng), None)
 
 
 def test_mask_shape_checked_before_padding(rng):
@@ -149,35 +142,6 @@ def test_gradient_reaches_nearly_all_parameters(rng):
     nonzero = sum(1 for p in params if p.grad is not None and np.any(p.grad != 0.0))
     assert nonzero / len(params) >= 0.99
     model.zero_grads()
-
-
-def test_fuse_batch_matches_individual_calls(rng):
-    model = FusionModel(SMALL, seed=10)
-    pairs = [make_pair(rng, pair_id=f"p{i}") for i in range(4)]
-    sems = {p.pair_id: semantics_for(rng, 12, 12) for p in pairs}
-    results = fuse_batch(model, pairs, semantics_for=lambda p: sems[p.pair_id])
-    assert [r.pair_id for r in results] == [p.pair_id for p in pairs]
-    for pair, res in zip(pairs, results):
-        single = fuse(model, pair, sems[pair.pair_id])
-        assert res.error is None
-        assert res.image.tobytes() == single.tobytes()
-        assert res.seconds >= 0.0
-    assert fuse_batch(model, [], semantics_for=lambda p: None) == []
-
-
-def test_fuse_batch_collects_failures_and_continues(rng):
-    model = FusionModel(SMALL, seed=11)
-    good = make_pair(rng, pair_id="good")
-    bad = make_pair(rng, pair_id="bad")
-    sems = {"good": semantics_for(rng, 12, 12),
-            "bad": (MaskSemantics(np.ones((5, 5))), sems_text(rng))}
-    results = fuse_batch(model, [bad, good], semantics_for=lambda p: sems[p.pair_id])
-    assert results[0].error is not None and results[0].image is None
-    assert results[1].error is None and results[1].image is not None
-
-
-def sems_text(rng):
-    return TextSemantics(rng.standard_normal((2, 6)))
 
 
 def test_stage_error_is_per_thread(rng, monkeypatch):

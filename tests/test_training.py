@@ -187,6 +187,16 @@ def test_empty_dataset_rejected(tmp_path):
         train(tiny_config(), [], {}, tmp_path / "run")
 
 
+@pytest.mark.parametrize("variant", ["full", "no-mgca"])
+def test_mask_of_wrong_size_rejected_before_cropping(rng, tmp_path, variant):
+    pairs, semantics = make_dataset(rng, n=2, h=32, w=32)
+    semantics["p1"] = (MaskSemantics(np.ones((5, 5))), semantics["p1"][1])
+    with pytest.raises(ValueError,
+                       match=r"mask \(5, 5\) does not match pair 'p1' of size \(32, 32\)"):
+        train(tiny_config(variant=variant), pairs, semantics, tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
 # -- one backward pass per batch member ------------------------------------------
 
 
