@@ -11,6 +11,7 @@ union the per-modality masks, and embed the caption tokens.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import struct
 import warnings
@@ -94,9 +95,11 @@ def image_content_hash(image: np.ndarray) -> str:
 # -- captioning ----------------------------------------------------------------
 
 
-def describe(image: np.ndarray, captioner, cache: dict | None = None) -> TextDescription:
-    """Caption ``image`` through the provider, memoized by content hash."""
-    key = image_content_hash(image)
+def describe(image: np.ndarray, captioner, cache: dict | None = None,
+             key: str | None = None) -> TextDescription:
+    """Caption ``image`` through the provider, memoized by content hash
+    (``key``, when the caller has already taken ``image_content_hash(image)``)."""
+    key = key or image_content_hash(image)
     if cache is not None and key in cache:
         return cache[key]
     try:
@@ -173,16 +176,18 @@ def _as_chw(image: np.ndarray) -> np.ndarray:
 
 def mask_from_noise_diff(image: np.ndarray, t: TextDescription, t_hat: TextDescription,
                          denoiser, noise_seed: int, noise_level: float = 0.5,
-                         threshold_policy: str = "otsu", tau: float = 0.5) -> np.ndarray:
+                         threshold_policy: str = "otsu", tau: float = 0.5,
+                         content_hash: str | None = None) -> np.ndarray:
     """Binary map from the denoiser's response difference under T vs T-hat.
 
     Gaussian noise (scaled by ``noise_level``) is added once; the denoiser is
     queried under both captions; the absolute estimate difference is reduced
     over channels by mean, min-max normalized (all-zeros if flat), then
-    binarized by Otsu or a fixed threshold.
+    binarized by Otsu or a fixed threshold. ``content_hash`` is the image's
+    ``image_content_hash`` in (C,H,W) form, when the caller has taken it.
     """
     img = _as_chw(np.asarray(image, dtype=np.float64))
-    gen = derive(noise_seed, "mask-noise", image_content_hash(img))
+    gen = derive(noise_seed, "mask-noise", content_hash or image_content_hash(img))
     noisy = img + noise_level * gen.standard_normal(img.shape)
     est_t = np.asarray(denoiser.estimate_noise(noisy, t, noise_level), dtype=np.float64)
     est_hat = np.asarray(denoiser.estimate_noise(noisy, t_hat, noise_level), dtype=np.float64)
@@ -296,8 +301,9 @@ class SemanticGenerator:
 
     # caption with persistent sidecar cache
 
-    def caption_for(self, image: np.ndarray) -> TextDescription:
-        key = image_content_hash(image)
+    def caption_for(self, image: np.ndarray, key: str | None = None) -> TextDescription:
+        """Caption of ``image``; ``key`` is its ``image_content_hash`` if taken."""
+        key = key or image_content_hash(image)
         if key in self._caption_mem:
             return self._caption_mem[key]
         if self.cache_dir is not None:
@@ -307,7 +313,7 @@ class SemanticGenerator:
                     desc = TextDescription.from_text(f.read().strip())
                 self._caption_mem[key] = desc
                 return desc
-        desc = describe(image, self.captioner, cache=self._caption_mem)
+        desc = describe(image, self.captioner, cache=self._caption_mem, key=key)
         if self.cache_dir is not None:
             side = os.path.join(self.cache_dir, "captions", key + ".txt")
             tmp = side + ".tmp"
@@ -325,25 +331,43 @@ class SemanticGenerator:
 
     def mask_for_pair(self, i_vis: np.ndarray, i_ir: np.ndarray, pair_id: str | None = None,
                       caption: TextDescription | None = None) -> MaskSemantics:
-        """Union of visible and infrared masks, cached per pair id.
+        """Union of visible and infrared masks.
 
         A given ``caption`` replaces the captioner's caption of ``i_vis``.
+        With a cache directory and a pair id, the mask is cached as
+        ``masks/<key>.mask``, where the key digests every input the mask
+        depends on (``_mask_key``), so a changed image, caption or
+        setting never reads a stale mask.
         """
+        vis = _as_chw(np.asarray(i_vis, dtype=np.float64))
+        ir = _as_chw(np.asarray(i_ir, dtype=np.float64))
+        h_vis, h_ir = image_content_hash(vis), image_content_hash(ir)
+        t = caption or self.caption_for(vis, key=h_vis)
         cache_path = None
         if self.cache_dir is not None and pair_id is not None:
-            cache_path = os.path.join(self.cache_dir, "masks", pair_id + ".mask")
+            key = self._mask_key(h_vis, h_ir, t)
+            cache_path = os.path.join(self.cache_dir, "masks", key + ".mask")
             if os.path.exists(cache_path):
                 return MaskSemantics(read_mask(cache_path), provenance="union")
-        t = caption or self.caption_for(i_vis)
         t_hat = self.contrast_caption(t)
-        m_vis = mask_from_noise_diff(i_vis, t, t_hat, self.denoiser, self.noise_seed,
-                                     self.noise_level, self.threshold_policy, self.tau)
-        m_ir = mask_from_noise_diff(i_ir, t, t_hat, self.denoiser, self.noise_seed,
-                                    self.noise_level, self.threshold_policy, self.tau)
+        m_vis = mask_from_noise_diff(vis, t, t_hat, self.denoiser, self.noise_seed,
+                                     self.noise_level, self.threshold_policy, self.tau,
+                                     content_hash=h_vis)
+        m_ir = mask_from_noise_diff(ir, t, t_hat, self.denoiser, self.noise_seed,
+                                    self.noise_level, self.threshold_policy, self.tau,
+                                    content_hash=h_ir)
         semantics = union_masks(m_vis, m_ir)
         if cache_path is not None:
             write_mask(cache_path, semantics.m)
         return semantics
+
+    def _mask_key(self, h_vis: str, h_ir: str, caption: TextDescription) -> str:
+        """SHA-256 hex digest naming a cached mask: both images' content hashes,
+        the caption used, and every mask setting of this generator."""
+        fields = [h_vis, h_ir, caption.text, list(self.vocabulary), self.keyword,
+                  self.threshold_policy, float(self.tau), float(self.noise_level),
+                  int(self.noise_seed)]
+        return hashlib.sha256(json.dumps(fields).encode()).hexdigest()
 
     def text_for_pair(self, i_vis: np.ndarray,
                       caption: TextDescription | None = None) -> TextSemantics:

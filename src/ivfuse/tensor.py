@@ -10,7 +10,11 @@ need; image tensors use NCHW layout and kernels OIHW.
 ``attention`` is one fused node for ``softmax(q @ kt) @ v``: its scores
 become the probabilities in place, and its tape keeps only those
 probabilities plus q, kt and v (not the scores as well), which halves what
-each attention holds until backward. Without a tape it runs the queries in
+each attention holds until backward. Its backward takes the softmax's row
+sums from the output (sum over d_v of dO * O) instead of from the N_q x N_kv
+probabilities, and builds the score gradient in one N_q x N_kv buffer. Its
+finite check on the scores reads the row max and the min, which is exactly
+as strict as a full ``isfinite`` pass. Without a tape it runs the queries in
 row chunks under ``_SCORE_BUDGET_BYTES``.
 
 Concurrency: tensors are treated as immutable once built, so inference over
@@ -365,9 +369,21 @@ def gelu(a: Tensor) -> Tensor:
     return Tensor._result("gelu", out, (a,), vjp, check=False)
 
 
-def _softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax of ``x`` along ``axis`` into ``out`` (``out=x`` works in place)."""
-    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+def _softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None,
+             check: str | None = None) -> np.ndarray:
+    """Softmax of ``x`` along ``axis`` into ``out`` (``out=x`` works in place).
+
+    Given an op name, ``check`` first raises ``NonFiniteError`` naming it
+    unless ``x`` is all finite, from the row max the softmax needs anyway and
+    the global min: NaN propagates into both, +inf shows in a row max and -inf
+    in the min, so it is exactly as strict as a full ``isfinite`` pass without
+    its bool temporary (``initial=0`` lets an empty ``x`` pass, as before).
+    """
+    m = x.max(axis=axis, keepdims=True)
+    if check:
+        _check_finite(m, check)
+        _check_finite(x.min(initial=0.0), check)
+    out = np.subtract(x, m, out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
     return out
@@ -545,6 +561,13 @@ def attention(q: Tensor, kt: Tensor, v: Tensor) -> Tensor:
     and v stay on the tape. With no tape to record, queries run in row chunks
     whose scores fit in ``_SCORE_BUDGET_BYTES`` (at least one row each); every
     row still takes its softmax over all keys, so the result is the dense one.
+
+    Each score chunk must be finite (``NonFiniteError`` naming ``attention``
+    otherwise); the check uses the chunk's row max and its min, which catch
+    every NaN, +inf and -inf a full pass would. The backward uses the output's
+    row sums: sum_j dP_ij P_ij equals sum_d dO_id O_id, so the softmax VJP
+    needs no second N_q x N_kv temporary. Gradients therefore differ from the
+    unfused matmul -> softmax -> matmul chain by rounding only.
     """
     q, kt, v = _as_tensor(q), _as_tensor(kt), _as_tensor(v)
     if (min(q.ndim, kt.ndim, v.ndim) < 2 or q.shape[-1] != kt.shape[-2]
@@ -557,11 +580,14 @@ def attention(q: Tensor, kt: Tensor, v: Tensor) -> Tensor:
     out = np.empty(lead + (nq, v.shape[-1]))
     for r in range(0, nq, rows):
         p = q.data[..., r:r + rows, :] @ kt.data
-        _check_finite(p, "attention")
-        np.matmul(_softmax(p, out=p), v.data, out=out[..., r:r + rows, :])
+        np.matmul(_softmax(p, out=p, check="attention"), v.data, out=out[..., r:r + rows, :])
 
     def vjp(g):
-        gs = _softmax_vjp(g @ np.swapaxes(v.data, -1, -2), p)
+        # softmax VJP dS = (dP - rowsum(dP * P)) * P, built in dP's buffer;
+        # rowsum(dP * P) = rowsum(g * out), a sum over N_q * d_v values
+        gs = g @ np.swapaxes(v.data, -1, -2)
+        gs -= (g * out).sum(axis=-1, keepdims=True)
+        gs *= p
         gv = np.swapaxes(p, -1, -2) @ g
         return (_unbroadcast(gs @ np.swapaxes(kt.data, -1, -2), q.shape),
                 _unbroadcast(np.swapaxes(q.data, -1, -2) @ gs, kt.shape),

@@ -101,6 +101,14 @@ def test_criterion_1_gradient_integrity():
     check(lambda t: weighted(T.matmul(Tensor(m), t), (4, 3)), m_rhs)
     s, b = rng.standard_normal(4) + 1.0, rng.standard_normal(4)
     check(lambda t: weighted(T.layer_norm(t, Tensor(s), Tensor(b)), (5, 4)), rng.standard_normal((5, 4)))
+    # fused attention at a batched lead shape, from its own generator so that
+    # the inputs drawn from rng below do not depend on it
+    draw = np.random.default_rng(2).standard_normal
+    lead = (2, 3)
+    aq, akt, av = draw(lead + (4, 3)), draw(lead + (3, 5)), draw(lead + (5, 2))
+    check(lambda t: weighted(T.attention(t, Tensor(akt), Tensor(av)), lead + (4, 2)), aq)
+    check(lambda t: weighted(T.attention(Tensor(aq), t, Tensor(av)), lead + (4, 2)), akt)
+    check(lambda t: weighted(T.attention(Tensor(aq), Tensor(akt), t), lead + (4, 2)), av)
 
     # every loss, differentiated along the fused-image path
     h = w = 14

@@ -113,19 +113,19 @@ CHUNK_ROWS = 4
 
 
 def score_sizes(monkeypatch, nkv, budget=None):
-    """Wrap T._check_finite: record the size of each score array the
-    attention op checks (its calls on arrays with N_kv columns), and check it
-    against ``budget`` when one is given."""
+    """Wrap T._softmax: record the size of each score array the attention op
+    checks and normalizes (its calls with ``check="attention"`` on arrays
+    with N_kv columns), and check it against ``budget`` when one is given."""
     sizes = []
-    real = T._check_finite
+    real = T._softmax
 
-    def wrapped(arr, op):
-        if op == "attention" and arr.shape[-1] == nkv:
-            sizes.append(arr.nbytes)
-            assert budget is None or arr.nbytes <= budget
-        return real(arr, op)
+    def wrapped(x, *args, **kwargs):
+        if kwargs.get("check") == "attention" and x.shape[-1] == nkv:
+            sizes.append(x.nbytes)
+            assert budget is None or x.nbytes <= budget
+        return real(x, *args, **kwargs)
 
-    monkeypatch.setattr(T, "_check_finite", wrapped)
+    monkeypatch.setattr(T, "_softmax", wrapped)
     return sizes
 
 

@@ -100,6 +100,21 @@ def test_shipped_caption_drives_mask_and_text(dataset):
                                   generator.text_for_pair(pairs[1].i_vis).embeddings)
 
 
+def test_mask_rerun_after_shipping_a_caption_uses_it(dataset):
+    """The mask cache under --out is keyed by the mask's inputs, not the pair
+    id, so a caption shipped between two runs into one --out takes effect."""
+    root, cfg, tmp = dataset
+    out = tmp / "maskout"
+    assert main(["mask", "--config", str(cfg), "--in", str(root), "--out", str(out)]) == 0
+    assert read_mask(out / "masks" / "pair0000.mask").any()
+    (root / "captions").mkdir()
+    (root / "captions" / "pair0000.txt").write_text("an empty street\n")
+    with pytest.warns(UserWarning, match="no vocabulary keyword"):
+        assert main(["mask", "--config", str(cfg), "--in", str(root), "--out", str(out)]) == 0
+    assert not read_mask(out / "masks" / "pair0000.mask").any()
+    assert read_mask(out / "masks" / "pair0001.mask").any()
+
+
 def test_mask_writes_caches_and_previews(dataset):
     root, cfg, tmp = dataset
     out = tmp / "maskout"

@@ -267,16 +267,46 @@ def test_semantic_generator_uses_mask_cache(tmp_path, rng):
                             vocabulary=("car",), cache_dir=str(tmp_path))
     first = gen.mask_for_pair(vis, ir, pair_id="p0")
     np.testing.assert_array_equal(first.m, rect.indicator(12, 12))
-    assert (tmp_path / "masks" / "p0.mask").exists()
-
-    class Exploding:
-        def estimate_noise(self, *a):
-            raise AssertionError("mask cache should have been used")
+    key = gen._mask_key(image_content_hash(vis), image_content_hash(ir),
+                        TextDescription.from_text("a car outside"))
+    assert [p.name for p in (tmp_path / "masks").iterdir()] == [key + ".mask"]
 
     gen2 = SemanticGenerator(cap, HashTextEncoder(8), Exploding(),
                              vocabulary=("car",), cache_dir=str(tmp_path))
     second = gen2.mask_for_pair(vis, ir, pair_id="p0")
     np.testing.assert_array_equal(second.m, first.m)
+
+
+class Exploding:
+    def estimate_noise(self, *a):
+        raise AssertionError("mask cache should have been used")
+
+
+@pytest.mark.parametrize("change", [
+    "vis", "ir", "caption", "vocabulary", "keyword", "threshold_policy", "tau",
+    "noise_level", "noise_seed"])
+def test_mask_cache_misses_when_an_input_changes(tmp_path, rng, change):
+    """Each input the mask depends on is part of its cache key, so changing
+    any one of them recomputes the mask instead of reading the old file."""
+    vis, ir = rng.random((3, 12, 12)), rng.random((1, 12, 12))
+    settings = dict(vocabulary=("car", "bike"), keyword=None, threshold_policy="fixed",
+                    tau=0.5, noise_level=0.5, noise_seed=0)
+    other = dict(vocabulary=("car", "person"), keyword="car", threshold_policy="otsu",
+                 tau=0.25, noise_level=0.25, noise_seed=1)
+    cap = LookupCaptioner({image_content_hash(vis): "a car outside",
+                           image_content_hash(vis[::-1]): "a car outside"})
+
+    def generator(denoiser, **kw):
+        return SemanticGenerator(cap, HashTextEncoder(8), denoiser, cache_dir=str(tmp_path),
+                                 **{**settings, **kw})
+
+    generator(PlantedRegionDenoiser({"car": Rect(2, 2, 4, 4)})).mask_for_pair(vis, ir, "p0")
+    assert generator(Exploding()).mask_for_pair(vis, ir, "p0").m.any()
+    args = {"vis": (vis[::-1], ir), "ir": (vis, ir * 0.5)}.get(change, (vis, ir))
+    caption = TextDescription.from_text("a red car outside") if change == "caption" else None
+    gen = generator(Exploding(), **{change: other[change]} if change in other else {})
+    with pytest.raises(AssertionError, match="mask cache should have been used"):
+        gen.mask_for_pair(*args, "p0", caption=caption)
 
 
 def test_semantic_generator_caption_sidecar(tmp_path, rng):

@@ -81,6 +81,33 @@ def test_non_finite_intermediate_rejected():
             big * big
 
 
+@pytest.mark.parametrize("grad", [True, False])
+@pytest.mark.parametrize("case, q, kt", [
+    # 1e200 * 1e200 overflows to +inf
+    ("+inf", [[1e200], [1.0]], [[1e200, 1.0]]),
+    # row 0 scores (-inf, 1e200): its max is finite, only its min shows -inf
+    ("-inf", [[1e200], [1.0]], [[-1e200, 1.0]]),
+    # a NaN query (written past the input check) makes row 0 NaN
+    ("nan", [[np.nan], [1.0]], [[1.0, 2.0]]),
+])
+def test_attention_rejects_non_finite_scores(grad, case, q, kt):
+    q, kt = np.array(q), np.array(kt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = q @ kt
+        assert {"+inf": np.isposinf, "-inf": np.isneginf, "nan": np.isnan}[case](scores).any()
+        if case == "-inf":
+            assert np.isfinite(scores.max(axis=-1)).all()
+        qt = Tensor(np.zeros(q.shape), requires_grad=grad)
+        qt.data[...] = q
+        v = Tensor(np.ones((kt.shape[1], 2)))
+        with pytest.raises(NonFiniteError, match="attention"):
+            if grad:
+                T.attention(qt, Tensor(kt), v)
+            else:
+                with T.no_grad():
+                    T.attention(qt, Tensor(kt), v)
+
+
 def test_concat_and_slice_round_trip(rng):
     a, b = rng.random((3, 4)), rng.random((2, 4))
     cat = T.concat([Tensor(a), Tensor(b)], axis=0)
