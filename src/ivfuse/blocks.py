@@ -40,10 +40,6 @@ class Module:
                     stack.extend(v for v in value if isinstance(v, Module))
         return out
 
-    def zero_grads(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
 
 class Linear(Module):
     def __init__(self, d_in: int, d_out: int, *, name: str, rng):
@@ -84,8 +80,6 @@ class CrossAttention(Module):
     """
 
     def __init__(self, d_q: int, d_kv: int, d: int, d_out: int, heads: int, *, name: str, rng):
-        if d % heads != 0:
-            raise ShapeError(f"cross_attention: dim {d} not divisible by heads {heads}")
         self.d_q, self.d_kv, self.d, self.d_out, self.heads = d_q, d_kv, d, d_out, heads
         self.w_q = Linear(d_q, d, name=f"{name}.q", rng=rng)
         self.w_k = Linear(d_kv, d, name=f"{name}.k", rng=rng)
@@ -154,11 +148,11 @@ class FeedForward(Module):
 class TransformerBlock(Module):
     """Pre-norm residual block: x + SA(LN(x)), then + FFN(LN(.))."""
 
-    def __init__(self, dim: int, heads: int, *, name: str, rng, ffn_mult: int = 4):
+    def __init__(self, dim: int, heads: int, *, name: str, rng):
         self.norm_attn = LayerNorm(dim, name=f"{name}.norm_attn")
         self.attn = CrossAttention(dim, dim, dim, dim, heads, name=f"{name}.attn", rng=rng)
         self.norm_ffn = LayerNorm(dim, name=f"{name}.norm_ffn")
-        self.ffn = FeedForward(dim, ffn_mult * dim, name=f"{name}.ffn", rng=rng)
+        self.ffn = FeedForward(dim, 4 * dim, name=f"{name}.ffn", rng=rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         normed = self.norm_attn(x)

@@ -21,6 +21,7 @@ Writes are atomic: the file is written to a temp sibling then renamed.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -53,11 +54,18 @@ def _encode_meta(meta: dict[str, str]) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
+def _utf8(blob: bytes, what: str) -> str:
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise CheckpointError(f"checkpoint {what} is not UTF-8: {e}") from e
+
+
 def _decode_meta(blob: bytes) -> dict[str, str]:
     meta: dict[str, str] = {}
     if not blob:
         return meta
-    for line in blob.decode("utf-8").split("\n"):
+    for line in _utf8(blob, "metadata").split("\n"):
         k, _, v = line.partition("=")
         meta[k] = v
     return meta
@@ -111,15 +119,18 @@ def load_checkpoint(path):
     states: dict[str, ParamState] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = bytes(take(name_len)).decode("utf-8")
+        name = _utf8(bytes(take(name_len)), "parameter name")
         (step,) = struct.unpack("<Q", take(8))
         (ndim,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim)) if ndim else ()
-        size = int(np.prod(dims)) if dims else 1
+        size = math.prod(dims)  # exact: a product past int64 must not wrap
         arrs = []
         for _ in range(3):
-            arr = np.frombuffer(take(8 * size), dtype="<f8").astype(np.float64).reshape(dims)
-            arrs.append(np.ascontiguousarray(arr))
+            arr = np.frombuffer(take(8 * size), dtype="<f8").astype(np.float64)
+            try:
+                arrs.append(np.ascontiguousarray(arr.reshape(dims)))
+            except ValueError as e:  # more dims than numpy supports
+                raise CheckpointError(f"parameter {name!r}: {e}") from e
         states[name] = ParamState(arrs[0], arrs[1], arrs[2], step)
     if pos != len(view):
         raise CheckpointError(f"{len(view) - pos} trailing bytes after checkpoint payload")

@@ -19,7 +19,7 @@ from .imgio import save_image
 from .metrics import evaluate_dataset
 from .model import FusionModel, fuse
 from .sig import write_mask
-from .training import TrainingDiverged, load_model, train
+from .training import TrainingDiverged, checkpoint_mismatch, load_model, train
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
@@ -126,13 +126,17 @@ def cmd_fuse(args) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
     config = load_config(args.config)
+    if args.checkpoint:
+        model = load_model(args.checkpoint)
+        differ = checkpoint_mismatch(model, config.model_config(), config.variant)
+        if differ:
+            raise ConfigError(f"config differs from checkpoint {args.checkpoint} in "
+                              + ", ".join(differ))
+    else:
+        model = FusionModel(config.model_config(), variant=config.variant, seed=config.seed)
     pairs = load_pairs(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.checkpoint:
-        model = load_model(args.checkpoint, config.model_config())
-    else:
-        model = FusionModel(config.model_config(), variant=config.variant, seed=config.seed)
     semantics = _semantics(config, args.dataset, pairs, out_dir / "cache")
     code = _fuse_to(model, pairs, semantics, out_dir, args.jobs or config.jobs)
     if code == 0:
@@ -208,7 +212,7 @@ def cmd_ablate(args) -> int:
         variant_dir.mkdir(exist_ok=True)
         train_cfg = replace(config.train_config(), variant=variant)
         result = train(train_cfg, pairs, semantics, variant_dir)
-        model = load_model(result.checkpoint_path, config.model_config())
+        model = load_model(result.checkpoint_path)
         fused_dir = variant_dir / "fused"
         fused_dir.mkdir(exist_ok=True)
         code = _fuse_to(model, pairs, semantics, fused_dir, config.jobs)

@@ -7,6 +7,7 @@ listed in KEY_DOCS (and rendered in docs/file_formats.md).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +27,7 @@ KEY_DOCS = {
     "heads": ("4", "attention heads (must divide dim)"),
     "text_dim": ("64", "caption embedding width of the text-encoder provider"),
     "depth": ("4", "transformer blocks per encoder and in the decoder"),
-    "gate_kernel": ("3", "gate convolution kernel size (1 or 3)"),
+    "gate_kernel": ("3", "gate convolution kernel size (odd)"),
     "variant": ("full", f"pipeline variant, one of {', '.join(VARIANTS)}"),
     # trainer
     "epochs": ("140", "training epochs"),
@@ -84,7 +85,7 @@ class RunConfig:
     jobs: int = 1
 
     def model_config(self) -> ModelConfig:
-        grid = self.crop // self.patch
+        grid = self.crop // max(self.patch, 1)  # ModelConfig rejects patch < 1
         return ModelConfig(patch=self.patch, dim=self.dim, heads=self.heads,
                            text_dim=self.text_dim, depth=self.depth,
                            gate_kernel=self.gate_kernel, base_grid=(grid, grid))
@@ -101,16 +102,18 @@ class RunConfig:
                            model=self.model_config())
 
     def validate(self) -> "RunConfig":
+        """Check every rule of the config, including those of the model,
+        trainer and loss weights it builds, whichever command reads it."""
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.dim % self.heads:
-            raise ConfigError(f"heads {self.heads} must divide dim {self.dim}")
-        if self.crop % self.patch:
-            raise ConfigError(f"patch {self.patch} must divide crop {self.crop}")
         if self.threshold_policy not in ("otsu", "fixed"):
             raise ConfigError(f"threshold_policy must be otsu or fixed, got {self.threshold_policy!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        try:
+            self.train_config()
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
         return self
 
 
@@ -118,12 +121,13 @@ def _coerce(key: str, raw: str):
     if key == "vocabulary":
         return tuple(w.strip() for w in raw.split(",") if w.strip())
     default = getattr(RunConfig(), key)
-    if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes")
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):
-        return float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite")
+        return value
     return raw
 
 
@@ -153,7 +157,11 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e})") from e
+    return parse_config_text(text)
 
 
 def config_to_text(config: RunConfig) -> str:

@@ -61,7 +61,10 @@ class ImagePair:
         return self.i_vis.shape[2]
 
 
-def _stem_index(directory: Path) -> dict[str, Path]:
+def stem_index(directory) -> dict[str, Path]:
+    """Image files directly under ``directory`` by filename stem; empty if
+    it is not a directory."""
+    directory = Path(directory)
     out: dict[str, Path] = {}
     if not directory.is_dir():
         return out
@@ -78,8 +81,8 @@ def load_pairs(root, ids=None) -> list[ImagePair]:
     dimensions; optional masks/ and captions/ entries attach when present.
     """
     root = Path(root)
-    vis_index = _stem_index(root / "vis")
-    ir_index = _stem_index(root / "ir")
+    vis_index = stem_index(root / "vis")
+    ir_index = stem_index(root / "ir")
     if not vis_index:
         raise DatasetError(f"{root}: no visible images under vis/")
     missing = sorted(set(vis_index) - set(ir_index))
@@ -105,7 +108,7 @@ def load_pairs(root, ids=None) -> list[ImagePair]:
         pair = ImagePair(stem, i_vis, i_ir)
         mask_path = root / "masks" / f"{stem}.mask"
         if mask_path.exists():
-            pair.mask = MaskSemantics(read_mask(mask_path), provenance="union")
+            pair.mask = MaskSemantics(read_mask(mask_path))
         caption_path = root / "captions" / f"{stem}.txt"
         if caption_path.exists():
             pair.caption = TextDescription.from_text(caption_path.read_text().strip())
@@ -235,8 +238,7 @@ def overfit_pair(size: tuple[int, int] = (96, 96)) -> tuple[np.ndarray, np.ndarr
 
 
 def generate_dataset(root, n_pairs: int, size: tuple[int, int] = (96, 96),
-                     seed: int = 0, vocabulary=("car", "person", "bike"),
-                     image_format: str = "png") -> FixtureBundle:
+                     seed: int = 0, vocabulary=("car", "person", "bike")) -> FixtureBundle:
     """Write a synthetic dataset plus its fixtures.json under ``root``."""
     root = Path(root)
     (root / "vis").mkdir(parents=True, exist_ok=True)
@@ -246,8 +248,8 @@ def generate_dataset(root, n_pairs: int, size: tuple[int, int] = (96, 96),
         keyword = vocabulary[i % len(vocabulary)]
         vis, ir, region = synth_pair(seed + i, size)
         pair_id = f"pair{i:04d}"
-        save_image(vis, root / "vis" / f"{pair_id}.{image_format}")
-        save_image(ir, root / "ir" / f"{pair_id}.{image_format}")
+        save_image(vis, root / "vis" / f"{pair_id}.png")
+        save_image(ir, root / "ir" / f"{pair_id}.png")
         caption = f"a {keyword} in scene {i:04d}"
         fixtures.captions[pair_id] = caption
         # keying the region by the full caption keeps regions per pair

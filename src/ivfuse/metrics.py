@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import correlate, gaussian_filter
 
+from .dataset import stem_index
 from .imgio import load_image
 
 
@@ -266,12 +265,7 @@ def evaluate_pair(fused: np.ndarray, i_vis: np.ndarray, i_ir: np.ndarray,
 
 def evaluate_dataset(fused_dir, vis_dir, ir_dir) -> MetricReport:
     """Per-image metrics plus means over matching filename stems."""
-    def stems(d):
-        p = Path(d)
-        return {e.stem: e for e in sorted(p.iterdir())
-                if e.suffix.lower() in (".png", ".ppm", ".pgm", ".pnm")} if p.is_dir() else {}
-
-    fused_map, vis_map, ir_map = stems(fused_dir), stems(vis_dir), stems(ir_dir)
+    fused_map, vis_map, ir_map = stem_index(fused_dir), stem_index(vis_dir), stem_index(ir_dir)
     shared = sorted(set(fused_map) & set(vis_map) & set(ir_map))
     missing = sorted((set(fused_map) | set(vis_map) | set(ir_map)) - set(shared))
     report = MetricReport(missing=missing)

@@ -45,6 +45,17 @@ class ModelConfig:
     gate_kernel: int = 3
     base_grid: tuple[int, int] = (24, 24)  # token grid of the training crop
 
+    def __post_init__(self):
+        for name in ("patch", "dim", "heads", "text_dim", "depth", "gate_kernel"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if len(self.base_grid) != 2 or min(self.base_grid) < 1:
+            raise ValueError(f"base_grid must be two sizes >= 1, got {self.base_grid}")
+        if self.dim % self.heads:
+            raise ValueError(f"heads {self.heads} must divide dim {self.dim}")
+        if self.gate_kernel % 2 == 0:
+            raise ValueError(f"gate_kernel must be odd, got {self.gate_kernel}")
+
 
 class FusionModel(Module):
     def __init__(self, config: ModelConfig = ModelConfig(), variant: str = "full",
@@ -129,10 +140,10 @@ class StageError(RuntimeError):
     """A pipeline stage failed; carries the stage name."""
 
 
-def _pad_to_multiple(arr: np.ndarray, p: int) -> np.ndarray:
-    h, w = arr.shape[-2], arr.shape[-1]
-    ph = (-h) % p
-    pw = (-w) % p
+def reflect_pad(arr: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Reflect-pad the last two axes at the bottom and right to at least
+    ``height`` x ``width``; ``arr`` itself when it is that large already."""
+    ph, pw = max(0, height - arr.shape[-2]), max(0, width - arr.shape[-1])
     if ph == 0 and pw == 0:
         return arr
     spec = [(0, 0)] * (arr.ndim - 2) + [(0, ph), (0, pw)]
@@ -155,11 +166,10 @@ def fuse(model: FusionModel, pair: ImagePair,
         raise StageError(f"fuse: mask {mask.m.shape} does not match pair "
                          f"{pair.pair_id!r} of size {(h, w)}")
     p = model.config.patch
-    i_vis = _pad_to_multiple(pair.i_vis, p)
-    i_ir = _pad_to_multiple(pair.i_ir, p)
-    mask_arr = _pad_to_multiple(mask.m, p)
-    padded_mask = MaskSemantics(mask_arr, provenance=mask.provenance) \
-        if mask_arr.shape != mask.m.shape else mask
+    ph, pw = h + (-h) % p, w + (-w) % p
+    i_vis = reflect_pad(pair.i_vis, ph, pw)
+    i_ir = reflect_pad(pair.i_ir, ph, pw)
+    padded_mask = mask if (ph, pw) == (h, w) else MaskSemantics(reflect_pad(mask.m, ph, pw))
     _stage.name = "setup"
     try:
         with T.no_grad():

@@ -69,7 +69,6 @@ class MaskSemantics:
 
     m: np.ndarray
     m_bar: np.ndarray = field(default=None)  # type: ignore[assignment]
-    provenance: str = "vis-only"
 
     def __post_init__(self):
         self.m = np.ascontiguousarray(self.m, dtype=np.float64)
@@ -93,25 +92,6 @@ def image_content_hash(image: np.ndarray) -> str:
 
 
 # -- captioning ----------------------------------------------------------------
-
-
-def describe(image: np.ndarray, captioner, cache: dict | None = None,
-             key: str | None = None) -> TextDescription:
-    """Caption ``image`` through the provider, memoized by content hash
-    (``key``, when the caller has already taken ``image_content_hash(image)``)."""
-    key = key or image_content_hash(image)
-    if cache is not None and key in cache:
-        return cache[key]
-    try:
-        raw = captioner.caption(image)
-    except Exception as e:
-        raise ProviderError(f"captioner failed for image {key[:12]}: {e}") from e
-    if not raw or not raw.strip():
-        raise ProviderError(f"captioner returned an empty caption for image {key[:12]}")
-    desc = TextDescription.from_text(raw)
-    if cache is not None:
-        cache[key] = desc
-    return desc
 
 
 def select_keyword(t: TextDescription, vocabulary, configured: str | None = None) -> KeywordSpec | None:
@@ -142,9 +122,9 @@ def strip_keyword(t: TextDescription, spec: KeywordSpec) -> TextDescription:
 # -- mask generation -------------------------------------------------------------
 
 
-def otsu_threshold(values: np.ndarray, bins: int = 256) -> float:
-    """Otsu's between-class-variance threshold over [0, 1] values."""
-    hist, edges = np.histogram(values.ravel(), bins=bins, range=(0.0, 1.0))
+def otsu_threshold(values: np.ndarray) -> float:
+    """Otsu's between-class-variance threshold over 256 bins of [0, 1]."""
+    hist, edges = np.histogram(values.ravel(), bins=256, range=(0.0, 1.0))
     total = hist.sum()
     if total == 0:
         return 0.5
@@ -216,7 +196,7 @@ def union_masks(m_vis: np.ndarray, m_ir: np.ndarray) -> MaskSemantics:
     m_ir = np.asarray(m_ir, dtype=np.float64)
     if m_vis.shape != m_ir.shape:
         raise ShapeError(f"union_masks: shapes differ, {m_vis.shape} vs {m_ir.shape}")
-    return MaskSemantics(np.maximum(m_vis, m_ir), provenance="union")
+    return MaskSemantics(np.maximum(m_vis, m_ir))
 
 
 # -- text embedding ---------------------------------------------------------------
@@ -302,20 +282,27 @@ class SemanticGenerator:
     # caption with persistent sidecar cache
 
     def caption_for(self, image: np.ndarray, key: str | None = None) -> TextDescription:
-        """Caption of ``image``; ``key`` is its ``image_content_hash`` if taken."""
+        """Caption of ``image``, memoized by content hash (``key``, when the
+        caller has already taken ``image_content_hash(image)``): from memory,
+        else from the sidecar cache, else from the captioner."""
         key = key or image_content_hash(image)
         if key in self._caption_mem:
             return self._caption_mem[key]
-        if self.cache_dir is not None:
-            side = os.path.join(self.cache_dir, "captions", key + ".txt")
-            if os.path.exists(side):
-                with open(side, "r", encoding="utf-8") as f:
-                    desc = TextDescription.from_text(f.read().strip())
-                self._caption_mem[key] = desc
-                return desc
-        desc = describe(image, self.captioner, cache=self._caption_mem, key=key)
-        if self.cache_dir is not None:
-            side = os.path.join(self.cache_dir, "captions", key + ".txt")
+        side = None if self.cache_dir is None else \
+            os.path.join(self.cache_dir, "captions", key + ".txt")
+        if side is not None and os.path.exists(side):
+            with open(side, "r", encoding="utf-8") as f:
+                desc = TextDescription.from_text(f.read().strip())
+            self._caption_mem[key] = desc
+            return desc
+        try:
+            raw = self.captioner.caption(image)
+        except Exception as e:
+            raise ProviderError(f"captioner failed for image {key[:12]}: {e}") from e
+        if not raw or not raw.strip():
+            raise ProviderError(f"captioner returned an empty caption for image {key[:12]}")
+        desc = self._caption_mem[key] = TextDescription.from_text(raw)
+        if side is not None:
             tmp = side + ".tmp"
             with open(tmp, "w", encoding="utf-8") as f:
                 f.write(desc.text + "\n")
@@ -348,7 +335,7 @@ class SemanticGenerator:
             key = self._mask_key(h_vis, h_ir, t)
             cache_path = os.path.join(self.cache_dir, "masks", key + ".mask")
             if os.path.exists(cache_path):
-                return MaskSemantics(read_mask(cache_path), provenance="union")
+                return MaskSemantics(read_mask(cache_path))
         t_hat = self.contrast_caption(t)
         m_vis = mask_from_noise_diff(vis, t, t_hat, self.denoiser, self.noise_seed,
                                      self.noise_level, self.threshold_policy, self.tau,

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, restore_parameters, save_checkpoint
+from .checkpoint import (CheckpointError, load_checkpoint, restore_parameters,
+                         save_checkpoint)
 from .dataset import ImagePair
 from .losses import LossWeights, total_loss
-from .model import FusionModel, ModelConfig
+from .model import FusionModel, ModelConfig, reflect_pad
 from .optim import adamw_step, zero_grads
 from .rng import derive
 from .sig import MaskSemantics, TextSemantics
@@ -50,23 +51,18 @@ class TrainConfig:
     model: ModelConfig = ModelConfig()
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.crop % self.model.patch != 0:
             raise ValueError(
                 f"crop {self.crop} not divisible by patch size {self.model.patch}"
             )
         if self.lr_schedule not in ("constant", "cosine"):
-            raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
-
-
-def _reflect_to(arr: np.ndarray, size: int) -> np.ndarray:
-    h, w = arr.shape[-2], arr.shape[-1]
-    ph, pw = max(0, size - h), max(0, size - w)
-    if ph == 0 and pw == 0:
-        return arr
-    spec = [(0, 0)] * (arr.ndim - 2) + [(0, ph), (0, pw)]
-    return np.pad(arr, spec, mode="reflect")
+            raise ValueError(f"lr_schedule must be constant or cosine, got {self.lr_schedule!r}")
 
 
 def sample_crop(pair: ImagePair, mask: MaskSemantics, crop: int,
@@ -76,16 +72,16 @@ def sample_crop(pair: ImagePair, mask: MaskSemantics, crop: int,
     Undersized images are reflect-padded up to the crop size first, in which
     case the window is the whole frame.
     """
-    i_vis = _reflect_to(pair.i_vis, crop)
-    i_ir = _reflect_to(pair.i_ir, crop)
-    m = _reflect_to(mask.m, crop)
+    i_vis = reflect_pad(pair.i_vis, crop, crop)
+    i_ir = reflect_pad(pair.i_ir, crop, crop)
+    m = reflect_pad(mask.m, crop, crop)
     h, w = i_vis.shape[-2:]
     y0 = int(gen.integers(0, h - crop + 1))
     x0 = int(gen.integers(0, w - crop + 1))
     window = (slice(y0, y0 + crop), slice(x0, x0 + crop))
     return (np.ascontiguousarray(i_vis[:, window[0], window[1]]),
             np.ascontiguousarray(i_ir[:, window[0], window[1]]),
-            MaskSemantics(m[window], provenance=mask.provenance))
+            MaskSemantics(m[window]))
 
 
 def _lr_at(config: TrainConfig, step: int, total_steps: int) -> float:
@@ -120,17 +116,18 @@ def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
                              f"{pair.pair_id!r} of size {(pair.height, pair.width)}")
     os.makedirs(out_dir, exist_ok=True)
 
-    model = FusionModel(config.model, variant=config.variant, seed=config.seed)
-    params = model.trainable_parameters()
-    start_step = 0
-    if resume_from is not None:
+    if resume_from is None:
+        model = FusionModel(config.model, variant=config.variant, seed=config.seed)
+        start_step = 0
+    else:
         meta, states = load_checkpoint(resume_from)
-        if meta.get("variant", config.variant) != config.variant:
-            raise ValueError(
-                f"checkpoint variant {meta.get('variant')!r} != config variant {config.variant!r}"
-            )
-        restore_parameters(model.parameters(), states)
+        model = _model_from(meta, states)
+        differ = checkpoint_mismatch(model, config.model, config.variant)
+        if differ:
+            raise ValueError(f"checkpoint {resume_from} differs from the config in "
+                             + ", ".join(differ))
         start_step = int(meta.get("global_step", "0"))
+    params = model.trainable_parameters()
 
     n = len(pairs)
     steps_per_epoch = math.ceil(n / config.batch_size)
@@ -140,11 +137,11 @@ def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
     last_good = resume_from
 
     def write_checkpoint(path, step):
-        save_checkpoint(path, model.parameters(), meta={
-            "variant": config.variant,
-            "global_step": str(step),
-            "seed": str(config.seed),
-        })
+        meta = {"variant": config.variant, "global_step": str(step), "seed": str(config.seed)}
+        for f in fields(ModelConfig):
+            value = getattr(config.model, f.name)
+            meta[f.name] = ",".join(map(str, value)) if f.name == "base_grid" else str(value)
+        save_checkpoint(path, model.parameters(), meta=meta)
 
     history: list[dict] = []
     mode = "a" if start_step > 0 and os.path.exists(history_path) else "w"
@@ -200,11 +197,34 @@ def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
                        total_steps - start_step)
 
 
-def load_model(checkpoint_path, model_config: ModelConfig | None = None) -> FusionModel:
-    """Rebuild a FusionModel from a checkpoint (variant from the header)."""
-    meta, states = load_checkpoint(checkpoint_path)
-    config = model_config or ModelConfig()
-    model = FusionModel(config, variant=meta.get("variant", "full"),
-                        seed=int(meta.get("seed", "0")))
+def _model_from(meta: dict[str, str], states) -> FusionModel:
+    """The FusionModel a checkpoint's metadata describes, with its parameters
+    restored. A ModelConfig field absent from ``meta`` takes its default."""
+    values = {}
+    try:
+        for name in (f.name for f in fields(ModelConfig) if f.name in meta):
+            raw = meta[name]
+            parts = raw.split(",") if name == "base_grid" else [raw]
+            if not all(part.isascii() and part.isdigit() for part in parts):
+                raise ValueError(f"{name} is not decimal: {raw!r}")
+            values[name] = tuple(map(int, parts)) if name == "base_grid" else int(raw)
+        # every parameter is restored below, so the init seed is immaterial
+        model = FusionModel(ModelConfig(**values), variant=meta.get("variant", "full"))
+    except ValueError as e:
+        raise CheckpointError(f"checkpoint metadata: {e}") from e
     restore_parameters(model.parameters(), states)
     return model
+
+
+def checkpoint_mismatch(model: FusionModel, config: ModelConfig, variant: str) -> list[str]:
+    """``name (checkpoint x, config y)`` for each ModelConfig field, and for
+    the variant, where a checkpoint's ``model`` differs from the config's."""
+    pairs = [(f.name, getattr(model.config, f.name), getattr(config, f.name))
+             for f in fields(ModelConfig)] + [("variant", model.variant, variant)]
+    return [f"{name} (checkpoint {a}, config {b})" for name, a, b in pairs if a != b]
+
+
+def load_model(checkpoint_path) -> FusionModel:
+    """Rebuild the FusionModel a checkpoint holds (config and variant from
+    its metadata)."""
+    return _model_from(*load_checkpoint(checkpoint_path))

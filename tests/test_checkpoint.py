@@ -1,9 +1,15 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivfuse.checkpoint import (CheckpointError, load_checkpoint,
                                restore_parameters, save_checkpoint)
 from ivfuse.optim import Parameter
+from mutation import MUTATION, mutate
 
 
 def make_params(rng):
@@ -75,3 +81,71 @@ def test_restore_rejects_mismatches(tmp_path, rng):
             [Parameter("enc.weight", np.zeros((4, 3))), Parameter("enc.bias", np.zeros(4))],
             states,
         )
+
+
+def test_non_utf8_metadata_and_names_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, [Parameter("w", np.zeros(1))], meta={"k": "v"})
+    raw = path.read_bytes()
+    assert raw[16:19] == b"k=v" and raw[27:28] == b"w"
+    for at, what in ((18, "metadata"), (27, "parameter name")):
+        path.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+        with pytest.raises(CheckpointError, match=f"{what} is not UTF-8"):
+            load_checkpoint(path)
+
+
+def test_dims_whose_product_overflows_int64_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, [Parameter("w", np.zeros((1, 1, 1, 1)))], meta={})
+    raw = path.read_bytes()
+    dims_at = 20 + 4 + 1 + 8 + 4                       # count, name_len, name, step, ndim
+    assert struct.unpack_from("<4I", raw, dims_at) == (1, 1, 1, 1)
+    path.write_bytes(raw[:dims_at] + struct.pack("<4I", *(65536,) * 4) + raw[dims_at + 16:])
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_more_dims_than_numpy_supports_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, [Parameter("w", np.zeros((3, 3, 3)))], meta={})
+    raw = bytearray(path.read_bytes())
+    raw[20 + 4 + 1 + 8] = 67                  # ndim; the zero payload reads as zero dims
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="dimension"):
+        load_checkpoint(path)
+
+
+# -- property test: mutated checkpoints load or raise CheckpointError --------------
+
+
+@st.composite
+def checkpoint_contents(draw):
+    """Metadata and small parameters (some all-zero, as fresh moments are)."""
+    meta = draw(st.dictionaries(st.sampled_from(["variant", "global_step", "dim", "base_grid"]),
+                                st.sampled_from(["full", "0", "8", "8,8", "é"]), max_size=3))
+    shapes = draw(st.lists(st.lists(st.integers(0, 3), max_size=3).map(tuple), max_size=3))
+    zeros = draw(st.booleans())
+    return meta, [Parameter(f"enc{i}.wé", np.zeros(shape) if zeros else
+                            np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape))
+                  for i, shape in enumerate(shapes)]
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(contents=checkpoint_contents(), ops=st.lists(MUTATION, min_size=1, max_size=4))
+def test_mutated_checkpoints_load_or_raise_checkpoint_error(mutation_dir, contents, ops):
+    meta, params = contents
+    path = mutation_dir / "m.ckpt"
+    save_checkpoint(path, params, meta=meta)
+    path.write_bytes(mutate(path.read_bytes(), ops))
+    try:
+        got_meta, states = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert all(isinstance(k, str) and isinstance(v, str) for k, v in got_meta.items())
+    for state in states.values():
+        assert state.data.shape == state.m.shape == state.v.shape

@@ -125,7 +125,7 @@ def test_mask_writes_caches_and_previews(dataset):
     assert set(np.unique(preview)).issubset({0.0, 1.0})
 
 
-def test_train_then_fuse_with_checkpoint(dataset):
+def test_train_then_fuse_with_checkpoint(dataset, capsys):
     root, cfg, tmp = dataset
     run = tmp / "train"
     assert main(["train", "--config", str(cfg), "--in", str(root), "--out", str(run)]) == 0
@@ -136,6 +136,18 @@ def test_train_then_fuse_with_checkpoint(dataset):
     assert main(["fuse", "--config", str(cfg), "--in", str(root), "--out", str(out),
                  "--checkpoint", str(ckpt)]) == 0
     assert (out / "pair0000.png").exists()
+    # a config that describes another model than the checkpoint is a usage error
+    capsys.readouterr()
+    for old, new, key in (("heads = 2", "heads = 4", "heads"),
+                          ("seed = 11", "variant = no-mgca", "variant"),
+                          ("crop = 16", "crop = 24", "base_grid")):
+        other = tmp / "other.cfg"
+        other.write_text(SMALL_CONFIG.replace(old, new))
+        out = tmp / f"fused_{key}"
+        assert main(["fuse", "--config", str(other), "--in", str(root), "--out", str(out),
+                     "--checkpoint", str(ckpt)]) == 1
+        assert not out.exists()
+        assert f"differs from checkpoint {ckpt} in {key} (checkpoint" in capsys.readouterr().err
 
 
 def test_eval_self_copies_unit_vif(dataset, capsys):
@@ -177,6 +189,22 @@ def test_usage_errors_exit_one(dataset, capsys):
                  "--jobs", "0"]) == 1
     assert main(["eval", "--config", str(cfg), "--fused", str(root / "vis"),
                  "--in", str(root), "--out", str(tmp / "r")]) == 1  # eval reads no config
+    # every config rule is checked when the config loads, for every command
+    capsys.readouterr()
+    for i, line in enumerate([b"heads = 0", b"patch = 0", b"lr_schedule = bogus",
+                              b"batch_size = 0", b"w_ssim = -1", b"epochs = -1",
+                              b"lr = nan", b"keyword = caf\xe9"]):
+        key = line.split(b" ")[0]
+        kept = [k for k in SMALL_CONFIG.encode().splitlines() if not k.startswith(key + b" ")]
+        bad_cfg.write_bytes(b"\n".join(kept + [line]) + b"\n")
+        for command in ("train", "fuse"):
+            out = tmp / f"{command}{i}"
+            assert main([command, "--config", str(bad_cfg), "--in", str(root),
+                         "--out", str(out)]) == 1, line
+            assert not (out / "model.ckpt").exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "duplicate" not in err
+    assert "not UTF-8" in err
 
 
 def test_runtime_errors_exit_two(dataset):

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivfuse.config import (ConfigError, KEY_DOCS, RunConfig, config_to_text,
                            default_config_text, load_config, parse_config_text)
+from mutation import MUTATION, mutate
 
 
 def test_defaults_round_trip():
@@ -48,6 +51,21 @@ def test_validation_rules():
         parse_config_text("crop = 95\n")
     with pytest.raises(ConfigError, match="threshold_policy"):
         parse_config_text("threshold_policy = magic\n")
+    for text, message in [("heads = 0\n", "heads must be >= 1"),
+                          ("patch = 0\n", "patch must be >= 1"),
+                          ("gate_kernel = 2\n", "gate_kernel must be odd"),
+                          ("crop = 2\n", "base_grid"),
+                          ("lr_schedule = bogus\n", "lr_schedule"),
+                          ("batch_size = 0\n", "batch_size"),
+                          ("w_ssim = -1\n", "non-negative"),
+                          ("epochs = -1\n", "epochs"),
+                          ("epochs = 0\n", "epochs"),
+                          ("checkpoint_every = -1\n", "checkpoint_every"),
+                          ("lr = nan\n", "bad value for 'lr'"),
+                          ("tau = inf\n", "bad value for 'tau'"),
+                          ("noise_level = -inf\n", "bad value for 'noise_level'")]:
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text)
 
 
 def test_derived_configs_consistent():
@@ -67,3 +85,22 @@ def test_missing_file_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("seed = 7\n")
     assert load_config(path).seed == 7
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(base=st.sampled_from([default_config_text(), config_to_text(RunConfig()),
+                             "patch = 2\ndim = 8\nheads = 2\ncrop = 16\nlr = 0.001\n"]),
+       ops=st.lists(MUTATION, min_size=1, max_size=4))
+def test_mutated_configs_load_or_raise_config_error(mutation_dir, base, ops):
+    path = mutation_dir / "run.cfg"
+    path.write_bytes(mutate(base.encode(), ops))
+    try:
+        config = load_config(path)
+    except ConfigError:
+        return
+    assert config.train_config().model == config.model_config()

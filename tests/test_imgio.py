@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivfuse.imgio import PNG_SIGNATURE, ImageFormatError, load_image, save_image
+from mutation import MUTATION, mutate
 
 
 def quantized(rng, channels, h, w, levels=255):
@@ -307,29 +308,6 @@ def valid_pnm(draw):
     dtype = np.uint8 if maxval <= 255 else np.dtype(">u2")
     return magic + f"\n{width} {height}\n{maxval}\n".encode() \
         + np.array(samples, dtype=dtype).tobytes()
-
-
-MUTATION = st.one_of(
-    st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(0, 7)),
-    st.tuples(st.just("insert"), st.integers(0, 10**6), st.integers(0, 255)),
-    st.tuples(st.just("delete"), st.integers(0, 10**6), st.just(0)),
-    st.tuples(st.just("truncate"), st.integers(0, 10**6), st.just(0)),
-)
-
-
-def mutate(blob, ops):
-    data = bytearray(blob)
-    for op, index, value in ops:
-        i = index % (len(data) + 1)
-        if op == "insert":
-            data.insert(i, value)
-        elif op == "truncate":
-            del data[i:]
-        elif i < len(data) and op == "flip":
-            data[i] ^= 1 << value
-        elif i < len(data):
-            del data[i]
-    return bytes(data)
 
 
 @st.composite

@@ -7,10 +7,25 @@ from ivfuse import model as model_module
 from ivfuse import tensor as T
 from ivfuse.dataset import ImagePair
 from ivfuse.model import FusionModel, ModelConfig, StageError, fuse
+from ivfuse.optim import zero_grads
 from ivfuse.sig import MaskSemantics, TextSemantics
 from ivfuse.tensor import Tensor
 
 SMALL = ModelConfig(patch=2, dim=8, heads=2, text_dim=6, depth=1, base_grid=(6, 6))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(patch=0), "patch"), (dict(dim=0), "dim"), (dict(heads=0), "heads"),
+    (dict(text_dim=0), "text_dim"), (dict(depth=0), "depth"),
+    (dict(gate_kernel=0), "gate_kernel"), (dict(gate_kernel=-3), "gate_kernel"),
+    (dict(base_grid=(0, 6)), "base_grid"), (dict(base_grid=(6, -1)), "base_grid"),
+    (dict(base_grid=(6,)), "base_grid"), (dict(heads=3), "divide"),
+    (dict(gate_kernel=2), "odd"),
+])
+def test_model_config_rules(bad, message):
+    with pytest.raises(ValueError, match=message):
+        ModelConfig(**{**SMALL.__dict__, **bad})
+    ModelConfig(**{**SMALL.__dict__, "gate_kernel": 5})
 
 
 def semantics_for(rng, h, w, text_dim=6, tokens=3):
@@ -141,7 +156,7 @@ def test_gradient_reaches_nearly_all_parameters(rng):
     params = model.trainable_parameters()
     nonzero = sum(1 for p in params if p.grad is not None and np.any(p.grad != 0.0))
     assert nonzero / len(params) >= 0.99
-    model.zero_grads()
+    zero_grads(model.parameters())
 
 
 def test_stage_error_is_per_thread(rng, monkeypatch):

@@ -2,13 +2,14 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ivfuse import training
-from ivfuse.checkpoint import load_checkpoint
+from ivfuse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from ivfuse.dataset import ImagePair, synth_pair
 from ivfuse.losses import LossWeights, total_loss
 from ivfuse.model import FusionModel, ModelConfig
@@ -19,6 +20,10 @@ from ivfuse.training import (HISTORY_HEADER, TrainConfig, TrainingDiverged,
                              load_model, sample_crop, train)
 
 TINY_MODEL = ModelConfig(patch=2, dim=8, heads=2, text_dim=6, depth=1, base_grid=(8, 8))
+# the checkpoint metadata ``train`` writes for TINY_MODEL at seed 3
+TINY_META = {"variant": "full", "global_step": "0", "seed": "3", "patch": "2", "dim": "8",
+             "heads": "2", "text_dim": "6", "depth": "1", "gate_kernel": "3",
+             "base_grid": "8,8"}
 
 
 def tiny_config(**kw):
@@ -163,9 +168,55 @@ def test_variant_checkpoint_header_and_load_model(tmp_path, rng):
     config = tiny_config(epochs=1, variant="no-gaf")
     result = train(config, pairs, semantics, tmp_path / "run")
     meta, _ = load_checkpoint(result.checkpoint_path)
-    assert meta["variant"] == "no-gaf"
-    model = load_model(result.checkpoint_path, config.model)
+    assert meta == dict(TINY_META, variant="no-gaf", global_step="1")
+    model = load_model(result.checkpoint_path)
+    assert model.config == TINY_MODEL
     assert model.variant == "no-gaf"
+
+
+def test_checkpoint_without_model_keys_loads_as_default(tmp_path):
+    model = FusionModel(ModelConfig(), seed=4)
+    path = tmp_path / "legacy.ckpt"
+    save_checkpoint(path, model.parameters(),
+                    meta={"variant": "full", "global_step": "0", "seed": "4"})
+    loaded = load_model(path)
+    assert loaded.config == ModelConfig()
+    for a, b in zip(model.parameters(), loaded.parameters(), strict=True):
+        assert a.name == b.name
+        np.testing.assert_array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dim", "8x"), ("dim", ""), ("dim", "-8"), ("dim", "8,8"), ("dim", " 8"),
+    ("dim", "٨"), ("heads", "3"), ("heads", "0"), ("gate_kernel", "2"),
+    ("base_grid", "8"), ("base_grid", "8,x"), ("base_grid", "8,8,8"),
+    ("variant", "bogus"),
+])
+def test_malformed_model_metadata_raises_checkpoint_error(tmp_path, key, value):
+    path = tmp_path / "m.ckpt"
+    params = FusionModel(TINY_MODEL, seed=3).parameters()
+    save_checkpoint(path, params, meta=TINY_META)
+    assert load_model(path).config == TINY_MODEL
+    save_checkpoint(path, params, meta=dict(TINY_META, **{key: value}))
+    with pytest.raises(CheckpointError, match=key):
+        load_model(path)
+
+
+@pytest.mark.parametrize("change, name", [
+    (dict(model=replace(TINY_MODEL, heads=4)), "heads"),
+    (dict(model=replace(TINY_MODEL, base_grid=(4, 4))), "base_grid"),
+    (dict(variant="no-tivr"), "variant"),
+])
+def test_resume_with_a_different_model_raises_before_any_step(tmp_path, rng, monkeypatch,
+                                                              change, name):
+    pairs, semantics = make_dataset(rng, n=2)
+    first = train(tiny_config(epochs=1), pairs, semantics, tmp_path / "a")
+    steps = []
+    monkeypatch.setattr(training, "adamw_step", lambda params, lr: steps.append(lr))
+    with pytest.raises(ValueError, match=rf"differs from the config in {name} \(checkpoint"):
+        train(tiny_config(epochs=2, **change), pairs, semantics, tmp_path / "b",
+              resume_from=first.checkpoint_path)
+    assert steps == []
 
 
 def test_diverged_training_keeps_last_checkpoint(tmp_path, rng):
