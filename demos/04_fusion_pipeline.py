@@ -14,7 +14,7 @@ from ivfuse.imgio import save_image
 from ivfuse.model import FusionModel, ModelConfig, fuse
 from ivfuse.dataset import ImagePair
 from ivfuse.providers import HashTextEncoder, PlantedRegionDenoiser
-from ivfuse.sig import (SemanticGenerator, TextDescription)
+from ivfuse.sig import MaskSettings, SemanticGenerator
 from ivfuse.providers import LookupCaptioner
 from ivfuse.sig import image_content_hash
 
@@ -28,7 +28,7 @@ generator = SemanticGenerator(
     LookupCaptioner({image_content_hash(vis): caption}),
     HashTextEncoder(64),
     PlantedRegionDenoiser({caption: hot}, amplitude=0.8),
-    vocabulary=("car",),
+    MaskSettings(vocabulary=("car",)),
 )
 mask = generator.mask_for_pair(pair.i_vis, pair.i_ir, pair.pair_id)
 text = generator.text_for_pair(pair.i_vis)

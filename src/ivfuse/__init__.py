@@ -18,8 +18,9 @@ from .mgca import FeatureBundle, cross_reconstruct, decompose, encode_streams
 from .model import FusionModel, ModelConfig, fuse
 from .optim import Parameter, adamw_step, zero_grads
 from .providers import HashTextEncoder, LookupCaptioner, PlantedRegionDenoiser, Rect
-from .sig import (MaskSemantics, SemanticGenerator, TextDescription, TextSemantics,
-                  embed_text, mask_from_noise_diff, strip_keyword, union_masks)
+from .sig import (MaskSemantics, MaskSettings, SemanticGenerator, TextDescription,
+                  TextSemantics, embed_text, mask_from_noise_diff, strip_keyword,
+                  union_masks)
 from .tdaf import GateMaps, compute_gates, gated_fusion, spatial_attention
 from .tensor import Tensor, no_grad
 from .training import TrainConfig, sample_crop, train

@@ -16,7 +16,7 @@ from .config import ConfigError, RunConfig, default_config_text, load_config
 from .dataset import (DatasetError, generate_dataset, load_pairs,
                       semantic_generator_for)
 from .imgio import save_image
-from .metrics import evaluate_dataset
+from .metrics import METRIC_COLUMNS, evaluate_dataset
 from .model import FusionModel, fuse
 from .sig import write_mask
 from .training import TrainingDiverged, checkpoint_mismatch, load_model, train
@@ -84,22 +84,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _generator(config: RunConfig, dataset, pairs, cache_dir):
-    return semantic_generator_for(
-        dataset, pairs, text_dim=config.text_dim, cache_dir=cache_dir,
-        noise_level=config.noise_level, noise_seed=config.noise_seed,
-        threshold_policy=config.threshold_policy, tau=config.tau,
-        keyword=config.keyword or None, vocabulary=config.vocabulary,
-        fixtures_path=config.fixtures or None)
-
-
 def _semantics(config: RunConfig, dataset, pairs, cache_dir) -> dict:
     """pair_id -> (mask, text); a shipped mask or caption wins over the generator."""
-    generator = _generator(config, dataset, pairs, cache_dir)
+    generator = semantic_generator_for(dataset, pairs, text_dim=config.train.model.text_dim,
+                                       cache_dir=cache_dir, settings=config.mask,
+                                       fixtures_path=config.fixtures or None)
     return {p.pair_id: (p.mask or generator.mask_for_pair(p.i_vis, p.i_ir, p.pair_id,
                                                           caption=p.caption),
                         generator.text_for_pair(p.i_vis, caption=p.caption))
             for p in pairs}
+
+
+def _checkpoint_model(path, config: RunConfig) -> FusionModel:
+    """The model a checkpoint holds; a config that describes another model
+    is a usage error naming the keys that differ."""
+    model = load_model(path)
+    differ = checkpoint_mismatch(model, config.train.model, config.train.variant)
+    if differ:
+        raise ConfigError(f"config differs from checkpoint {path} in " + ", ".join(differ))
+    return model
 
 
 def _fuse_to(model, pairs, semantics, out_dir: Path, jobs: int) -> int:
@@ -127,13 +130,10 @@ def cmd_fuse(args) -> int:
         raise ConfigError("--jobs must be >= 1")
     config = load_config(args.config)
     if args.checkpoint:
-        model = load_model(args.checkpoint)
-        differ = checkpoint_mismatch(model, config.model_config(), config.variant)
-        if differ:
-            raise ConfigError(f"config differs from checkpoint {args.checkpoint} in "
-                              + ", ".join(differ))
+        model = _checkpoint_model(args.checkpoint, config)
     else:
-        model = FusionModel(config.model_config(), variant=config.variant, seed=config.seed)
+        model = FusionModel(config.train.model, variant=config.train.variant,
+                            seed=config.train.seed)
     pairs = load_pairs(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -146,12 +146,13 @@ def cmd_fuse(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
+    if args.resume:
+        _checkpoint_model(args.resume, config)
     pairs = load_pairs(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     semantics = _semantics(config, args.dataset, pairs, out_dir / "cache")
-    result = train(config.train_config(), pairs, semantics, out_dir,
-                   resume_from=args.resume)
+    result = train(config.train, pairs, semantics, out_dir, resume_from=args.resume)
     print(f"trained {result.steps} steps, final loss {result.final_loss:.6f}; "
           f"checkpoint {result.checkpoint_path}")
     return 0
@@ -210,8 +211,7 @@ def cmd_ablate(args) -> int:
     for variant, label in ABLATION_ORDER:
         variant_dir = out_dir / variant
         variant_dir.mkdir(exist_ok=True)
-        train_cfg = replace(config.train_config(), variant=variant)
-        result = train(train_cfg, pairs, semantics, variant_dir)
+        result = train(replace(config.train, variant=variant), pairs, semantics, variant_dir)
         model = load_model(result.checkpoint_path)
         fused_dir = variant_dir / "fused"
         fused_dir.mkdir(exist_ok=True)
@@ -224,18 +224,16 @@ def cmd_ablate(args) -> int:
         rows.append((label, means))
         report.to_csv(variant_dir / "report.csv")
 
-    header = f"{'setting':<16}" + "".join(f"{c:>10}" for c in ("EN", "SD", "SCD", "VIF", "QABF"))
+    header = f"{'setting':<16}" + "".join(f"{c:>10}" for c in METRIC_COLUMNS)
     lines = [header]
     for label, means in rows:
-        lines.append(f"{label:<16}" + "".join(f"{means[c]:>10.3f}"
-                                              for c in ("EN", "SD", "SCD", "VIF", "QABF")))
+        lines.append(f"{label:<16}" + "".join(f"{means[c]:>10.3f}" for c in METRIC_COLUMNS))
     table = "\n".join(lines) + "\n"
     (out_dir / "ablation.txt").write_text(table, encoding="utf-8")
     with open(out_dir / "ablation.csv", "w", encoding="utf-8") as f:
-        f.write("setting,EN,SD,SCD,VIF,QABF\n")
+        f.write(",".join(("setting",) + METRIC_COLUMNS) + "\n")
         for label, means in rows:
-            f.write(label + "," + ",".join(f"{means[c]:.6f}"
-                                           for c in ("EN", "SD", "SCD", "VIF", "QABF")) + "\n")
+            f.write(label + "," + ",".join(f"{means[c]:.6f}" for c in METRIC_COLUMNS) + "\n")
     sys.stdout.write(table)
     return 0
 

@@ -1,8 +1,10 @@
 """Flat key=value run configuration.
 
 One text file drives every command; unknown keys are rejected so typos
-cannot silently fall back to defaults. All keys and their defaults are
-listed in KEY_DOCS (and rendered in docs/file_formats.md).
+cannot silently fall back to defaults. Each key is a field of one owner
+(ModelConfig, TrainConfig, LossWeights, MaskSettings or RunConfig), which
+holds its default and its rules; KEY_DOCS names the owner of every key
+(the keys are rendered in docs/file_formats.md).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from pathlib import Path
 
 from .losses import LossWeights
 from .model import ModelConfig, VARIANTS
+from .sig import MaskSettings
 from .training import TrainConfig
 
 
@@ -20,107 +23,52 @@ class ConfigError(ValueError):
     pass
 
 
-KEY_DOCS = {
-    # model
-    "patch": ("4", "patch size of the tokenizer; crop and image dims must divide by it"),
-    "dim": ("64", "token embedding width"),
-    "heads": ("4", "attention heads (must divide dim)"),
-    "text_dim": ("64", "caption embedding width of the text-encoder provider"),
-    "depth": ("4", "transformer blocks per encoder and in the decoder"),
-    "gate_kernel": ("3", "gate convolution kernel size (odd)"),
-    "variant": ("full", f"pipeline variant, one of {', '.join(VARIANTS)}"),
-    # trainer
-    "epochs": ("140", "training epochs"),
-    "batch_size": ("8", "pairs per optimizer step"),
-    "crop": ("96", "square training crop size"),
-    "lr": ("0.0001", "AdamW learning rate"),
-    "lr_schedule": ("constant", "constant or cosine"),
-    "seed": ("0", "root seed for init, shuffling, crops, and noise"),
-    "checkpoint_every": ("0", "steps between checkpoints; 0 saves only the final model"),
-    # loss weights
-    "w_ssim": ("1.0", "structural term weight"),
-    "w_grad": ("10.0", "gradient term weight"),
-    "w_int": ("10.0", "intensity term weight"),
-    "w_color": ("5.0", "color term weight"),
-    # semantics
-    "vocabulary": ("person,car,bike", "comma-separated task keywords matched against captions"),
-    "keyword": ("", "force this keyword instead of vocabulary matching (empty = match)"),
-    "noise_level": ("0.5", "std of the Gaussian noise injected before denoiser queries"),
-    "noise_seed": ("0", "seed of the injected noise"),
-    "threshold_policy": ("otsu", "mask binarization: otsu or fixed"),
-    "tau": ("0.5", "threshold when threshold_policy = fixed"),
-    "fixtures": ("", "path to fixtures.json (empty = <dataset>/fixtures.json)"),
-    # execution
-    "jobs": ("1", "threads fusing pairs in fuse and ablate"),
-}
-
-
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    patch: int = 4
-    dim: int = 64
-    heads: int = 4
-    text_dim: int = 64
-    depth: int = 4
-    gate_kernel: int = 3
-    variant: str = "full"
-    epochs: int = 140
-    batch_size: int = 8
-    crop: int = 96
-    lr: float = 1e-4
-    lr_schedule: str = "constant"
-    seed: int = 0
-    checkpoint_every: int = 0
-    w_ssim: float = 1.0
-    w_grad: float = 10.0
-    w_int: float = 10.0
-    w_color: float = 5.0
-    vocabulary: tuple[str, ...] = ("person", "car", "bike")
-    keyword: str = ""
-    noise_level: float = 0.5
-    noise_seed: int = 0
-    threshold_policy: str = "otsu"
-    tau: float = 0.5
+    train: TrainConfig = TrainConfig()
+    mask: MaskSettings = MaskSettings()
     fixtures: str = ""
     jobs: int = 1
 
-    def model_config(self) -> ModelConfig:
-        grid = self.crop // max(self.patch, 1)  # ModelConfig rejects patch < 1
-        return ModelConfig(patch=self.patch, dim=self.dim, heads=self.heads,
-                           text_dim=self.text_dim, depth=self.depth,
-                           gate_kernel=self.gate_kernel, base_grid=(grid, grid))
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(self.w_ssim, self.w_grad, self.w_int, self.w_color)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
-                           crop=self.crop, lr=self.lr, seed=self.seed,
-                           weights=self.loss_weights(), variant=self.variant,
-                           checkpoint_every=self.checkpoint_every,
-                           lr_schedule=self.lr_schedule,
-                           model=self.model_config())
-
-    def validate(self) -> "RunConfig":
-        """Check every rule of the config, including those of the model,
-        trainer and loss weights it builds, whichever command reads it."""
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.threshold_policy not in ("otsu", "fixed"):
-            raise ConfigError(f"threshold_policy must be otsu or fixed, got {self.threshold_policy!r}")
+    def __post_init__(self):
         if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-        try:
-            self.train_config()
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        return self
+            raise ValueError("jobs must be >= 1")
+
+
+KEY_DOCS = {
+    "patch": (ModelConfig, "patch size of the tokenizer; crop and image dims must divide by it"),
+    "dim": (ModelConfig, "token embedding width"),
+    "heads": (ModelConfig, "attention heads (must divide dim)"),
+    "text_dim": (ModelConfig, "caption embedding width of the text-encoder provider"),
+    "depth": (ModelConfig, "transformer blocks per encoder and in the decoder"),
+    "gate_kernel": (ModelConfig, "gate convolution kernel size (odd)"),
+    "variant": (TrainConfig, f"pipeline variant, one of {', '.join(VARIANTS)}"),
+    "epochs": (TrainConfig, "training epochs"),
+    "batch_size": (TrainConfig, "pairs per optimizer step"),
+    "crop": (TrainConfig, "square training crop size"),
+    "lr": (TrainConfig, "AdamW learning rate"),
+    "lr_schedule": (TrainConfig, "constant or cosine"),
+    "seed": (TrainConfig, "root seed for init, shuffling, crops, and noise"),
+    "checkpoint_every": (TrainConfig, "steps between checkpoints; 0 saves only the final model"),
+    "w_ssim": (LossWeights, "structural term weight"),
+    "w_grad": (LossWeights, "gradient term weight"),
+    "w_int": (LossWeights, "intensity term weight"),
+    "w_color": (LossWeights, "color term weight"),
+    "vocabulary": (MaskSettings, "comma-separated task keywords matched against captions"),
+    "keyword": (MaskSettings, "force this keyword instead of vocabulary matching (empty = match)"),
+    "noise_level": (MaskSettings, "std of the Gaussian noise injected before denoiser queries"),
+    "noise_seed": (MaskSettings, "seed of the injected noise"),
+    "threshold_policy": (MaskSettings, "mask binarization: otsu or fixed"),
+    "tau": (MaskSettings, "threshold when threshold_policy = fixed"),
+    "fixtures": (RunConfig, "path to fixtures.json (empty = <dataset>/fixtures.json)"),
+    "jobs": (RunConfig, "threads fusing pairs in fuse and ablate"),
+}
 
 
 def _coerce(key: str, raw: str):
     if key == "vocabulary":
         return tuple(w.strip() for w in raw.split(",") if w.strip())
-    default = getattr(RunConfig(), key)
+    default = getattr(KEY_DOCS[key][0], key)
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):
@@ -131,8 +79,23 @@ def _coerce(key: str, raw: str):
     return raw
 
 
+def _build(values: dict) -> RunConfig:
+    """The RunConfig of ``values`` (owner -> {key: value}); each owner checks
+    its own rules. The model's base grid is the training crop in patches."""
+    model, train = values[ModelConfig], values[TrainConfig]
+    patch = model.get("patch", ModelConfig.patch)
+    crop = train.get("crop", TrainConfig.crop)
+    if crop < patch:
+        raise ValueError(f"crop must be >= patch ({patch}), got {crop}")
+    grid = crop // max(patch, 1)  # ModelConfig rejects patch < 1
+    return RunConfig(
+        train=TrainConfig(**train, weights=LossWeights(**values[LossWeights]),
+                          model=ModelConfig(**model, base_grid=(grid, grid))),
+        mask=MaskSettings(**values[MaskSettings]), **values[RunConfig])
+
+
 def parse_config_text(text: str) -> RunConfig:
-    values = {}
+    values = {owner: {} for owner, _ in KEY_DOCS.values()}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -144,13 +107,17 @@ def parse_config_text(text: str) -> RunConfig:
         raw = raw.strip()
         if key not in KEY_DOCS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        if key in values:
+        owned = values[KEY_DOCS[key][0]]
+        if key in owned:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _coerce(key, raw)
+            owned[key] = _coerce(key, raw)
         except ValueError as e:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {raw!r}") from e
-    return RunConfig(**values).validate()
+    try:
+        return _build(values)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def load_config(path) -> RunConfig:
@@ -165,18 +132,21 @@ def load_config(path) -> RunConfig:
 
 
 def config_to_text(config: RunConfig) -> str:
+    owners = {ModelConfig: config.train.model, TrainConfig: config.train,
+              LossWeights: config.train.weights, MaskSettings: config.mask,
+              RunConfig: config}
     lines = []
-    for key in KEY_DOCS:
-        value = getattr(config, key)
+    for key, (owner, _) in KEY_DOCS.items():
+        value = getattr(owners[owner], key)
         if key == "vocabulary":
             value = ",".join(value)
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"{key} = {value}\n")
+    return "".join(lines)
 
 
 def default_config_text() -> str:
-    lines = ["# run configuration; every key optional, defaults shown"]
-    for key, (default, doc) in KEY_DOCS.items():
-        lines.append(f"# {doc}")
-        lines.append(f"{key} = {default}")
-    return "\n".join(lines) + "\n"
+    lines = ["# run configuration; every key optional, defaults shown\n"]
+    for (_, doc), line in zip(KEY_DOCS.values(),
+                              config_to_text(RunConfig()).splitlines(keepends=True)):
+        lines += [f"# {doc}\n", line]
+    return "".join(lines)

@@ -10,7 +10,7 @@ fixture file the providers need, so the whole pipeline runs offline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from .imgio import load_image, save_image
 from .providers import (HashTextEncoder, LookupCaptioner, PlantedRegionDenoiser,
                         Rect)
 from .rng import derive
-from .sig import (MaskSemantics, SemanticGenerator, TextDescription,
+from .sig import (MaskSemantics, MaskSettings, SemanticGenerator, TextDescription,
                   image_content_hash, read_mask)
 
 IMAGE_EXTENSIONS = (".png", ".ppm", ".pgm", ".pnm")
@@ -142,7 +142,7 @@ class FixtureBundle:
         return cls(captions=dict(payload.get("captions", {})),
                    regions=dict(payload.get("regions", {})),
                    amplitude=float(payload.get("amplitude", 1.0)),
-                   vocabulary=tuple(payload.get("vocabulary", ("person", "car", "bike"))))
+                   vocabulary=tuple(payload.get("vocabulary", cls.vocabulary)))
 
 
 def providers_from_fixtures(fixtures: FixtureBundle, pairs) -> tuple:
@@ -158,23 +158,21 @@ def providers_from_fixtures(fixtures: FixtureBundle, pairs) -> tuple:
 
 
 def semantic_generator_for(root, pairs, *, text_dim: int, cache_dir=None,
-                           noise_level: float = 0.5, noise_seed: int = 0,
-                           threshold_policy: str = "otsu", tau: float = 0.5,
-                           keyword: str | None = None, vocabulary=None,
+                           settings: MaskSettings | None = None,
                            fixtures_path=None) -> SemanticGenerator:
     """Wire fixtures.json next to the dataset into a SemanticGenerator.
 
-    ``vocabulary`` replaces the fixtures' own keyword list when given.
+    The fixtures' keyword list stands in when ``settings`` is absent or its
+    ``vocabulary`` is empty.
     """
     path = Path(fixtures_path) if fixtures_path else Path(root) / "fixtures.json"
     if not path.exists():
         raise DatasetError(f"fixture file not found: {path}")
     fixtures = FixtureBundle.load(path)
     captioner, denoiser = providers_from_fixtures(fixtures, pairs)
-    return SemanticGenerator(captioner, HashTextEncoder(text_dim), denoiser,
-                             vocabulary=vocabulary or fixtures.vocabulary, keyword=keyword,
-                             noise_level=noise_level, noise_seed=noise_seed,
-                             threshold_policy=threshold_policy, tau=tau,
+    if settings is None or not settings.vocabulary:
+        settings = replace(settings or MaskSettings(), vocabulary=fixtures.vocabulary)
+    return SemanticGenerator(captioner, HashTextEncoder(text_dim), denoiser, settings,
                              cache_dir=str(cache_dir) if cache_dir else None)
 
 

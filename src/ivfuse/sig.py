@@ -122,6 +122,23 @@ def strip_keyword(t: TextDescription, spec: KeywordSpec) -> TextDescription:
 # -- mask generation -------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class MaskSettings:
+    """Every setting a mask depends on besides its images and caption, in
+    the order the mask-cache key lists them."""
+
+    vocabulary: tuple[str, ...] = ("person", "car", "bike")
+    keyword: str = ""               # forced task keyword; empty = vocabulary match
+    threshold_policy: str = "otsu"  # or "fixed"
+    tau: float = 0.5                # threshold when threshold_policy = fixed
+    noise_level: float = 0.5
+    noise_seed: int = 0
+
+    def __post_init__(self):
+        if self.threshold_policy not in ("otsu", "fixed"):
+            raise ValueError(f"threshold_policy must be otsu or fixed, got {self.threshold_policy!r}")
+
+
 def otsu_threshold(values: np.ndarray) -> float:
     """Otsu's between-class-variance threshold over 256 bins of [0, 1]."""
     hist, edges = np.histogram(values.ravel(), bins=256, range=(0.0, 1.0))
@@ -155,9 +172,10 @@ def _as_chw(image: np.ndarray) -> np.ndarray:
 
 
 def mask_from_noise_diff(image: np.ndarray, t: TextDescription, t_hat: TextDescription,
-                         denoiser, noise_seed: int, noise_level: float = 0.5,
-                         threshold_policy: str = "otsu", tau: float = 0.5,
-                         content_hash: str | None = None) -> np.ndarray:
+                         denoiser, noise_seed: int,
+                         noise_level: float = MaskSettings.noise_level,
+                         threshold_policy: str = MaskSettings.threshold_policy,
+                         tau: float = MaskSettings.tau, content_hash: str | None = None) -> np.ndarray:
     """Binary map from the denoiser's response difference under T vs T-hat.
 
     Gaussian noise (scaled by ``noise_level``) is added once; the denoiser is
@@ -261,18 +279,12 @@ class SemanticGenerator:
     atomic, so concurrent readers never observe a partial file.
     """
 
-    def __init__(self, captioner, text_encoder, denoiser, vocabulary=("person", "car", "bike"),
-                 *, keyword: str | None = None, noise_level: float = 0.5, noise_seed: int = 0,
-                 threshold_policy: str = "otsu", tau: float = 0.5, cache_dir=None):
+    def __init__(self, captioner, text_encoder, denoiser, settings=MaskSettings(), *,
+                 cache_dir=None):
         self.captioner = captioner
         self.text_encoder = text_encoder
         self.denoiser = denoiser
-        self.vocabulary = tuple(vocabulary)
-        self.keyword = keyword
-        self.noise_level = noise_level
-        self.noise_seed = noise_seed
-        self.threshold_policy = threshold_policy
-        self.tau = tau
+        self.settings = settings
         self.cache_dir = cache_dir
         self._caption_mem: dict[str, TextDescription] = {}
         if cache_dir is not None:
@@ -310,7 +322,7 @@ class SemanticGenerator:
         return desc
 
     def contrast_caption(self, t: TextDescription) -> TextDescription:
-        spec = select_keyword(t, self.vocabulary, configured=self.keyword)
+        spec = select_keyword(t, self.settings.vocabulary, configured=self.settings.keyword)
         if spec is None:
             warnings.warn(f"no vocabulary keyword found in caption {t.text!r}", stacklevel=2)
             return t
@@ -337,11 +349,12 @@ class SemanticGenerator:
             if os.path.exists(cache_path):
                 return MaskSemantics(read_mask(cache_path))
         t_hat = self.contrast_caption(t)
-        m_vis = mask_from_noise_diff(vis, t, t_hat, self.denoiser, self.noise_seed,
-                                     self.noise_level, self.threshold_policy, self.tau,
+        s = self.settings
+        m_vis = mask_from_noise_diff(vis, t, t_hat, self.denoiser, s.noise_seed,
+                                     s.noise_level, s.threshold_policy, s.tau,
                                      content_hash=h_vis)
-        m_ir = mask_from_noise_diff(ir, t, t_hat, self.denoiser, self.noise_seed,
-                                    self.noise_level, self.threshold_policy, self.tau,
+        m_ir = mask_from_noise_diff(ir, t, t_hat, self.denoiser, s.noise_seed,
+                                    s.noise_level, s.threshold_policy, s.tau,
                                     content_hash=h_ir)
         semantics = union_masks(m_vis, m_ir)
         if cache_path is not None:
@@ -350,10 +363,11 @@ class SemanticGenerator:
 
     def _mask_key(self, h_vis: str, h_ir: str, caption: TextDescription) -> str:
         """SHA-256 hex digest naming a cached mask: both images' content hashes,
-        the caption used, and every mask setting of this generator."""
-        fields = [h_vis, h_ir, caption.text, list(self.vocabulary), self.keyword,
-                  self.threshold_policy, float(self.tau), float(self.noise_level),
-                  int(self.noise_seed)]
+        the caption used, and every mask setting of this generator. An empty
+        keyword enters the JSON as null."""
+        s = self.settings
+        fields = [h_vis, h_ir, caption.text, list(s.vocabulary), s.keyword or None,
+                  s.threshold_policy, float(s.tau), float(s.noise_level), int(s.noise_seed)]
         return hashlib.sha256(json.dumps(fields).encode()).hexdigest()
 
     def text_for_pair(self, i_vis: np.ndarray,

@@ -17,7 +17,7 @@ from .checkpoint import (CheckpointError, load_checkpoint, restore_parameters,
                          save_checkpoint)
 from .dataset import ImagePair
 from .losses import LossWeights, total_loss
-from .model import FusionModel, ModelConfig, reflect_pad
+from .model import VARIANTS, FusionModel, ModelConfig, reflect_pad
 from .optim import adamw_step, zero_grads
 from .rng import derive
 from .sig import MaskSemantics, TextSemantics
@@ -63,6 +63,8 @@ class TrainConfig:
             )
         if self.lr_schedule not in ("constant", "cosine"):
             raise ValueError(f"lr_schedule must be constant or cosine, got {self.lr_schedule!r}")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
 
 def sample_crop(pair: ImagePair, mask: MaskSemantics, crop: int,
@@ -208,12 +210,34 @@ def _model_from(meta: dict[str, str], states) -> FusionModel:
             if not all(part.isascii() and part.isdigit() for part in parts):
                 raise ValueError(f"{name} is not decimal: {raw!r}")
             values[name] = tuple(map(int, parts)) if name == "base_grid" else int(raw)
+        config, variant = ModelConfig(**values), meta.get("variant", "full")
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+        _check_shapes(config, variant, states)
         # every parameter is restored below, so the init seed is immaterial
-        model = FusionModel(ModelConfig(**values), variant=meta.get("variant", "full"))
+        model = FusionModel(config, variant=variant)
     except ValueError as e:
         raise CheckpointError(f"checkpoint metadata: {e}") from e
     restore_parameters(model.parameters(), states)
     return model
+
+
+def _check_shapes(c: ModelConfig, variant: str, states) -> None:
+    """Compare every ModelConfig size that shows in a parameter shape with
+    the stored parameters, before a model of that size is allocated."""
+    want = [("patch/dim", "vis_encoder.embed.proj.weight", (3 * c.patch ** 2, c.dim)),
+            ("base_grid", "vis_encoder.pos", (c.base_grid[0] * c.base_grid[1], c.dim)),
+            ("depth", f"decoder.block{c.depth - 1}.attn.q.weight", (c.dim, c.dim)),
+            ("gate_kernel", "tdaf.gate_v.weight", (c.dim, c.dim, c.gate_kernel, c.gate_kernel))]
+    if variant != "no-tivr":
+        want.append(("text_dim", "tdaf.text_proj.weight", (c.text_dim, c.dim)))
+    for names, param, shape in want:
+        have = states[param].data.shape if param in states else None
+        if have != shape:
+            raise ValueError(f"{names} give {param} shape {shape}, checkpoint has "
+                             + (str(have) if have else "no such parameter"))
+    if f"decoder.block{c.depth}.attn.q.weight" in states:
+        raise ValueError(f"depth {c.depth} is less than the checkpoint's decoder blocks")
 
 
 def checkpoint_mismatch(model: FusionModel, config: ModelConfig, variant: str) -> list[str]:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from ivfuse import cli
-from ivfuse.cli import _generator, _semantics, main
+from ivfuse.cli import _semantics, main
 from ivfuse.config import load_config, parse_config_text
-from ivfuse.dataset import FixtureBundle, generate_dataset, load_pairs
+from ivfuse.dataset import (FixtureBundle, generate_dataset, load_pairs,
+                            semantic_generator_for)
 from ivfuse.imgio import load_image
 from ivfuse.model import StageError
 from ivfuse.sig import TextDescription, embed_text, read_mask, write_mask
@@ -92,7 +93,8 @@ def test_shipped_caption_drives_mask_and_text(dataset):
     pairs = load_pairs(root)
     with pytest.warns(UserWarning, match="no vocabulary keyword"):
         semantics = _semantics(config, root, pairs, tmp / "cache")
-    generator = _generator(config, root, pairs, None)
+    generator = semantic_generator_for(root, pairs, text_dim=config.train.model.text_dim,
+                                       settings=config.mask)
     shipped = embed_text(TextDescription.from_text("an empty street"), generator.text_encoder)
     assert semantics["pair0000"][1].length == 3
     np.testing.assert_array_equal(semantics["pair0000"][1].embeddings, shipped.embeddings)
@@ -205,6 +207,20 @@ def test_usage_errors_exit_one(dataset, capsys):
         err = capsys.readouterr().err
         assert "Traceback" not in err and "duplicate" not in err
     assert "not UTF-8" in err
+    # resuming a checkpoint of another model is caught before anything is written
+    assert main(["train", "--config", str(cfg), "--in", str(root),
+                 "--out", str(tmp / "run")]) == 0
+    ckpt = tmp / "run" / "model.ckpt"
+    other = tmp / "other.cfg"
+    other.write_text(SMALL_CONFIG.replace("heads = 2", "heads = 4"))
+    capsys.readouterr()
+    out = tmp / "resumed"
+    assert main(["train", "--config", str(other), "--in", str(root), "--out", str(out),
+                 "--resume", str(ckpt)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"differs from checkpoint {ckpt} in heads (checkpoint 2, config 4)" in err
+    assert "Traceback" not in err
 
 
 def test_runtime_errors_exit_two(dataset):
@@ -291,6 +307,7 @@ def test_config_vocabulary_overrides_fixtures(dataset):
     fixtures.save(root / "fixtures.json")
     pairs = load_pairs(root)
     config = parse_config_text("vocabulary = person,car\n")
-    generator = _generator(config, root, pairs, tmp / "cache")
+    generator = semantic_generator_for(root, pairs, text_dim=config.train.model.text_dim,
+                                       cache_dir=tmp / "cache", settings=config.mask)
     caption = generator.caption_for(pairs[0].i_vis)
     assert generator.contrast_caption(caption).text == "a beside a car"

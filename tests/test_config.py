@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from mutation import MUTATION, mutate
 
 
 def test_defaults_round_trip():
-    config = RunConfig().validate()
+    config = RunConfig()
     text = config_to_text(config)
     again = parse_config_text(text)
     assert again == config
@@ -38,8 +40,8 @@ def test_duplicate_and_malformed_lines_rejected():
 
 def test_comments_and_blanks_ignored():
     config = parse_config_text("# a comment\n\nlr = 0.01\nvocabulary = car, person\n")
-    assert config.lr == 0.01
-    assert config.vocabulary == ("car", "person")
+    assert config.train.lr == 0.01
+    assert config.mask.vocabulary == ("car", "person")
 
 
 def test_validation_rules():
@@ -54,7 +56,7 @@ def test_validation_rules():
     for text, message in [("heads = 0\n", "heads must be >= 1"),
                           ("patch = 0\n", "patch must be >= 1"),
                           ("gate_kernel = 2\n", "gate_kernel must be odd"),
-                          ("crop = 2\n", "base_grid"),
+                          ("crop = 2\n", "crop must be >= patch"),
                           ("lr_schedule = bogus\n", "lr_schedule"),
                           ("batch_size = 0\n", "batch_size"),
                           ("w_ssim = -1\n", "non-negative"),
@@ -70,13 +72,34 @@ def test_validation_rules():
 
 def test_derived_configs_consistent():
     config = parse_config_text("crop = 64\npatch = 4\ndim = 32\nheads = 4\n")
-    model = config.model_config()
+    model = config.train.model
     assert model.base_grid == (16, 16)
-    train = config.train_config()
+    train = config.train
     assert train.crop == 64
     assert train.model.dim == 32
-    weights = config.loss_weights()
+    weights = config.train.weights
     assert weights.w_grad == 10.0
+
+
+def test_docs_run_config_table_matches_the_defaults():
+    """docs/file_formats.md lists every key in its own row, with the default
+    that config_to_text(RunConfig()) renders."""
+    docs = (Path(__file__).resolve().parents[1] / "docs" / "file_formats.md").read_text()
+    section = docs.split("## Run config", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("| ") and len(cells) >= 2 and cells[0] not in ("key", "---"):
+            assert cells[0] not in rows, f"{cells[0]} has two rows"
+            rows[cells[0]] = "" if cells[1] == "(empty)" else cells[1]
+    rendered = dict(line.split(" = ", 1) for line in
+                    config_to_text(RunConfig()).splitlines())
+    assert sorted(rows) == sorted(KEY_DOCS)
+    for key, value in rendered.items():
+        if isinstance(getattr(KEY_DOCS[key][0], key), float):
+            assert float(rows[key]) == float(value), key
+        else:
+            assert rows[key] == value, key
 
 
 def test_missing_file_rejected(tmp_path):
@@ -84,7 +107,7 @@ def test_missing_file_rejected(tmp_path):
         load_config(tmp_path / "absent.cfg")
     path = tmp_path / "run.cfg"
     path.write_text("seed = 7\n")
-    assert load_config(path).seed == 7
+    assert load_config(path).train.seed == 7
 
 
 @pytest.fixture(scope="module")
@@ -103,4 +126,4 @@ def test_mutated_configs_load_or_raise_config_error(mutation_dir, base, ops):
         config = load_config(path)
     except ConfigError:
         return
-    assert config.train_config().model == config.model_config()
+    assert config.train.model.base_grid == (config.train.crop // config.train.model.patch,) * 2

@@ -6,7 +6,7 @@ from ivfuse.dataset import (DatasetError, FixtureBundle, ImagePair,
                             providers_from_fixtures, semantic_generator_for,
                             synth_pair)
 from ivfuse.imgio import save_image
-from ivfuse.sig import image_content_hash
+from ivfuse.sig import MaskSettings, image_content_hash
 
 
 def test_image_pair_validation(rng):
@@ -102,6 +102,15 @@ def test_semantic_generator_recovers_planted_regions(tmp_path):
         text = gen.text_for_pair(pair.i_vis)
         assert text.width == 16
         assert text.length == len(fixtures.captions[pair.pair_id].split())
+
+
+def test_fixture_vocabulary_stands_in_for_an_absent_or_empty_one(tmp_path):
+    generate_dataset(tmp_path, 1, (16, 16), seed=5, vocabulary=("bike",))
+    pairs = load_pairs(tmp_path)
+    for settings, want in ((None, ("bike",)), (MaskSettings(vocabulary=()), ("bike",)),
+                           (MaskSettings(vocabulary=("car",)), ("car",))):
+        gen = semantic_generator_for(tmp_path, pairs, text_dim=8, settings=settings)
+        assert gen.settings.vocabulary == want
 
 
 def test_missing_fixture_file_rejected(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from ivfuse.providers import (HashTextEncoder, LookupCaptioner,
                               PlantedRegionDenoiser, Rect)
 from ivfuse.sig import (KeywordSpec, MaskCacheError, MaskSemantics, ProviderError,
-                        SemanticGenerator, TextDescription,
+                        MaskSettings, SemanticGenerator, TextDescription,
                         embed_text, image_content_hash, mask_from_noise_diff,
                         otsu_threshold, read_mask, select_keyword,
                         strip_keyword, union_masks, write_mask)
@@ -290,7 +290,7 @@ def test_semantic_generator_uses_mask_cache(tmp_path, rng):
     ir = rng.random((1, 12, 12))
     cap = LookupCaptioner({image_content_hash(vis): "a car outside"})
     gen = SemanticGenerator(cap, HashTextEncoder(8), PlantedRegionDenoiser({"car": rect}),
-                            vocabulary=("car",), cache_dir=str(tmp_path))
+                            MaskSettings(vocabulary=("car",)), cache_dir=str(tmp_path))
     first = gen.mask_for_pair(vis, ir, pair_id="p0")
     np.testing.assert_array_equal(first.m, rect.indicator(12, 12))
     key = gen._mask_key(image_content_hash(vis), image_content_hash(ir),
@@ -298,7 +298,7 @@ def test_semantic_generator_uses_mask_cache(tmp_path, rng):
     assert [p.name for p in (tmp_path / "masks").iterdir()] == [key + ".mask"]
 
     gen2 = SemanticGenerator(cap, HashTextEncoder(8), Exploding(),
-                             vocabulary=("car",), cache_dir=str(tmp_path))
+                             MaskSettings(vocabulary=("car",)), cache_dir=str(tmp_path))
     second = gen2.mask_for_pair(vis, ir, pair_id="p0")
     np.testing.assert_array_equal(second.m, first.m)
 
@@ -308,6 +308,23 @@ class Exploding:
         raise AssertionError("mask cache should have been used")
 
 
+@pytest.mark.parametrize("settings, digest", [
+    (MaskSettings(), "75e40ea0d992cdc9cfbb485a4de9a87c3a2fb95e6e0b32c38e3b381b67c88a6e"),
+    (MaskSettings(keyword="car"),
+     "ea1a416ce70748bac370a615c924d4f67265434f1583459a2e25ae4f4210240c"),
+    (MaskSettings(vocabulary=("car", "bike"), threshold_policy="fixed"),
+     "02e20f69c5844ff4d11493ba3755e19a709bf94a022fd6d03abf1a2aa1ecb3df"),
+    (MaskSettings(vocabulary=("car", "person"), keyword="car", tau=0.25, noise_level=0.25,
+                  noise_seed=1),
+     "d135e6c4046edac8df0ac2fbf78eeec3379fdf5dcd2d930ddd4a384b9691bf49"),
+])
+def test_mask_key_bytes_are_stable(settings, digest):
+    """Mask caches already on disk stay readable: the key digests the JSON
+    list documented in docs/file_formats.md, an empty keyword as null."""
+    gen = SemanticGenerator(LookupCaptioner({}), HashTextEncoder(4), None, settings)
+    assert gen._mask_key("a" * 64, "b" * 64, TextDescription.from_text("a car outside")) == digest
+
+
 @pytest.mark.parametrize("change", [
     "vis", "ir", "caption", "vocabulary", "keyword", "threshold_policy", "tau",
     "noise_level", "noise_seed"])
@@ -315,7 +332,7 @@ def test_mask_cache_misses_when_an_input_changes(tmp_path, rng, change):
     """Each input the mask depends on is part of its cache key, so changing
     any one of them recomputes the mask instead of reading the old file."""
     vis, ir = rng.random((3, 12, 12)), rng.random((1, 12, 12))
-    settings = dict(vocabulary=("car", "bike"), keyword=None, threshold_policy="fixed",
+    settings = dict(vocabulary=("car", "bike"), keyword="", threshold_policy="fixed",
                     tau=0.5, noise_level=0.5, noise_seed=0)
     other = dict(vocabulary=("car", "person"), keyword="car", threshold_policy="otsu",
                  tau=0.25, noise_level=0.25, noise_seed=1)
@@ -323,8 +340,8 @@ def test_mask_cache_misses_when_an_input_changes(tmp_path, rng, change):
                            image_content_hash(vis[::-1]): "a car outside"})
 
     def generator(denoiser, **kw):
-        return SemanticGenerator(cap, HashTextEncoder(8), denoiser, cache_dir=str(tmp_path),
-                                 **{**settings, **kw})
+        return SemanticGenerator(cap, HashTextEncoder(8), denoiser,
+                                 MaskSettings(**{**settings, **kw}), cache_dir=str(tmp_path))
 
     generator(PlantedRegionDenoiser({"car": Rect(2, 2, 4, 4)})).mask_for_pair(vis, ir, "p0")
     assert generator(Exploding()).mask_for_pair(vis, ir, "p0").m.any()
@@ -340,7 +357,7 @@ def test_semantic_generator_caption_sidecar(tmp_path, rng):
     cap = LookupCaptioner({image_content_hash(vis): "a person nearby"})
     gen = SemanticGenerator(cap, HashTextEncoder(4),
                             PlantedRegionDenoiser({"person": Rect(0, 0, 2, 2)}),
-                            vocabulary=("person",), cache_dir=str(tmp_path))
+                            MaskSettings(vocabulary=("person",)), cache_dir=str(tmp_path))
     t = gen.caption_for(vis)
     assert t.text == "a person nearby"
     assert cap.calls == 1

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -191,6 +192,9 @@ def test_checkpoint_without_model_keys_loads_as_default(tmp_path):
     ("dim", "٨"), ("heads", "3"), ("heads", "0"), ("gate_kernel", "2"),
     ("base_grid", "8"), ("base_grid", "8,x"), ("base_grid", "8,8,8"),
     ("variant", "bogus"),
+    # sizes the stored parameter shapes contradict
+    ("patch", "4"), ("dim", "16"), ("depth", "2"), ("base_grid", "4,4"),
+    ("gate_kernel", "5"), ("text_dim", "7"),
 ])
 def test_malformed_model_metadata_raises_checkpoint_error(tmp_path, key, value):
     path = tmp_path / "m.ckpt"
@@ -200,6 +204,22 @@ def test_malformed_model_metadata_raises_checkpoint_error(tmp_path, key, value):
     save_checkpoint(path, params, meta=dict(TINY_META, **{key: value}))
     with pytest.raises(CheckpointError, match=key):
         load_model(path)
+
+
+def test_oversized_metadata_fails_before_the_model_is_built(tmp_path):
+    """A dim the stored shapes contradict is caught before a dim-256 model
+    (over 100 MB of parameters and moments) is allocated."""
+    path = tmp_path / "m.ckpt"
+    params = FusionModel(TINY_MODEL, seed=3).parameters()
+    save_checkpoint(path, params, meta=dict(TINY_META, dim="256"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="dim"):
+            load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("change, name", [
