@@ -81,13 +81,12 @@ def _coerce(key: str, raw: str):
 
 def _build(values: dict) -> RunConfig:
     """The RunConfig of ``values`` (owner -> {key: value}); each owner checks
-    its own rules. The model's base grid is the training crop in patches."""
+    its own rules. The model's base grid is the training crop in patches,
+    at least 1 so that TrainConfig, not ModelConfig, reports a crop below
+    the patch size."""
     model, train = values[ModelConfig], values[TrainConfig]
-    patch = model.get("patch", ModelConfig.patch)
-    crop = train.get("crop", TrainConfig.crop)
-    if crop < patch:
-        raise ValueError(f"crop must be >= patch ({patch}), got {crop}")
-    grid = crop // max(patch, 1)  # ModelConfig rejects patch < 1
+    patch = max(model.get("patch", ModelConfig.patch), 1)  # ModelConfig rejects patch < 1
+    grid = max(train.get("crop", TrainConfig.crop) // patch, 1)
     return RunConfig(
         train=TrainConfig(**train, weights=LossWeights(**values[LossWeights]),
                           model=ModelConfig(**model, base_grid=(grid, grid))),

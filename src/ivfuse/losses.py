@@ -19,6 +19,10 @@ from .tensor import ShapeError, Tensor
 SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 SOBEL_Y = SOBEL_X.T
 _SOBEL_EPS = 1e-12
+SSIM_WINDOW = 11
+SSIM_SIGMA = 1.5
+SSIM_C1 = 0.01 ** 2
+SSIM_C2 = 0.03 ** 2
 
 
 @dataclass(frozen=True)
@@ -79,14 +83,13 @@ def _window_conv(plane: Tensor, kernel1d: np.ndarray) -> Tensor:
     return T.reshape(x, x.shape[2:])
 
 
-def ssim_index(x: Tensor, y: Tensor, window: int = 11, sigma: float = 1.5,
-               c1: float = 0.01 ** 2, c2: float = 0.03 ** 2) -> Tensor:
+def ssim_index(x: Tensor, y: Tensor) -> Tensor:
     """Mean SSIM over the valid region of two single-channel planes."""
     x, y = _as_tensor(x), _as_tensor(y)
     h, w = x.shape
-    if window > h or window > w:
-        raise ShapeError(f"ssim: window {window} larger than image ({h}, {w})")
-    win = _gaussian_kernel(window, sigma)
+    if SSIM_WINDOW > h or SSIM_WINDOW > w:
+        raise ShapeError(f"ssim: window {SSIM_WINDOW} larger than image ({h}, {w})")
+    win = _gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA)
     mx = _window_conv(x, win)
     my = _window_conv(y, win)
     mxx = _window_conv(x * x, win)
@@ -95,8 +98,8 @@ def ssim_index(x: Tensor, y: Tensor, window: int = 11, sigma: float = 1.5,
     vx = mxx - mx * mx
     vy = myy - my * my
     cxy = mxy - mx * my
-    num = (mx * my * 2.0 + c1) * (cxy * 2.0 + c2)
-    den = (mx * mx + my * my + c1) * (vx + vy + c2)
+    num = (mx * my * 2.0 + SSIM_C1) * (cxy * 2.0 + SSIM_C2)
+    den = (mx * mx + my * my + SSIM_C1) * (vx + vy + SSIM_C2)
     return T.reduce_mean(num / den)
 
 

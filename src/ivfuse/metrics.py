@@ -215,7 +215,6 @@ class MetricRow:
 class MetricReport:
     rows: list[MetricRow] = field(default_factory=list)
     missing: list[str] = field(default_factory=list)
-    conventions: dict = field(default_factory=lambda: dict(CONVENTIONS))
 
     @property
     def means(self) -> dict[str, float]:
@@ -242,7 +241,7 @@ class MetricReport:
 
     def to_text(self) -> str:
         lines = ["# metric conventions"]
-        for key, value in self.conventions.items():
+        for key, value in CONVENTIONS.items():
             lines.append(f"#   {key}: {value}")
         if self.missing:
             lines.append(f"#   unmatched pair ids skipped: {', '.join(self.missing)}")

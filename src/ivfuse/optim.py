@@ -53,15 +53,14 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.shape}, step={self.step})"
 
 
-def adamw_step(params, lr: float, betas=ADAMW_BETAS, eps: float = ADAMW_EPS,
-               weight_decay: float = ADAMW_WEIGHT_DECAY) -> None:
+def adamw_step(params, lr: float, weight_decay: float = ADAMW_WEIGHT_DECAY) -> None:
     """One decoupled-weight-decay Adam step over ``params``.
 
     Decay is applied to the incoming parameter value before the moment
     update is subtracted; gradients are left untouched for the caller to
     zero. Every parameter must have a populated gradient.
     """
-    b1, b2 = betas
+    b1, b2 = ADAMW_BETAS
     for p in params:
         if p.grad is None:
             raise ValueError(f"adamw_step: parameter {p.name!r} has no gradient")
@@ -74,7 +73,7 @@ def adamw_step(params, lr: float, betas=ADAMW_BETAS, eps: float = ADAMW_EPS,
         mhat = p.m / (1.0 - b1 ** t)
         vhat = p.v / (1.0 - b2 ** t)
         new = p.data * (1.0 - lr * weight_decay)
-        new -= lr * mhat / (np.sqrt(vhat) + eps)
+        new -= lr * mhat / (np.sqrt(vhat) + ADAMW_EPS)
         p.tensor.data = new
 
 

@@ -68,19 +68,14 @@ class MaskSemantics:
     """Binary foreground map and its complement."""
 
     m: np.ndarray
-    m_bar: np.ndarray = field(default=None)  # type: ignore[assignment]
+    m_bar: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.m = np.ascontiguousarray(self.m, dtype=np.float64)
         vals = np.unique(self.m)
         if not np.all(np.isin(vals, (0.0, 1.0))):
             raise ValueError("MaskSemantics: mask must be strictly binary")
-        if self.m_bar is None:
-            self.m_bar = 1.0 - self.m
-        else:
-            self.m_bar = np.ascontiguousarray(self.m_bar, dtype=np.float64)
-            if not np.array_equal(self.m_bar, 1.0 - self.m):
-                raise ValueError("MaskSemantics: complement does not match mask")
+        self.m_bar = 1.0 - self.m
 
 
 def image_content_hash(image: np.ndarray) -> str:
@@ -236,7 +231,7 @@ def embed_text(t: TextDescription, encoder) -> TextSemantics:
     return TextSemantics(np.ascontiguousarray(emb))
 
 
-# -- mask / caption caches ---------------------------------------------------------
+# -- mask cache ------------------------------------------------------------------
 
 MASK_MAGIC = b"IVM1"
 
@@ -273,7 +268,8 @@ def read_mask(path) -> np.ndarray:
 
 
 class SemanticGenerator:
-    """Glue object: providers plus caches, producing per-pair semantics.
+    """Glue object: providers, a caption memo and a mask cache, producing
+    per-pair semantics.
 
     Calls to exclusive providers are not parallelized; mask cache writes are
     atomic, so concurrent readers never observe a partial file.
@@ -289,24 +285,13 @@ class SemanticGenerator:
         self._caption_mem: dict[str, TextDescription] = {}
         if cache_dir is not None:
             os.makedirs(os.path.join(cache_dir, "masks"), exist_ok=True)
-            os.makedirs(os.path.join(cache_dir, "captions"), exist_ok=True)
-
-    # caption with persistent sidecar cache
 
     def caption_for(self, image: np.ndarray, key: str | None = None) -> TextDescription:
-        """Caption of ``image``, memoized by content hash (``key``, when the
-        caller has already taken ``image_content_hash(image)``): from memory,
-        else from the sidecar cache, else from the captioner."""
+        """Caption of ``image``, memoized in memory by content hash (``key``,
+        when the caller has already taken ``image_content_hash(image)``)."""
         key = key or image_content_hash(image)
         if key in self._caption_mem:
             return self._caption_mem[key]
-        side = None if self.cache_dir is None else \
-            os.path.join(self.cache_dir, "captions", key + ".txt")
-        if side is not None and os.path.exists(side):
-            with open(side, "r", encoding="utf-8") as f:
-                desc = TextDescription.from_text(f.read().strip())
-            self._caption_mem[key] = desc
-            return desc
         try:
             raw = self.captioner.caption(image)
         except Exception as e:
@@ -314,11 +299,6 @@ class SemanticGenerator:
         if not raw or not raw.strip():
             raise ProviderError(f"captioner returned an empty caption for image {key[:12]}")
         desc = self._caption_mem[key] = TextDescription.from_text(raw)
-        if side is not None:
-            tmp = side + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as f:
-                f.write(desc.text + "\n")
-            os.replace(tmp, side)
         return desc
 
     def contrast_caption(self, t: TextDescription) -> TextDescription:

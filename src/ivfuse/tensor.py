@@ -34,6 +34,7 @@ from scipy.special import erf
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
+_LAYER_NORM_EPS = 1e-5
 
 # Largest score array (bytes) one ``attention`` chunk may build when no tape
 # is recorded. A constant, not a setting: it bounds memory, not results.
@@ -404,7 +405,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
                           check=False)
 
 
-def layer_norm(x: Tensor, scale: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, scale: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, scale, bias = _as_tensor(x), _as_tensor(scale), _as_tensor(bias)
     d = x.shape[-1]
@@ -414,7 +415,7 @@ def layer_norm(x: Tensor, scale: Tensor, bias: Tensor, eps: float = 1e-5) -> Ten
         )
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
     xhat = (x.data - mu) * inv
     out = xhat * scale.data + bias.data
 

@@ -57,6 +57,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
+        if self.crop < self.model.patch:
+            raise ValueError(f"crop must be >= patch ({self.model.patch}), got {self.crop}")
         if self.crop % self.model.patch != 0:
             raise ValueError(
                 f"crop {self.crop} not divisible by patch size {self.model.patch}"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,52 @@ def test_mask_rerun_after_shipping_a_caption_uses_it(dataset):
         assert main(["mask", "--config", str(cfg), "--in", str(root), "--out", str(out)]) == 0
     assert not read_mask(out / "masks" / "pair0000.mask").any()
     assert read_mask(out / "masks" / "pair0001.mask").any()
+
+
+def test_mask_rerun_follows_a_changed_caption(dataset):
+    """Captions are resolved afresh on every run, so a caption changed in
+    fixtures.json between two runs into one --out gives a new mask and text."""
+    root, cfg, tmp = dataset
+    out, fresh = tmp / "maskout", tmp / "fresh"
+    assert main(["mask", "--config", str(cfg), "--in", str(root), "--out", str(out)]) == 0
+    assert read_mask(out / "masks" / "pair0000.mask").any()
+    fixtures = FixtureBundle.load(root / "fixtures.json")
+    fixtures.captions["pair0000"] = "an empty street"
+    fixtures.save(root / "fixtures.json")
+    for target in (out, fresh):
+        with pytest.warns(UserWarning, match="no vocabulary keyword"):
+            assert main(["mask", "--config", str(cfg), "--in", str(root),
+                         "--out", str(target)]) == 0
+    rerun = read_mask(out / "masks" / "pair0000.mask")
+    np.testing.assert_array_equal(rerun, read_mask(fresh / "masks" / "pair0000.mask"))
+    assert not rerun.any()
+    # the new mask is cached, so this reads it and takes the text from the new caption
+    semantics = _semantics(load_config(cfg), root, load_pairs(root), out / "cache")
+    assert semantics["pair0000"][1].length == 3
+
+
+def _artefact_patterns(out):
+    """Every path under ``out``, with pair ids and cache keys generalised."""
+    return sorted(re.sub(r"[0-9a-f]{64}", "<key>", re.sub(r"pair\d{4}", "<pair>", p))
+                  for p in (path.relative_to(out).as_posix() for path in out.rglob("*")))
+
+
+def test_commands_write_only_their_artefacts(tmp_path):
+    root = tmp_path / "data"
+    generate_dataset(root, 2, (16, 16), seed=1)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CONFIG.replace("epochs = 2", "epochs = 1"))
+    cache = ["cache", "cache/masks", "cache/masks/<key>.mask", "cache/masks/<key>.mask"]
+    expected = {
+        "fuse": ["<pair>.png", "<pair>.png"] + cache,
+        "train": cache + ["loss_history.csv", "model.ckpt"],
+        "mask": cache + ["masks", "masks/<pair>.mask", "masks/<pair>.mask",
+                         "previews", "previews/<pair>.png", "previews/<pair>.png"],
+    }
+    for command, artefacts in expected.items():
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--in", str(root), "--out", str(out)]) == 0
+        assert _artefact_patterns(out) == sorted(artefacts), command
 
 
 def test_mask_writes_caches_and_previews(dataset):

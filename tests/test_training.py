@@ -46,6 +46,12 @@ def make_dataset(rng, n=3, h=24, w=24):
     return pairs, semantics
 
 
+def test_train_config_rejects_a_crop_below_the_patch():
+    for kw in (dict(crop=0), dict(crop=2, model=ModelConfig(patch=4))):
+        with pytest.raises(ValueError, match="crop must be >= patch"):
+            TrainConfig(**kw)
+
+
 # -- sample_crop -----------------------------------------------------------------
 
 
