@@ -129,11 +129,17 @@ class CrossAttention(Module):
         return self.w_o(merged)
 
     def attention_weights(self, queries: Tensor, keys_values: Tensor) -> np.ndarray:
-        """Per-head softmax weights (..., h, Nq, Nkv), for inspection and tests."""
+        """Per-head softmax weights (..., h, Nq, Nkv), for inspection and tests.
+
+        They take the branch ``T.attention`` takes on the same operands, by
+        the same operations, so they equal the probabilities its tape keeps
+        bit for bit.
+        """
         with T.no_grad():
-            q, kt, _, _ = self._heads(queries, keys_values)
-        scores = q.data @ kt.data
-        return T._softmax(scores, out=scores)
+            q, kt, v, _ = self._heads(queries, keys_values)
+        q, kt, v = q.data, kt.data, v.data
+        out = np.empty(q.shape[:-1] + v.shape[-1:])
+        return T._attend(q, kt, v, out, T._shift_free_values(q, kt, v), keep=True)
 
 
 class FeedForward(Module):

@@ -7,15 +7,25 @@ reverse topological order, accumulates gradients additively into leaves, and
 frees the tape. The op set is the minimum the fusion network and its losses
 need; image tensors use NCHW layout and kernels OIHW.
 
-``attention`` is one fused node for ``softmax(q @ kt) @ v``: its scores
-become the probabilities in place, and its tape keeps only those
-probabilities plus q, kt and v (not the scores as well), which halves what
-each attention holds until backward. Its backward takes the softmax's row
-sums from the output (sum over d_v of dO * O) instead of from the N_q x N_kv
-probabilities, and builds the score gradient in one N_q x N_kv buffer. Its
-finite check on the scores reads the row max and the min, which is exactly
-as strict as a full ``isfinite`` pass. Without a tape it runs the queries in
-row chunks under ``_SCORE_BUDGET_BYTES``.
+``attention`` is one fused node for ``softmax(q @ kt) @ v``. Its tape keeps
+only the probabilities (built in the scores' buffer) plus q, kt and v, and its
+backward takes the softmax's row sums from the output (sum over d_v of
+dO * O) instead of from the N_q x N_kv probabilities. Its forward has two
+branches, chosen once per call from an O(N d) bound on the operands:
+
+- shift-free, when the Cauchy-Schwarz bound max|q_i| * max|k_j| on every
+  score is at most ``_SHIFT_FREE_BOUND`` and N_kv e^bound max|v| stays far
+  below the float64 maximum: ``exp`` of the raw scores cannot overflow, so
+  each chunk makes three passes over its scores: GEMM, ``exp`` in place, and
+  a GEMM against ``[v | 1]`` that returns E @ V and the row sums together;
+  the divide falls on the N x d_v result. It is within rounding (1e-12
+  relative) of the unfused matmul -> softmax -> matmul chain.
+- otherwise (large, NaN or infinite operands) the chain's own kernel: a full
+  finite check on the scores (``NonFiniteError`` naming ``attention``), the
+  max-shifted softmax, then P @ V, bitwise equal to the chain.
+
+Without a tape it runs the queries in row chunks under
+``_SCORE_BUDGET_BYTES``.
 
 Concurrency: tensors are treated as immutable once built, so inference over
 a frozen parameter set is safe from many workers; anything that mutates
@@ -39,6 +49,14 @@ _LAYER_NORM_EPS = 1e-5
 # Largest score array (bytes) one ``attention`` chunk may build when no tape
 # is recorded. A constant, not a setting: it bounds memory, not results.
 _SCORE_BUDGET_BYTES = 8 * 2**20
+
+# Largest bound on |q_i . k_j| for which ``attention`` skips the softmax's max
+# shift: e^64 lies deep inside float64. A constant, not a setting: the two
+# branches differ by rounding only.
+_SHIFT_FREE_BOUND = 64.0
+# It also needs N_kv e^bound max|v|, which bounds every entry of E @ V, to stay
+# at most this, far below float64's 1.8e308.
+_SHIFT_FREE_LIMIT = 1e300
 
 
 class ShapeError(ValueError):
@@ -370,21 +388,9 @@ def gelu(a: Tensor) -> Tensor:
     return Tensor._result("gelu", out, (a,), vjp, check=False)
 
 
-def _softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None,
-             check: str | None = None) -> np.ndarray:
-    """Softmax of ``x`` along ``axis`` into ``out`` (``out=x`` works in place).
-
-    Given an op name, ``check`` first raises ``NonFiniteError`` naming it
-    unless ``x`` is all finite, from the row max the softmax needs anyway and
-    the global min: NaN propagates into both, +inf shows in a row max and -inf
-    in the min, so it is exactly as strict as a full ``isfinite`` pass without
-    its bool temporary (``initial=0`` lets an empty ``x`` pass, as before).
-    """
-    m = x.max(axis=axis, keepdims=True)
-    if check:
-        _check_finite(m, check)
-        _check_finite(x.min(initial=0.0), check)
-    out = np.subtract(x, m, out=out)
+def _softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of ``x`` along ``axis`` into ``out`` (``out=x`` works in place)."""
+    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
     return out
@@ -555,33 +561,86 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._result("matmul", out, (a, b), vjp)
 
 
+def _shift_free_values(q: np.ndarray, kt: np.ndarray, v: np.ndarray) -> np.ndarray | None:
+    """``v`` with a column of ones appended when ``exp(q @ kt) @ v`` provably
+    stays finite without a max shift, else None.
+
+    |q_i . k_j| <= |q_i| |k_j| bounds every score; NaN or inf operands make
+    the bound NaN or inf, which fails both comparisons.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        qq = (q * q).sum(axis=-1).max(initial=0.0)
+        kk = (kt * kt).sum(axis=-2).max(initial=0.0)
+        bound = math.sqrt(qq * kk)
+        vmax = float(np.abs(v).max(initial=0.0))
+    if (bound <= _SHIFT_FREE_BOUND
+            and kt.shape[-1] * math.exp(bound) * vmax <= _SHIFT_FREE_LIMIT):
+        return np.concatenate((v, np.ones(v.shape[:-1] + (1,))), axis=-1)
+    return None
+
+
+def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, out: np.ndarray,
+            v1: np.ndarray | None, keep: bool) -> np.ndarray:
+    """One row chunk of ``attention``: ``softmax(q @ kt) @ v`` into ``out``.
+
+    ``v1`` is ``_shift_free_values`` of the whole call. Returns the chunk's
+    score buffer, which holds the probabilities when ``keep`` is set or the
+    fallback ran. On the shift-free branch the ones column makes the second
+    GEMM return the row sums too, and the divide falls on the N x d_v
+    output; ``keep`` divides the exponentials as well, so they become
+    exactly the probabilities.
+    """
+    p = q @ kt
+    if v1 is None:
+        _check_finite(p, "attention")
+        np.matmul(_softmax(p, out=p), v, out=out)
+        return p
+    np.exp(p, out=p)
+    ev = p @ v1
+    s = ev[..., -1:]
+    np.divide(ev[..., :-1], s, out=out)
+    if keep:
+        p /= s
+    return p
+
+
 def attention(q: Tensor, kt: Tensor, v: Tensor) -> Tensor:
     """``softmax(q @ kt) @ v`` as one tape node; q (..., N_q, d), kt (..., d, N_kv).
 
-    The scores array becomes the probabilities in place, and only they, q, kt
-    and v stay on the tape. With no tape to record, queries run in row chunks
-    whose scores fit in ``_SCORE_BUDGET_BYTES`` (at least one row each); every
-    row still takes its softmax over all keys, so the result is the dense one.
+    One bound per call picks the branch (see the module docstring): when it
+    proves ``exp`` of the raw scores finite, each chunk makes three passes
+    over its scores (GEMM, exp, GEMM) and divides the output. Any other
+    input runs the unfused chain's max-shifted softmax, bit for bit, after a
+    full finite check that raises ``NonFiniteError`` naming ``attention`` on
+    any NaN or infinite score. With a tape the scores become
+    the probabilities in place (one more pass on the shift-free branch), and
+    only they, q, kt and v stay on it. With no tape to record, queries run
+    in row chunks whose scores fit in ``_SCORE_BUDGET_BYTES`` (at least one
+    row each); every row still takes its softmax over all keys. Zero keys
+    raise ``ShapeError``.
 
-    Each score chunk must be finite (``NonFiniteError`` naming ``attention``
-    otherwise); the check uses the chunk's row max and its min, which catch
-    every NaN, +inf and -inf a full pass would. The backward uses the output's
-    row sums: sum_j dP_ij P_ij equals sum_d dO_id O_id, so the softmax VJP
-    needs no second N_q x N_kv temporary. Gradients therefore differ from the
-    unfused matmul -> softmax -> matmul chain by rounding only.
+    The backward uses the output's row sums: sum_j dP_ij P_ij equals
+    sum_d dO_id O_id, so the softmax VJP needs no second N_q x N_kv
+    temporary. Gradients therefore differ from the unfused matmul -> softmax
+    -> matmul chain by rounding only.
     """
     q, kt, v = _as_tensor(q), _as_tensor(kt), _as_tensor(v)
     if (min(q.ndim, kt.ndim, v.ndim) < 2 or q.shape[-1] != kt.shape[-2]
-            or kt.shape[-1] != v.shape[-2]):
-        raise ShapeError(f"attention: shapes {q.shape}, {kt.shape}, {v.shape} do not chain")
+            or kt.shape[-1] != v.shape[-2] or kt.shape[-1] == 0):
+        raise ShapeError(f"attention: shapes {q.shape}, {kt.shape}, {v.shape} do not chain "
+                         "over at least one key")
     lead = np.broadcast_shapes(q.shape[:-2], kt.shape[:-2], v.shape[:-2])
-    nq = q.shape[-2]
+    nq, nkv = q.shape[-2], kt.shape[-1]
     track = _grad_enabled() and any(t.requires_grad for t in (q, kt, v))
-    rows = max(1, nq if track else _SCORE_BUDGET_BYTES // (8 * math.prod(lead) * kt.shape[-1]))
+    v1 = _shift_free_values(q.data, kt.data, v.data)
     out = np.empty(lead + (nq, v.shape[-1]))
-    for r in range(0, nq, rows):
-        p = q.data[..., r:r + rows, :] @ kt.data
-        np.matmul(_softmax(p, out=p, check="attention"), v.data, out=out[..., r:r + rows, :])
+    if track:
+        p = _attend(q.data, kt.data, v.data, out, v1, keep=True)
+    else:
+        rows = max(1, _SCORE_BUDGET_BYTES // (8 * max(1, math.prod(lead) * nkv)))
+        for r in range(0, nq, rows):
+            _attend(q.data[..., r:r + rows, :], kt.data, v.data, out[..., r:r + rows, :],
+                    v1, keep=False)
 
     def vjp(g):
         # softmax VJP dS = (dP - rowsum(dP * P)) * P, built in dP's buffer;

@@ -229,23 +229,44 @@ def test_attention_vjp_allocates_one_score_temporary(rng):
     assert peak < 2 * score_bytes, f"peak {peak / score_bytes:.2f}x the score bytes"
 
 
-@pytest.mark.parametrize("lead", [(), (2, 3)])
-def test_attention_matches_unfused_chain_bitwise(lead, rng):
-    """The forward equals matmul -> softmax -> matmul bit for bit; the three
-    gradients equal the chain's up to rounding, because the fused VJP takes
-    the softmax row sums from the output instead of from the probabilities."""
-    arrays = (rng.standard_normal(lead + (6, 4)), rng.standard_normal(lead + (4, 9)),
-              rng.standard_normal(lead + (9, 5)))
-    w = Tensor(rng.standard_normal(lead + (6, 5)))
-
+def _fused_and_chain(arrays, w):
+    """Output and three gradients of T.attention and of the unfused chain."""
     def run(op):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         out = op(*leaves)
         T.reduce_sum(out * w).backward()
         return [out.data] + [t.grad for t in leaves]
 
-    fused = run(T.attention)
-    chain = run(lambda q, kt, v: T.matmul(T.softmax(T.matmul(q, kt), axis=-1), v))
+    return (run(T.attention),
+            run(lambda q, kt, v: T.matmul(T.softmax(T.matmul(q, kt), axis=-1), v)))
+
+
+def _assert_close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("lead", [(), (2, 3)])
+def test_attention_matches_unfused_chain(lead, rng):
+    """Output and gradients equal matmul -> softmax -> matmul up to rounding:
+    the shift-free forward divides the output instead of the probabilities,
+    and the fused VJP takes the softmax row sums from the output."""
+    arrays = (rng.standard_normal(lead + (6, 4)), rng.standard_normal(lead + (4, 9)),
+              rng.standard_normal(lead + (9, 5)))
+    fused, chain = _fused_and_chain(arrays, Tensor(rng.standard_normal(lead + (6, 5))))
+    for got, want in zip(fused, chain):
+        _assert_close(got, want)
+
+
+def test_attention_with_large_scores_equals_chain_bitwise(rng):
+    """Scores of +-900 would overflow exp without the max shift; the bound
+    sends them to the chain's own kernel, bitwise equal in both modes."""
+    q, kt = np.array([[30.0], [1.0]]), np.array([[30.0, -30.0]])
+    v = rng.standard_normal((2, 3))
+    assert np.abs(q @ kt).max() == 900.0
+    fused, chain = _fused_and_chain((q, kt, v), Tensor(rng.standard_normal((2, 3))))
     np.testing.assert_array_equal(fused[0], chain[0])
     for got, want in zip(fused[1:], chain[1:]):
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        _assert_close(got, want)
+    with T.no_grad():
+        inference = T.attention(Tensor(q), Tensor(kt), Tensor(v)).data
+    np.testing.assert_array_equal(inference, chain[0])

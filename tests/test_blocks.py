@@ -113,19 +113,20 @@ CHUNK_ROWS = 4
 
 
 def score_sizes(monkeypatch, nkv, budget=None):
-    """Wrap T._softmax: record the size of each score array the attention op
-    checks and normalizes (its calls with ``check="attention"`` on arrays
-    with N_kv columns), and check it against ``budget`` when one is given."""
+    """Wrap T._attend: record the size of each score chunk the attention op
+    builds (N_kv columns each), and check it against ``budget`` when one is
+    given."""
     sizes = []
-    real = T._softmax
+    real = T._attend
 
-    def wrapped(x, *args, **kwargs):
-        if kwargs.get("check") == "attention" and x.shape[-1] == nkv:
-            sizes.append(x.nbytes)
-            assert budget is None or x.nbytes <= budget
-        return real(x, *args, **kwargs)
+    def wrapped(*args, **kwargs):
+        p = real(*args, **kwargs)
+        assert p.shape[-1] == nkv
+        sizes.append(p.nbytes)
+        assert budget is None or p.nbytes <= budget
+        return p
 
-    monkeypatch.setattr(T, "_softmax", wrapped)
+    monkeypatch.setattr(T, "_attend", wrapped)
     return sizes
 
 

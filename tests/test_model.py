@@ -5,7 +5,7 @@ import pytest
 
 from ivfuse import model as model_module
 from ivfuse import tensor as T
-from ivfuse.dataset import ImagePair
+from ivfuse.dataset import ImagePair, synth_pair
 from ivfuse.model import FusionModel, ModelConfig, StageError, fuse
 from ivfuse.optim import zero_grads
 from ivfuse.sig import MaskSemantics, TextSemantics
@@ -53,6 +53,24 @@ def test_fuse_output_shape_default_dims(rng, size):
     out = fuse(model, pair, sem)
     assert out.shape == (3, size, size)
     assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+def test_stock_fuse_takes_the_shift_free_attention_branch(rng, monkeypatch):
+    """On a stock-config model every attention call's operands bound the
+    scores tightly enough to skip the softmax's max shift."""
+    taken = []
+    real = T._shift_free_values
+
+    def recording(*args):
+        v1 = real(*args)
+        taken.append(v1 is not None)
+        return v1
+
+    monkeypatch.setattr(T, "_shift_free_values", recording)
+    vis, ir, rect = synth_pair(0, (32, 32))
+    sem = (MaskSemantics(rect.indicator(32, 32)), TextSemantics(rng.standard_normal((3, 64))))
+    fuse(FusionModel(ModelConfig(), seed=0), ImagePair("p0", vis, ir), sem)
+    assert taken and all(taken)
 
 
 def test_fuse_deterministic(rng):

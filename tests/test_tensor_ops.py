@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,15 @@ def test_shape_error_names_op_and_dims():
         T.attention(q, Tensor(np.ones((4, 5))), Tensor(np.ones((5, 2))))
     with pytest.raises(ShapeError, match="attention"):
         T.attention(q, Tensor(np.ones((3, 5))), Tensor(np.ones((4, 2))))
+    # zero keys, in both modes; an empty lead dim is a valid, empty result
+    for grad in (True, False):
+        with contextlib.nullcontext() if grad else T.no_grad():
+            with pytest.raises(ShapeError, match="attention"):
+                T.attention(Tensor(np.ones((2, 3)), requires_grad=grad),
+                            Tensor(np.ones((3, 0))), Tensor(np.ones((0, 2))))
+            empty = T.attention(Tensor(np.ones((0, 2, 3)), requires_grad=grad),
+                                Tensor(np.ones((3, 4))), Tensor(np.ones((4, 2))))
+            assert empty.shape == (0, 2, 2)
 
 
 def test_non_finite_input_rejected():
