@@ -30,9 +30,10 @@ generator = SemanticGenerator(
     PlantedRegionDenoiser({caption: hot}, amplitude=0.8),
     MaskSettings(vocabulary=("car",)),
 )
-mask = generator.mask_for_pair(pair.i_vis, pair.i_ir, pair.pair_id)
-text = generator.text_for_pair(pair.i_vis)
-print("caption:", generator.caption_for(pair.i_vis).text)
+t = generator.caption_for(pair.i_vis)
+mask = generator.mask_for_pair(pair.i_vis, pair.i_ir, pair.pair_id, caption=t)
+text = generator.text_for_pair(pair.i_vis, caption=t)
+print("caption:", t.text)
 print("mask covers", int(mask.m.sum()), "px; text semantics", text.embeddings.shape)
 
 model = FusionModel(ModelConfig(), variant="full", seed=0)

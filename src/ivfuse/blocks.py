@@ -68,8 +68,7 @@ class Conv2d(Module):
         self.bias = Parameter(f"{name}.bias", np.zeros(c_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.weight.tensor, self.bias.tensor,
-                        stride=1, padding=self.kernel // 2)
+        return T.conv2d(x, self.weight.tensor, self.bias.tensor, padding=self.kernel // 2)
 
 
 class CrossAttention(Module):
@@ -180,25 +179,20 @@ class PatchEmbed(Module):
         self.proj = Linear(c_in * patch * patch, dim, name=f"{name}.proj", rng=rng)
 
     def __call__(self, image: Tensor) -> Tensor:
-        """(C,H,W) -> (N,D), or batched (B,C,H,W) -> (B,N,D)."""
-        batched = image.ndim == 4
-        if not batched and image.ndim != 3:
-            raise ShapeError(f"patch_embed: expected (C,H,W) or (B,C,H,W), got {image.shape}")
-        c, h, w = image.shape[-3:]
+        """(..., C, H, W) -> (..., N, D): leading dims, such as a batch, are
+        carried through."""
+        if image.ndim < 3:
+            raise ShapeError(f"patch_embed: expected (..., C, H, W), got {image.shape}")
+        *lead, c, h, w = image.shape
         p = self.patch
         if c != self.c_in:
             raise ShapeError(f"patch_embed: expected {self.c_in} channels, got {c}")
         _check_divisible(h, w, p)
         gh, gw = h // p, w // p
-        if batched:
-            b = image.shape[0]
-            x = T.reshape(image, (b, c, gh, p, gw, p))
-            x = T.transpose(x, (0, 2, 4, 1, 3, 5))        # (b, gh, gw, c, p, p)
-            x = T.reshape(x, (b, gh * gw, c * p * p))
-        else:
-            x = T.reshape(image, (c, gh, p, gw, p))
-            x = T.transpose(x, (1, 3, 0, 2, 4))           # (gh, gw, c, p, p)
-            x = T.reshape(x, (gh * gw, c * p * p))
+        k = len(lead)
+        x = T.reshape(image, (*lead, c, gh, p, gw, p))
+        x = T.transpose(x, (*range(k), k + 1, k + 3, k, k + 2, k + 4))  # (..., gh, gw, c, p, p)
+        x = T.reshape(x, (*lead, gh * gw, c * p * p))
         return self.proj(x)
 
 

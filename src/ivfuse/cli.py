@@ -85,14 +85,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _semantics(config: RunConfig, dataset, pairs, cache_dir) -> dict:
-    """pair_id -> (mask, text); a shipped mask or caption wins over the generator."""
+    """pair_id -> (mask, text) from one caption per pair: the shipped one,
+    else the captioner's. A shipped mask wins over the generator's."""
     generator = semantic_generator_for(dataset, pairs, text_dim=config.train.model.text_dim,
                                        cache_dir=cache_dir, settings=config.mask,
                                        fixtures_path=config.fixtures or None)
-    return {p.pair_id: (p.mask or generator.mask_for_pair(p.i_vis, p.i_ir, p.pair_id,
-                                                          caption=p.caption),
-                        generator.text_for_pair(p.i_vis, caption=p.caption))
-            for p in pairs}
+    semantics = {}
+    for p in pairs:
+        t = p.caption or generator.caption_for(p.i_vis)
+        mask = p.mask or generator.mask_for_pair(p.i_vis, p.i_ir, p.pair_id, caption=t)
+        semantics[p.pair_id] = (mask, generator.text_for_pair(p.i_vis, caption=t))
+    return semantics
 
 
 def _checkpoint_model(path, config: RunConfig) -> FusionModel:
@@ -166,8 +169,13 @@ def cmd_mask(args) -> int:
     preview_dir = out_dir / "previews"
     masks_dir.mkdir(parents=True, exist_ok=True)
     preview_dir.mkdir(parents=True, exist_ok=True)
-    semantics = _semantics(config, args.dataset, pairs, out_dir / "cache")
-    for pair_id, (mask, _) in semantics.items():
+    generator = semantic_generator_for(args.dataset, pairs, text_dim=config.train.model.text_dim,
+                                       cache_dir=out_dir / "cache", settings=config.mask,
+                                       fixtures_path=config.fixtures or None)
+    masks = {p.pair_id: p.mask or generator.mask_for_pair(p.i_vis, p.i_ir, p.pair_id,
+                                                         caption=p.caption)
+             for p in pairs}
+    for pair_id, mask in masks.items():
         write_mask(masks_dir / f"{pair_id}.mask", mask.m)
         save_image(mask.m[None], preview_dir / f"{pair_id}.png")
     print(f"wrote {len(pairs)} masks -> {masks_dir}")

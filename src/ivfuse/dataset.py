@@ -19,8 +19,8 @@ from .imgio import load_image, save_image
 from .providers import (HashTextEncoder, LookupCaptioner, PlantedRegionDenoiser,
                         Rect)
 from .rng import derive
-from .sig import (MaskSemantics, MaskSettings, SemanticGenerator, TextDescription,
-                  image_content_hash, read_mask)
+from .sig import (MaskCacheError, MaskSemantics, MaskSettings, SemanticGenerator,
+                  TextDescription, image_content_hash, read_mask)
 
 IMAGE_EXTENSIONS = (".png", ".ppm", ".pgm", ".pnm")
 
@@ -79,6 +79,8 @@ def load_pairs(root, ids=None) -> list[ImagePair]:
 
     Every visible file must have an infrared counterpart with identical
     dimensions; optional masks/ and captions/ entries attach when present.
+    A shipped mask must be a whole mask file of its pair's size and a
+    shipped caption non-empty UTF-8 text, else ``DatasetError`` names it.
     """
     root = Path(root)
     vis_index = stem_index(root / "vis")
@@ -108,12 +110,33 @@ def load_pairs(root, ids=None) -> list[ImagePair]:
         pair = ImagePair(stem, i_vis, i_ir)
         mask_path = root / "masks" / f"{stem}.mask"
         if mask_path.exists():
-            pair.mask = MaskSemantics(read_mask(mask_path))
+            pair.mask = _shipped_mask(mask_path, i_vis.shape[1:])
         caption_path = root / "captions" / f"{stem}.txt"
         if caption_path.exists():
-            pair.caption = TextDescription.from_text(caption_path.read_text().strip())
+            pair.caption = _shipped_caption(caption_path)
         pairs.append(pair)
     return pairs
+
+
+def _shipped_mask(path: Path, size: tuple) -> MaskSemantics:
+    try:
+        m = read_mask(path)
+    except MaskCacheError as e:
+        raise DatasetError(str(e)) from e
+    if m.shape != size:
+        raise DatasetError(f"{path}: mask is {m.shape[0]}x{m.shape[1]}, "
+                           f"its images are {size[0]}x{size[1]}")
+    return MaskSemantics(m)
+
+
+def _shipped_caption(path: Path) -> TextDescription:
+    try:
+        caption = TextDescription.from_text(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise DatasetError(f"{path}: caption is not UTF-8 (byte {e.start})") from e
+    if not caption.tokens:
+        raise DatasetError(f"{path}: empty caption")
+    return caption
 
 
 # -- fixtures -------------------------------------------------------------------

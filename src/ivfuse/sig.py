@@ -268,11 +268,13 @@ def read_mask(path) -> np.ndarray:
 
 
 class SemanticGenerator:
-    """Glue object: providers, a caption memo and a mask cache, producing
-    per-pair semantics.
+    """Glue object: providers and a mask cache, producing per-pair semantics.
 
-    Calls to exclusive providers are not parallelized; mask cache writes are
-    atomic, so concurrent readers never observe a partial file.
+    It keeps no caption: a caller that needs both the mask and the text of a
+    pair asks for the caption once and passes it to both calls as
+    ``caption``. Calls to exclusive providers are not parallelized; mask
+    cache writes are atomic, so concurrent readers never observe a partial
+    file.
     """
 
     def __init__(self, captioner, text_encoder, denoiser, settings=MaskSettings(), *,
@@ -282,24 +284,20 @@ class SemanticGenerator:
         self.denoiser = denoiser
         self.settings = settings
         self.cache_dir = cache_dir
-        self._caption_mem: dict[str, TextDescription] = {}
         if cache_dir is not None:
             os.makedirs(os.path.join(cache_dir, "masks"), exist_ok=True)
 
-    def caption_for(self, image: np.ndarray, key: str | None = None) -> TextDescription:
-        """Caption of ``image``, memoized in memory by content hash (``key``,
-        when the caller has already taken ``image_content_hash(image)``)."""
-        key = key or image_content_hash(image)
-        if key in self._caption_mem:
-            return self._caption_mem[key]
+    def caption_for(self, image: np.ndarray) -> TextDescription:
+        """The captioner's caption of ``image``; each call asks the captioner."""
         try:
             raw = self.captioner.caption(image)
         except Exception as e:
-            raise ProviderError(f"captioner failed for image {key[:12]}: {e}") from e
+            raise ProviderError(
+                f"captioner failed for image {image_content_hash(image)[:12]}: {e}") from e
         if not raw or not raw.strip():
-            raise ProviderError(f"captioner returned an empty caption for image {key[:12]}")
-        desc = self._caption_mem[key] = TextDescription.from_text(raw)
-        return desc
+            raise ProviderError(
+                f"captioner returned an empty caption for image {image_content_hash(image)[:12]}")
+        return TextDescription.from_text(raw)
 
     def contrast_caption(self, t: TextDescription) -> TextDescription:
         spec = select_keyword(t, self.settings.vocabulary, configured=self.settings.keyword)
@@ -321,7 +319,7 @@ class SemanticGenerator:
         vis = _as_chw(np.asarray(i_vis, dtype=np.float64))
         ir = _as_chw(np.asarray(i_ir, dtype=np.float64))
         h_vis, h_ir = image_content_hash(vis), image_content_hash(ir)
-        t = caption or self.caption_for(vis, key=h_vis)
+        t = caption or self.caption_for(vis)
         cache_path = None
         if self.cache_dir is not None and pair_id is not None:
             key = self._mask_key(h_vis, h_ir, t)
@@ -352,4 +350,5 @@ class SemanticGenerator:
 
     def text_for_pair(self, i_vis: np.ndarray,
                       caption: TextDescription | None = None) -> TextSemantics:
+        """Embedding of ``caption``, else of the captioner's caption of ``i_vis``."""
         return embed_text(caption or self.caption_for(i_vis), self.text_encoder)

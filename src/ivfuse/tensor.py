@@ -201,14 +201,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
 
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
@@ -219,36 +213,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, _as_tensor(other))
 
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return pow_(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
     def __getitem__(self, key):
         return slice_(self, key)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes or None)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
 
 
 def _as_tensor(x) -> Tensor:
@@ -698,9 +664,8 @@ def pad2d(a: Tensor, pad, mode: str = "zero") -> Tensor:
     return Tensor._result("pad2d", np.ascontiguousarray(out), (a,), vjp, check=False)
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
-           stride=1, padding=0) -> Tensor:
-    """2-D cross-correlation: NCHW input, OIHW kernel, zero padding."""
+def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, padding=0) -> Tensor:
+    """2-D cross-correlation at stride 1: NCHW input, OIHW kernel, zero padding."""
     x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: need NCHW input and OIHW kernel, got {x.shape} and {w.shape}")
@@ -708,13 +673,11 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     o, ci, kh, kw = w.shape
     if ci != c:
         raise ShapeError(f"conv2d: input channels {c} != kernel channels {ci}")
-    sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     hp, wp = h + 2 * ph, wd + 2 * pw
     if kh > hp or kw > wp:
         raise ShapeError(f"conv2d: kernel ({kh},{kw}) larger than padded input ({hp},{wp})")
-    ho = (hp - kh) // sh + 1
-    wo = (wp - kw) // sw + 1
+    ho, wo = hp - kh + 1, wp - kw + 1
     if bias is not None:
         bias = _as_tensor(bias)
         if bias.shape != (o,):
@@ -724,7 +687,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     acc = np.zeros((n, ho, wo, o))
     for i in range(kh):
         for j in range(kw):
-            view = xp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw]
+            view = xp[:, :, i:i + ho, j:j + wo]
             acc += np.tensordot(view, w.data[:, :, i, j], axes=([1], [1]))
     out = np.ascontiguousarray(np.moveaxis(acc, -1, 1))
     if bias is not None:
@@ -737,10 +700,10 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         gw = np.zeros_like(w.data)
         for i in range(kh):
             for j in range(kw):
-                view = xp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw]
+                view = xp[:, :, i:i + ho, j:j + wo]
                 gw[:, :, i, j] = np.tensordot(g, view, axes=([0, 2, 3], [0, 2, 3]))
                 spread = np.tensordot(g, w.data[:, :, i, j], axes=([1], [0]))
-                gxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += np.moveaxis(spread, -1, 1)
+                gxp[:, :, i:i + ho, j:j + wo] += np.moveaxis(spread, -1, 1)
         gx = gxp[:, :, ph:ph + h, pw:pw + wd] if (ph or pw) else gxp
         if bias is None:
             return np.ascontiguousarray(gx), gw

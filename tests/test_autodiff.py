@@ -117,14 +117,6 @@ def test_conv2d_grads(rng):
     check_op(lambda t: T.reduce_sum(T.conv2d(Tensor(x), Tensor(k), t, padding=1) * Tensor(w)), b)
 
 
-def test_conv2d_strided_grads(rng):
-    x = rng.standard_normal((1, 2, 6, 6))
-    k = rng.standard_normal((3, 2, 3, 3))
-    w = rng.standard_normal((1, 3, 3, 3))
-    check_op(lambda t: T.reduce_sum(T.conv2d(t, Tensor(k), stride=2, padding=1) * Tensor(w)), x)
-    check_op(lambda t: T.reduce_sum(T.conv2d(Tensor(x), t, stride=2, padding=1) * Tensor(w)), k)
-
-
 def test_layer_norm_grads(rng):
     x = rng.standard_normal((5, 8))
     s = rng.standard_normal(8) + 1.0

@@ -248,6 +248,14 @@ def test_patch_count_for_96():
     assert tokens.shape == (576, 64)
 
 
+def test_batched_patch_embed_equals_per_sample_bitwise(rng):
+    pe = PatchEmbed(3, 4, 16, name="pe", rng=ivrng.derive(0, "pebatch"))
+    batch = rng.random((3, 3, 12, 16))
+    tokens = pe(Tensor(batch)).data
+    assert tokens.shape == (3, 12, 16)
+    np.testing.assert_array_equal(tokens, np.stack([pe(Tensor(img)).data for img in batch]))
+
+
 def test_indivisible_dims_rejected():
     pe = PatchEmbed(1, 4, 8, name="pe", rng=ivrng.derive(0, "pediv"))
     with pytest.raises(ShapeError, match="divide"):

@@ -3,14 +3,15 @@ import re
 import numpy as np
 import pytest
 
-from ivfuse import cli
+from ivfuse import cli, sig
 from ivfuse.cli import _semantics, main
 from ivfuse.config import load_config, parse_config_text
 from ivfuse.dataset import (FixtureBundle, generate_dataset, load_pairs,
                             semantic_generator_for)
 from ivfuse.imgio import load_image
 from ivfuse.model import StageError
-from ivfuse.sig import TextDescription, embed_text, read_mask, write_mask
+from ivfuse.providers import HashTextEncoder, LookupCaptioner
+from ivfuse.sig import MaskSemantics, TextDescription, embed_text, read_mask
 
 SMALL_CONFIG = """
 patch = 2
@@ -66,10 +67,16 @@ def test_fuse_jobs_parallel_matches_serial(dataset):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_fuse_reports_failed_pair_and_writes_the_rest(dataset, capsys, jobs):
+def test_fuse_reports_failed_pair_and_writes_the_rest(dataset, capsys, monkeypatch, jobs):
     root, cfg, tmp = dataset
-    (root / "masks").mkdir()
-    write_mask(root / "masks" / "pair0001.mask", np.ones((5, 5)))
+    real_fuse = cli.fuse
+
+    def fuse(model, pair, semantics):
+        if pair.pair_id == "pair0001":  # model.fuse rejects a mask of the wrong size
+            semantics = (MaskSemantics(np.ones((5, 5))), semantics[1])
+        return real_fuse(model, pair, semantics)
+
+    monkeypatch.setattr(cli, "fuse", fuse)
     out = tmp / "fused"
     code = main(["fuse", "--config", str(cfg), "--in", str(root), "--out", str(out),
                  "--jobs", jobs])
@@ -147,11 +154,16 @@ def _artefact_patterns(out):
                   for p in (path.relative_to(out).as_posix() for path in out.rglob("*")))
 
 
-def test_commands_write_only_their_artefacts(tmp_path):
+def _small_run(tmp_path):
     root = tmp_path / "data"
     generate_dataset(root, 2, (16, 16), seed=1)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL_CONFIG.replace("epochs = 2", "epochs = 1"))
+    return root, cfg
+
+
+def test_commands_write_only_their_artefacts(tmp_path):
+    root, cfg = _small_run(tmp_path)
     cache = ["cache", "cache/masks", "cache/masks/<key>.mask", "cache/masks/<key>.mask"]
     expected = {
         "fuse": ["<pair>.png", "<pair>.png"] + cache,
@@ -163,6 +175,48 @@ def test_commands_write_only_their_artefacts(tmp_path):
         out = tmp_path / command
         assert main([command, "--config", str(cfg), "--in", str(root), "--out", str(out)]) == 0
         assert _artefact_patterns(out) == sorted(artefacts), command
+
+
+def _semantics_calls(monkeypatch):
+    """Record every ``ivfuse.sig.image_content_hash`` result and every
+    captioner and text-encoder call."""
+    calls = {"hash": [], "caption": [], "encode": []}
+
+    def recording(name, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            calls[name].append(out if name == "hash" else args[-1])
+            return out
+        return wrapper
+
+    monkeypatch.setattr(sig, "image_content_hash", recording("hash", sig.image_content_hash))
+    monkeypatch.setattr(LookupCaptioner, "caption", recording("caption", LookupCaptioner.caption))
+    monkeypatch.setattr(HashTextEncoder, "encode", recording("encode", HashTextEncoder.encode))
+    return calls
+
+
+def test_each_command_hashes_each_image_once(tmp_path, monkeypatch):
+    """One semantics pass per pair: ``ivfuse.sig`` hashes every image once
+    per command, and the captioner runs once per pair."""
+    root, cfg = _small_run(tmp_path)
+    images = sorted(sig.image_content_hash(img) for p in load_pairs(root)
+                    for img in (p.i_vis, p.i_ir))
+    calls = _semantics_calls(monkeypatch)
+    for command in ("fuse", "train", "mask"):
+        for seen in calls.values():
+            seen.clear()
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--in", str(root), "--out", str(out)]) == 0
+        assert sorted(calls["hash"]) == images, command
+        assert len(calls["caption"]) == 2, command
+
+
+def test_mask_embeds_no_text(tmp_path, monkeypatch):
+    root, cfg = _small_run(tmp_path)
+    calls = _semantics_calls(monkeypatch)
+    out = tmp_path / "mask"
+    assert main(["mask", "--config", str(cfg), "--in", str(root), "--out", str(out)]) == 0
+    assert calls["encode"] == [] and len(calls["caption"]) == 2
 
 
 def test_mask_writes_caches_and_previews(dataset):

