@@ -120,7 +120,8 @@ class CrossAttention(Module):
     def __call__(self, queries: Tensor, keys_values: Tensor) -> Tensor:
         """Queries (N_q, D_q) or batched (B, N_q, D_q); KV shaped likewise.
 
-        ``T.attention`` bounds the score memory (row chunks without a tape).
+        ``T.attention`` bounds the score memory: row chunks with or without
+        a tape, except on its taped fallback branch (see ``T.attention``).
         """
         q, kt, v, perm = self._heads(queries, keys_values)
         mixed = T.attention(q, kt, v)                          # (..., h, Nq, dh)
@@ -131,8 +132,10 @@ class CrossAttention(Module):
         """Per-head softmax weights (..., h, Nq, Nkv), for inspection and tests.
 
         They take the branch ``T.attention`` takes on the same operands, by
-        the same operations, so they equal the probabilities its tape keeps
-        bit for bit.
+        the same operations. On the fallback branch (large scores) they equal
+        the probabilities its tape keeps bit for bit; on the shift-free
+        branch the tape keeps none, and its backward recomputes them per
+        chunk within rounding.
         """
         with T.no_grad():
             q, kt, v, _ = self._heads(queries, keys_values)

@@ -7,30 +7,34 @@ reverse topological order, accumulates gradients additively into leaves, and
 frees the tape. The op set is the minimum the fusion network and its losses
 need; image tensors use NCHW layout and kernels OIHW.
 
-``attention`` is one fused node for ``softmax(q @ kt) @ v``. Its tape keeps
-only the probabilities (built in the scores' buffer) plus q, kt and v, and its
-backward takes the softmax's row sums from the output (sum over d_v of
-dO * O) instead of from the N_q x N_kv probabilities. Its forward has two
-branches, chosen once per call from an O(N d) bound on the operands:
+``attention`` is one fused node for ``softmax(q @ kt) @ v``. Its backward
+takes the softmax's row term from the output (sum over d_v of dO * O)
+instead of from the N_q x N_kv probabilities. It has two branches, chosen
+once per call from an O(N d) bound on the operands:
 
 - shift-free, when the Cauchy-Schwarz bound max|q_i| * max|k_j| on every
   score is at most ``_SHIFT_FREE_BOUND`` and N_kv e^bound max|v| stays far
   below the float64 maximum: ``exp`` of the raw scores cannot overflow, so
-  each chunk makes three passes over its scores: GEMM, ``exp`` in place, and
-  a GEMM against ``[v | 1]`` that returns E @ V and the row sums together;
-  the divide falls on the N x d_v result. It is within rounding (1e-12
-  relative) of the unfused matmul -> softmax -> matmul chain.
+  the queries run in row chunks under ``_SCORE_BUDGET_BYTES``, with or
+  without a tape, and each chunk makes three passes over its scores: GEMM,
+  ``exp`` in place, and a GEMM against ``[v | 1]`` that returns E @ V and
+  the row sums s together; the divide falls on the N x d_v result. The tape
+  keeps q, kt, v, the output and log s (N_q values per lead slice), no
+  N_q x N_kv array; the backward walks the same chunks and recomputes each
+  chunk's probabilities (the FlashAttention backward). Output and gradients
+  are within rounding (1e-12 relative) of the unfused matmul -> softmax ->
+  matmul chain.
 - otherwise (large, NaN or infinite operands) the chain's own kernel: a full
   finite check on the scores (``NonFiniteError`` naming ``attention``), the
-  max-shifted softmax, then P @ V, bitwise equal to the chain.
-
-Without a tape it runs the queries in row chunks under
-``_SCORE_BUDGET_BYTES``.
+  max-shifted softmax, then P @ V, bitwise equal to the chain. Without a
+  tape it runs in the same row chunks; with one it builds all scores at
+  once and the tape keeps the dense probabilities.
 
 Concurrency: tensors are treated as immutable once built, so inference over
 a frozen parameter set is safe from many workers; anything that mutates
 parameters (optimizer steps, grad zeroing) needs exclusive access. No
-interior locking is provided.
+interior locking is provided. The attention backward's two scratch arrays
+are per thread, so backwards on different threads never share them.
 """
 
 from __future__ import annotations
@@ -46,8 +50,9 @@ _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
 _LAYER_NORM_EPS = 1e-5
 
-# Largest score array (bytes) one ``attention`` chunk may build when no tape
-# is recorded. A constant, not a setting: it bounds memory, not results.
+# Largest score array (bytes) one ``attention`` chunk may build, except on
+# the taped fallback branch. A constant, not a setting: it bounds memory, not
+# results.
 _SCORE_BUDGET_BYTES = 8 * 2**20
 
 # Largest bound on |q_i . k_j| for which ``attention`` skips the softmax's max
@@ -546,15 +551,16 @@ def _shift_free_values(q: np.ndarray, kt: np.ndarray, v: np.ndarray) -> np.ndarr
 
 
 def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, out: np.ndarray,
-            v1: np.ndarray | None, keep: bool) -> np.ndarray:
+            v1: np.ndarray | None, keep: bool, log_s: np.ndarray | None = None) -> np.ndarray:
     """One row chunk of ``attention``: ``softmax(q @ kt) @ v`` into ``out``.
 
     ``v1`` is ``_shift_free_values`` of the whole call. Returns the chunk's
     score buffer, which holds the probabilities when ``keep`` is set or the
     fallback ran. On the shift-free branch the ones column makes the second
-    GEMM return the row sums too, and the divide falls on the N x d_v
+    GEMM return the row sums s too, and the divide falls on the N x d_v
     output; ``keep`` divides the exponentials as well, so they become
-    exactly the probabilities.
+    exactly the probabilities, and ``log_s`` (N x 1), when given, receives
+    log s for the backward.
     """
     p = q @ kt
     if v1 is None:
@@ -567,28 +573,79 @@ def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, out: np.ndarray,
     np.divide(ev[..., :-1], s, out=out)
     if keep:
         p /= s
+    if log_s is not None:
+        np.log(s, out=log_s)
     return p
+
+
+def _chunk_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's two flat scratch arrays of at least ``size`` values.
+
+    They outlive the call and only grow: a fresh pair per backward would
+    page-fault on the first touch of every page, which cost a third more
+    time per VJP at lead (4,), N = 576.
+    """
+    bufs = getattr(_state, "chunk_buffers", None)
+    if bufs is None or bufs[0].size < size:
+        bufs = _state.chunk_buffers = (np.empty(size), np.empty(size))
+    return bufs
+
+
+def _chunked_attention_vjp(g: np.ndarray, q: np.ndarray, kt: np.ndarray, v: np.ndarray,
+                           out: np.ndarray, log_s: np.ndarray, rows: int):
+    """Gradients of shift-free ``attention`` for the output gradient ``g``.
+
+    The FlashAttention backward over the forward's row chunks: each chunk's
+    probabilities are recomputed as P = exp([q | -log s] @ [kt ; 1]), and
+    dS = ([g | -D] @ [v^T ; 1]) * P with D = rowsum(g * out), the softmax
+    VJP's row term (sum_j dP_ij P_ij = sum_d dO_id O_id). Both the 1/s and
+    the -D ride inside a GEMM, so the two score-sized buffers see only GEMM
+    writes, one ``exp`` and one multiply.
+    """
+    lead = out.shape[:-2]
+    nq, nkv = q.shape[-2], kt.shape[-1]
+    qs = np.concatenate((np.broadcast_to(q, lead + q.shape[-2:]), -log_s), axis=-1)
+    gd = np.concatenate((g, -(g * out).sum(axis=-1, keepdims=True)), axis=-1)
+    kt1 = np.concatenate((kt, np.ones(kt.shape[:-2] + (1, nkv))), axis=-2)
+    vt1 = np.concatenate((np.swapaxes(v, -1, -2), np.ones(v.shape[:-2] + (1, nkv))), axis=-2)
+    k = np.swapaxes(kt, -1, -2)
+    gq = np.empty(lead + q.shape[-2:])
+    gkt = np.zeros(lead + kt.shape[-2:])
+    gv = np.zeros(lead + v.shape[-2:])
+    p_buf, ds_buf = _chunk_buffers(math.prod(lead) * min(rows, nq) * nkv)
+    for r in range(0, nq, rows):
+        chunk = lead + (min(rows, nq - r), nkv)
+        size = math.prod(chunk)
+        p = np.matmul(qs[..., r:r + rows, :], kt1, out=p_buf[:size].reshape(chunk))
+        np.exp(p, out=p)
+        gv += np.swapaxes(p, -1, -2) @ g[..., r:r + rows, :]
+        ds = np.matmul(gd[..., r:r + rows, :], vt1, out=ds_buf[:size].reshape(chunk))
+        ds *= p
+        np.matmul(ds, k, out=gq[..., r:r + rows, :])
+        gkt += np.swapaxes(q[..., r:r + rows, :], -1, -2) @ ds
+    return _unbroadcast(gq, q.shape), _unbroadcast(gkt, kt.shape), _unbroadcast(gv, v.shape)
 
 
 def attention(q: Tensor, kt: Tensor, v: Tensor) -> Tensor:
     """``softmax(q @ kt) @ v`` as one tape node; q (..., N_q, d), kt (..., d, N_kv).
 
     One bound per call picks the branch (see the module docstring): when it
-    proves ``exp`` of the raw scores finite, each chunk makes three passes
-    over its scores (GEMM, exp, GEMM) and divides the output. Any other
-    input runs the unfused chain's max-shifted softmax, bit for bit, after a
-    full finite check that raises ``NonFiniteError`` naming ``attention`` on
-    any NaN or infinite score. With a tape the scores become
-    the probabilities in place (one more pass on the shift-free branch), and
-    only they, q, kt and v stay on it. With no tape to record, queries run
-    in row chunks whose scores fit in ``_SCORE_BUDGET_BYTES`` (at least one
-    row each); every row still takes its softmax over all keys. Zero keys
-    raise ``ShapeError``.
+    proves ``exp`` of the raw scores finite, queries run in row chunks whose
+    scores fit in ``_SCORE_BUDGET_BYTES`` (at least one row each), each
+    chunk makes three passes over its scores (GEMM, exp, GEMM) and divides
+    the output, and the tape keeps q, kt, v, the output and the log row
+    sums. Its backward runs ``_chunked_attention_vjp`` over the same chunks.
+    Any other input runs the unfused chain's max-shifted softmax, bit for
+    bit, after a full finite check that raises ``NonFiniteError`` naming
+    ``attention`` on any NaN or infinite score: in the same row chunks
+    without a tape, all at once with one, whose tape keeps the dense
+    probabilities (built in the scores' buffer) plus q, kt and v. Every row
+    takes its softmax over all keys. Zero keys raise ``ShapeError``.
 
-    The backward uses the output's row sums: sum_j dP_ij P_ij equals
-    sum_d dO_id O_id, so the softmax VJP needs no second N_q x N_kv
-    temporary. Gradients therefore differ from the unfused matmul -> softmax
-    -> matmul chain by rounding only.
+    Both backwards use the output's row sums: sum_j dP_ij P_ij equals
+    sum_d dO_id O_id, so the softmax VJP needs no second N_q x N_kv pass.
+    Gradients therefore differ from the unfused matmul -> softmax -> matmul
+    chain by rounding only.
     """
     q, kt, v = _as_tensor(q), _as_tensor(kt), _as_tensor(v)
     if (min(q.ndim, kt.ndim, v.ndim) < 2 or q.shape[-1] != kt.shape[-2]
@@ -600,24 +657,30 @@ def attention(q: Tensor, kt: Tensor, v: Tensor) -> Tensor:
     track = _grad_enabled() and any(t.requires_grad for t in (q, kt, v))
     v1 = _shift_free_values(q.data, kt.data, v.data)
     out = np.empty(lead + (nq, v.shape[-1]))
-    if track:
+    if track and v1 is None:
         p = _attend(q.data, kt.data, v.data, out, v1, keep=True)
-    else:
-        rows = max(1, _SCORE_BUDGET_BYTES // (8 * max(1, math.prod(lead) * nkv)))
-        for r in range(0, nq, rows):
-            _attend(q.data[..., r:r + rows, :], kt.data, v.data, out[..., r:r + rows, :],
-                    v1, keep=False)
+
+        def vjp(g):
+            # softmax VJP dS = (dP - rowsum(dP * P)) * P, built in dP's buffer;
+            # rowsum(dP * P) = rowsum(g * out), a sum over N_q * d_v values
+            gs = g @ np.swapaxes(v.data, -1, -2)
+            gs -= (g * out).sum(axis=-1, keepdims=True)
+            gs *= p
+            gv = np.swapaxes(p, -1, -2) @ g
+            return (_unbroadcast(gs @ np.swapaxes(kt.data, -1, -2), q.shape),
+                    _unbroadcast(np.swapaxes(q.data, -1, -2) @ gs, kt.shape),
+                    _unbroadcast(gv, v.shape))
+
+        return Tensor._result("attention", out, (q, kt, v), vjp)
+
+    rows = max(1, _SCORE_BUDGET_BYTES // (8 * max(1, math.prod(lead) * nkv)))
+    log_s = np.empty(lead + (nq, 1)) if track else None
+    for r in range(0, nq, rows):
+        _attend(q.data[..., r:r + rows, :], kt.data, v.data, out[..., r:r + rows, :], v1,
+                keep=False, log_s=None if log_s is None else log_s[..., r:r + rows, :])
 
     def vjp(g):
-        # softmax VJP dS = (dP - rowsum(dP * P)) * P, built in dP's buffer;
-        # rowsum(dP * P) = rowsum(g * out), a sum over N_q * d_v values
-        gs = g @ np.swapaxes(v.data, -1, -2)
-        gs -= (g * out).sum(axis=-1, keepdims=True)
-        gs *= p
-        gv = np.swapaxes(p, -1, -2) @ g
-        return (_unbroadcast(gs @ np.swapaxes(kt.data, -1, -2), q.shape),
-                _unbroadcast(np.swapaxes(q.data, -1, -2) @ gs, kt.shape),
-                _unbroadcast(gv, v.shape))
+        return _chunked_attention_vjp(g, q.data, kt.data, v.data, out, log_s, rows)
 
     return Tensor._result("attention", out, (q, kt, v), vjp)
 

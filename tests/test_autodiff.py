@@ -1,6 +1,9 @@
 """Gradient checks for every differentiable op against central differences."""
 
+import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -202,23 +205,55 @@ def test_attention_grads(lead, rng):
     check_op(lambda t: T.reduce_sum(T.attention(Tensor(q), Tensor(kt), t) * w), v)
 
 
-def test_attention_vjp_allocates_one_score_temporary(rng):
-    """One attention VJP at lead (2, 3), N = 64 allocates less than twice the
-    score array's bytes: the score gradient is its only N x N temporary."""
-    lead, n, dh = (2, 3), 64, 8
+def test_attention_vjp_allocates_one_score_temporary(rng, monkeypatch):
+    """Forward plus VJP at lead (2, 3), N = 512, with chunks of a sixteenth
+    of the dense scores, peak below four chunks: the forward's score chunk
+    and the VJP's two chunk buffers are its only score-sized arrays."""
+    lead, n, dh = (2, 3), 512, 4
+    chunk_bytes = 8 * 2 * 3 * n * n // 16
+    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", chunk_bytes)
     q, kt, v = (Tensor(rng.standard_normal(lead + shape), requires_grad=True)
                 for shape in ((n, dh), (dh, n), (n, dh)))
-    out = T.attention(q, kt, v)
-    g = rng.standard_normal(out.shape)
-    score_bytes = 8 * 2 * 3 * n * n
+    g = rng.standard_normal(lead + (n, dh))
     tracemalloc.start()
     try:
-        grads = out._vjp(g)
+        grads = T.attention(q, kt, v)._vjp(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert [x.shape for x in grads] == [q.shape, kt.shape, v.shape]
-    assert peak < 2 * score_bytes, f"peak {peak / score_bytes:.2f}x the score bytes"
+    assert peak < 4 * chunk_bytes, f"peak {peak / chunk_bytes:.2f}x the chunk bytes"
+
+
+def _traced_peak(step):
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_attention_backward_peak_stays_below_one_dense_score_array(rng, monkeypatch):
+    """Grad-mode forward plus backward at lead (3, 4), N = 256, with the
+    budget at an eighth of the dense scores, peaks below one dense score
+    array, both in a fresh thread (its chunk buffers not made yet) and
+    again once they exist."""
+    lead, n, dh = (3, 4), 256, 8
+    score_bytes = 8 * 3 * 4 * n * n
+    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", score_bytes // 8)
+    q, kt, v = (Tensor(rng.standard_normal(lead + shape), requires_grad=True)
+                for shape in ((n, dh), (dh, n), (n, dh)))
+    w = Tensor(rng.standard_normal(lead + (n, dh)))
+
+    def step():
+        T.reduce_sum(T.attention(q, kt, v) * w).backward()
+
+    with ThreadPoolExecutor(1) as pool:
+        fresh = pool.submit(_traced_peak, step).result()
+    step()
+    for peak in (fresh, _traced_peak(step)):
+        assert peak < score_bytes, f"peak {peak / score_bytes:.2f}x the dense score bytes"
 
 
 def _fused_and_chain(arrays, w):
@@ -247,6 +282,61 @@ def test_attention_matches_unfused_chain(lead, rng):
     fused, chain = _fused_and_chain(arrays, Tensor(rng.standard_normal(lead + (6, 5))))
     for got, want in zip(fused, chain):
         _assert_close(got, want)
+
+
+@pytest.mark.parametrize("q_lead, kv_lead", [((2, 3), (2, 3)), ((2, 3), (1, 3)), ((), ())])
+def test_chunked_attention_matches_unfused_chain(q_lead, kv_lead, rng, monkeypatch):
+    """13 query rows in ragged chunks of 4 + 4 + 4 + 1: the output and all
+    three gradients of the recomputing backward equal the unfused chain,
+    also when kt and v broadcast over q's lead dims."""
+    nq, d, nkv, dv = 13, 4, 9, 5
+    lead = np.broadcast_shapes(q_lead, kv_lead)
+    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * math.prod(lead) * nkv * 4)
+    rows, real = [], T._attend
+
+    def counted(q, *args, **kwargs):
+        rows.append(q.shape[-2])
+        return real(q, *args, **kwargs)
+
+    monkeypatch.setattr(T, "_attend", counted)
+    arrays = (rng.standard_normal(q_lead + (nq, d)), rng.standard_normal(kv_lead + (d, nkv)),
+              rng.standard_normal(kv_lead + (nkv, dv)))
+    fused, chain = _fused_and_chain(arrays, Tensor(rng.standard_normal(lead + (nq, dv))))
+    assert rows == [4, 4, 4, 1]
+    for got, want in zip(fused, chain):
+        assert got.shape == want.shape
+        _assert_close(got, want)
+
+
+def test_attention_backwards_on_many_threads_equal_serial_bitwise(rng, monkeypatch):
+    """Each thread's backward has its own chunk buffers: four threads
+    running chunked backwards at once give the serial gradients bit for
+    bit."""
+    lead, n, dh = (2,), 40, 4
+    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * 2 * n * 8)
+    inputs = [[rng.standard_normal(lead + shape) for shape in ((n, dh), (dh, n), (n, dh))]
+              for _ in range(4)]
+
+    def grads(arrays):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        T.reduce_sum(T.attention(*leaves)).backward()
+        return [t.grad for t in leaves]
+
+    def repeated(arrays):
+        return [grads(arrays) for _ in range(20)]
+
+    serial = [grads(arrays) for arrays in inputs]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            runs = [f.result(timeout=60) for f in [pool.submit(repeated, a) for a in inputs]]
+    finally:
+        sys.setswitchinterval(switch)
+    for want, got in zip(serial, runs):
+        for rep in got:
+            for a, b in zip(rep, want):
+                np.testing.assert_array_equal(a, b)
 
 
 def test_attention_with_large_scores_equals_chain_bitwise(rng):

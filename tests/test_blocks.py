@@ -152,13 +152,16 @@ def test_chunked_inference_matches_dense(rng, monkeypatch, batch, nq, nkv):
     np.testing.assert_allclose(chunked, dense, rtol=0, atol=1e-12)
 
 
-def test_grad_mode_attention_is_dense(rng, monkeypatch):
+def test_grad_mode_attention_runs_in_chunks(rng, monkeypatch):
+    """With a tape the shift-free forward builds the same row chunks as
+    inference, each within the budget: 9 rows as 4 + 4 + 1."""
     ca = make_ca(4, 4, 8, 4, 2)
-    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8)
-    sizes = score_sizes(monkeypatch, 7)
+    row_bytes = 8 * 2 * 2 * 7
+    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", row_bytes * CHUNK_ROWS)
+    sizes = score_sizes(monkeypatch, 7, row_bytes * CHUNK_ROWS)
     q = Tensor(rng.standard_normal((2, 9, 4)), requires_grad=True)
     out = ca(q, Tensor(rng.standard_normal((2, 7, 4))))
-    assert sizes == [8 * 2 * 2 * 9 * 7]
+    assert sizes == [row_bytes * 4, row_bytes * 4, row_bytes]
     T.reduce_sum(out).backward()
     assert q.grad.shape == q.shape
 
@@ -185,14 +188,26 @@ def retained_arrays(out):
 
 @pytest.mark.parametrize("batch", [(), (2,)])
 def test_attention_tape_keeps_only_probabilities(rng, batch):
+    """The shift-free tape keeps no N_q x N_kv array. With the q and k
+    weights scaled x1000 the scores are large and take the fallback, whose
+    tape keeps exactly one: the probabilities, bit for bit."""
     nq, nkv = 5, 7
     ca = make_ca(6, 6, 6, 6, 2)
     q = Tensor(rng.standard_normal(batch + (nq, 6)), requires_grad=True)
     kv = Tensor(rng.standard_normal(batch + (nkv, 6)))
-    out = ca(q, kv)
-    square = [a for a in retained_arrays(out) if a.shape[-2:] == (nq, nkv)]
-    assert len(square) == 1
-    np.testing.assert_array_equal(square[0], ca.attention_weights(q, kv))
+
+    def square():
+        return [a for a in retained_arrays(ca(q, kv)) if a.shape[-2:] == (nq, nkv)]
+
+    assert square() == []
+    for lin in (ca.w_q, ca.w_k):
+        lin.weight.tensor.data = lin.weight.data * 1000.0
+    with T.no_grad():
+        heads = ca._heads(q, kv)[:3]
+    assert T._shift_free_values(*(t.data for t in heads)) is None
+    kept = square()
+    assert len(kept) == 1
+    np.testing.assert_array_equal(kept[0], ca.attention_weights(q, kv))
 
 
 def make_block(dim=6, heads=2, seed=3):
