@@ -42,12 +42,16 @@ class Module:
 
 
 class Linear(Module):
+    """``x @ weight + bias`` over the last axis, as one ``T.matmul`` node:
+    the bias is added in the product's buffer, so in grad mode the tape
+    keeps no pre-bias product."""
+
     def __init__(self, d_in: int, d_out: int, *, name: str, rng):
         self.weight = Parameter(f"{name}.weight", truncated_normal(rng, (d_in, d_out)))
         self.bias = Parameter(f"{name}.bias", np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(x, self.weight.tensor) + self.bias.tensor
+        return T.matmul(x, self.weight.tensor, self.bias.tensor)
 
 
 class LayerNorm(Module):

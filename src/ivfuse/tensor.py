@@ -7,6 +7,11 @@ reverse topological order, accumulates gradients additively into leaves, and
 frees the tape. The op set is the minimum the fusion network and its losses
 need; image tensors use NCHW layout and kernels OIHW.
 
+Buffers: an op may fill arrays it allocated itself in place, but never an
+operand's array or the gradient its VJP receives (one upstream gradient may
+reach several parents). ``matmul``'s optional ``bias`` is added in the
+product's own buffer, so ``Linear`` is one node with one finite check.
+
 ``attention`` is one fused node for ``softmax(q @ kt) @ v``. Its backward
 takes the softmax's row term from the output (sum over d_v of dO * O)
 instead of from the N_q x N_kv probabilities. It has two branches, chosen
@@ -94,6 +99,11 @@ def no_grad():
         _state.grad_enabled = prev
 
 
+def _tracks(parents) -> bool:
+    """Whether an op on ``parents`` records a tape node."""
+    return _grad_enabled() and any(p.requires_grad for p in parents)
+
+
 def _check_finite(arr: np.ndarray, op: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{op}: produced or received non-finite values")
@@ -118,7 +128,7 @@ class Tensor:
     def _result(op: str, data: np.ndarray, parents, vjp, check: bool = True):
         if check:
             _check_finite(data, op)
-        track = _grad_enabled() and any(p.requires_grad for p in parents)
+        track = _tracks(parents)
         out = Tensor.__new__(Tensor)
         out.data = data
         out.requires_grad = track
@@ -143,6 +153,10 @@ class Tensor:
         return self.data.ndim
 
     def item(self) -> float:
+        """The value of a one-element tensor; any other size raises ``ShapeError``."""
+        if self.data.size != 1:
+            raise ShapeError(f"item: tensor of shape {self.shape} has {self.data.size} "
+                             "elements, expected one")
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self) -> str:
@@ -347,16 +361,32 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
+    """x * Phi(x), Phi the standard normal CDF 0.5 (1 + erf(x / sqrt 2)).
+
+    Phi is built in one fresh buffer, which without a tape becomes the
+    output; the VJP builds g (Phi + x phi) in one more.
+    """
     a = _as_tensor(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = x * cdf
+    cdf = np.multiply(x, _INV_SQRT2)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    if not _tracks((a,)):
+        cdf *= x
+        return Tensor._result("gelu", cdf, (a,), None, check=False)
 
     def vjp(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        return (g * (cdf + x * pdf),)
+        dx = np.multiply(x, -0.5)
+        dx *= x
+        np.exp(dx, out=dx)
+        dx *= _INV_SQRT_2PI
+        dx *= x
+        dx += cdf
+        dx *= g
+        return (dx,)
 
-    return Tensor._result("gelu", out, (a,), vjp, check=False)
+    return Tensor._result("gelu", x * cdf, (a,), vjp, check=False)
 
 
 def _softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
@@ -383,27 +413,38 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, scale: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    Two full-size arrays: the centred input, scaled in place into the xhat
+    the VJP keeps, and the squares, overwritten by the output.
+    """
     x, scale, bias = _as_tensor(x), _as_tensor(scale), _as_tensor(bias)
     d = x.shape[-1]
     if scale.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
             f"layer_norm: scale/bias must have shape ({d},), got {scale.shape} and {bias.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
-    xhat = (x.data - mu) * inv
-    out = xhat * scale.data + bias.data
+    # mean and variance as numpy's mean and var compute them, bit for bit
+    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    out = np.square(xhat)
+    inv = 1.0 / np.sqrt(np.add.reduce(out, axis=-1, keepdims=True) / d + _LAYER_NORM_EPS)
+    xhat *= inv
+    np.multiply(xhat, scale.data, out=out)
+    out += bias.data
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
-        gscale = (g * xhat).sum(axis=lead)
+        t = g * xhat
+        gscale = t.sum(axis=lead)
         gbias = g.sum(axis=lead)
+        # inv * (gh - mean(gh) - xhat * mean(gh * xhat)), in gh's buffer and t's
         gh = g * scale.data
-        gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
-                    - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-        return gx, gscale, gbias
+        np.multiply(gh, xhat, out=t)
+        np.multiply(xhat, t.mean(axis=-1, keepdims=True), out=t)
+        gh -= gh.mean(axis=-1, keepdims=True)
+        gh -= t
+        gh *= inv
+        return gh, gscale, gbias
 
     return Tensor._result("layer_norm", out, (x, scale, bias), vjp)
 
@@ -515,21 +556,37 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # -- linear algebra ----------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy stacking rules on leading batch dims."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product with numpy stacking rules on leading batch dims.
+
+    ``bias``, when given, must broadcast to the product's shape and is added
+    in the product's own buffer: ``a @ b + bias`` as one node with one finite
+    check, bitwise equal to ``add(matmul(a, b), bias)`` in value and
+    gradients, without keeping the pre-bias product alive.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-D, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     out = a.data @ b.data
+    parents = (a, b)
+    if bias is not None:
+        bias = _as_tensor(bias)
+        try:
+            out += bias.data
+        except ValueError as e:
+            raise ShapeError(f"matmul: bias {bias.shape} does not broadcast to the product "
+                             f"{out.shape}") from e
+        parents = (a, b, bias)
 
     def vjp(g):
         ga = g @ np.swapaxes(b.data, -1, -2)
         gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        grads = (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+        return grads if bias is None else grads + (_unbroadcast(g, bias.shape),)
 
-    return Tensor._result("matmul", out, (a, b), vjp)
+    return Tensor._result("matmul", out, parents, vjp)
 
 
 def _shift_free_values(q: np.ndarray, kt: np.ndarray, v: np.ndarray) -> np.ndarray | None:
@@ -654,7 +711,7 @@ def attention(q: Tensor, kt: Tensor, v: Tensor) -> Tensor:
                          "over at least one key")
     lead = np.broadcast_shapes(q.shape[:-2], kt.shape[:-2], v.shape[:-2])
     nq, nkv = q.shape[-2], kt.shape[-1]
-    track = _grad_enabled() and any(t.requires_grad for t in (q, kt, v))
+    track = _tracks((q, kt, v))
     v1 = _shift_free_values(q.data, kt.data, v.data)
     out = np.empty(lead + (nq, v.shape[-1]))
     if track and v1 is None:

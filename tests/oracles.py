@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import erf
 
 
 def numeric_gradient(f, x: np.ndarray, eps: float = 1e-4) -> np.ndarray:
@@ -95,6 +96,38 @@ def conv2d_direct(x, w, b=None, stride=1, padding=0):
 def softmax_rows(x):
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def gelu_formula(x):
+    """x * Phi(x) as the plain expression, with its temporaries."""
+    cdf = 0.5 * (1.0 + erf(x * 0.7071067811865476))
+    return x * cdf
+
+
+def gelu_formula_vjp(g, x):
+    cdf = 0.5 * (1.0 + erf(x * 0.7071067811865476))
+    pdf = 0.3989422804014327 * np.exp(-0.5 * x * x)
+    return (g * (cdf + x * pdf),)
+
+
+def layer_norm_formula(x, scale, bias, eps=1e-5):
+    """Normalize the last axis with numpy's mean and var, then affine."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    xhat = (x - mu) * (1.0 / np.sqrt(var + eps))
+    return xhat * scale + bias
+
+
+def layer_norm_formula_vjp(g, x, scale, bias, eps=1e-5):
+    """Gradients for (x, scale, bias) of ``layer_norm_formula``."""
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    xhat = (x - mu) * inv
+    lead = tuple(range(g.ndim - 1))
+    gh = g * scale
+    gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
+                - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+    return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
 
 def pearson(a, b):

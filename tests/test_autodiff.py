@@ -109,6 +109,38 @@ def test_batched_matmul_grads(rng):
     check_op(lambda t: T.reduce_sum(T.matmul(Tensor(a), t) * Tensor(w)), shared)
 
 
+def test_matmul_bias_grads(rng):
+    x = rng.standard_normal((2, 3, 4))
+    w = rng.standard_normal((4, 5))
+    b = rng.standard_normal(5)
+    g = rng.standard_normal((2, 3, 5))
+    check_op(lambda t: T.reduce_sum(T.matmul(t, Tensor(w), Tensor(b)) * Tensor(g)), x)
+    check_op(lambda t: T.reduce_sum(T.matmul(Tensor(x), t, Tensor(b)) * Tensor(g)), w)
+    check_op(lambda t: T.reduce_sum(T.matmul(Tensor(x), Tensor(w), t) * Tensor(g)), b)
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+def test_matmul_bias_equals_matmul_then_add_bitwise(lead, rng):
+    """``matmul(x, w, b)`` is one node, but its output and all three
+    gradients equal the matmul -> add chain bit for bit, for x of shape
+    (N, d), (B, N, d) and a 4-D lead shape."""
+    arrays = (rng.standard_normal(lead + (7, 6)), rng.standard_normal((6, 5)),
+              rng.standard_normal(5))
+    w = Tensor(rng.standard_normal(lead + (7, 5)))
+
+    def run(op):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*leaves)
+        T.reduce_sum(out * w).backward()
+        return [out.data] + [t.grad for t in leaves]
+
+    fused = run(T.matmul)
+    chain = run(lambda x, wt, b: T.matmul(x, wt) + b)
+    for got, want in zip(fused, chain):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
 def test_conv2d_grads(rng):
     x = rng.standard_normal((2, 3, 4, 4))
     k = rng.standard_normal((2, 3, 3, 3))

@@ -220,6 +220,25 @@ def zero_block(block):
             p.tensor.data = np.zeros_like(p.data)
 
 
+def test_block_tape_keeps_no_pre_bias_product(rng):
+    """A grad-mode TransformerBlock keeps no Linear's x @ W apart from
+    x @ W + b, and three FFN-hidden-shaped arrays (the inner Linear's
+    output, GELU's CDF and its output) where matmul then add kept four."""
+    dim, n = 6, 5
+    block = make_block(dim=dim)
+    for p in block.parameters():       # nonzero biases set x @ W apart from x @ W + b
+        p.data = p.data + 0.5 * rng.standard_normal(p.data.shape)
+    kept = retained_arrays(block(Tensor(rng.standard_normal((2, n, dim)), requires_grad=True)))
+    assert len([a for a in kept if a.shape == (2, n, 4 * dim)]) == 3
+    linears = (block.attn.w_q, block.attn.w_k, block.attn.w_v, block.attn.w_o,
+               block.ffn.inner, block.ffn.outer)
+    for lin in linears:
+        b = lin.bias.data
+        same = [a for a in kept if a.shape[-1:] == b.shape]
+        for product in same:
+            assert not any(np.array_equal(product + b, a) for a in same), lin.bias.name
+
+
 def test_zeroed_block_is_identity(rng):
     block = make_block()
     zero_block(block)

@@ -6,7 +6,8 @@ import pytest
 from ivfuse import tensor as T
 from ivfuse.tensor import GraphError, NonFiniteError, ShapeError, Tensor
 
-from oracles import conv2d_direct, softmax_rows
+from oracles import (conv2d_direct, gelu_formula, gelu_formula_vjp, layer_norm_formula,
+                     layer_norm_formula_vjp, softmax_rows)
 
 
 def test_softmax_symmetry():
@@ -58,6 +59,11 @@ def test_sigmoid_relu_analytic_points():
 def test_shape_error_names_op_and_dims():
     with pytest.raises(ShapeError, match="matmul"):
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+    # a bias must broadcast to the product's (2, 4) without growing it
+    for bias_shape in ((5,), (3, 1, 4)):
+        with pytest.raises(ShapeError, match="matmul: bias"):
+            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))),
+                     Tensor(np.ones(bias_shape)))
     with pytest.raises(ShapeError, match="conv2d"):
         T.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
     with pytest.raises(ShapeError, match="concat"):
@@ -92,6 +98,16 @@ def test_non_finite_intermediate_rejected():
             big * big
 
 
+def test_matmul_bias_overflow_names_matmul():
+    """The bias is added inside the ``matmul`` node: a finite product plus a
+    finite bias that overflows to inf raises NonFiniteError naming it."""
+    x, w = Tensor([[1e308, 1.0]]), Tensor([[1.0], [0.0]])
+    assert np.isfinite(T.matmul(x, w).data).all()
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError, match="matmul"):
+            T.matmul(x, w, Tensor([1e308]))
+
+
 @pytest.mark.parametrize("grad", [True, False])
 @pytest.mark.parametrize("case, q, kt", [
     # 1e200 * 1e200 overflows to +inf
@@ -117,6 +133,42 @@ def test_attention_rejects_non_finite_scores(grad, case, q, kt):
             else:
                 with T.no_grad():
                     T.attention(qt, Tensor(kt), v)
+
+
+@pytest.mark.parametrize("name", ["gelu", "layer_norm"])
+def test_gelu_and_layer_norm_build_in_their_own_buffers(name, rng):
+    """GELU and layer_norm fill only arrays of their own: read-only operands
+    and a read-only output gradient keep their bytes, with or without a
+    tape. Output and gradients equal the plain formulas bit for bit."""
+    arrays = [rng.standard_normal(shape) * 3.0 for shape in ((2, 5, 8), (8,), (8,), (2, 5, 8))]
+    for a in arrays:
+        a.setflags(write=False)
+    g = arrays.pop()
+    if name == "gelu":
+        arrays = arrays[:1]
+        formula, formula_vjp = gelu_formula, gelu_formula_vjp
+    else:
+        formula, formula_vjp = layer_norm_formula, layer_norm_formula_vjp
+    before = [a.tobytes() for a in arrays + [g]]
+    op = getattr(T, name)
+    with T.no_grad():
+        inference = op(*(Tensor(a) for a in arrays))
+    taped = op(*(Tensor(a, requires_grad=True) for a in arrays))
+    grads = taped._vjp(g)
+    assert inference._vjp is None
+    assert [a.tobytes() for a in arrays + [g]] == before
+    want = formula(*arrays)
+    np.testing.assert_array_equal(inference.data, want)
+    np.testing.assert_array_equal(taped.data, want)
+    for got, expected in zip(grads, formula_vjp(g, *arrays), strict=True):
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_item_needs_exactly_one_element():
+    assert Tensor([[2.5]]).item() == 2.5
+    for shape in ((2,), (0,), (1, 3)):
+        with pytest.raises(ShapeError, match="item"):
+            Tensor(np.ones(shape)).item()
 
 
 def test_concat_and_slice_round_trip(rng):
