@@ -5,6 +5,13 @@ the standard library does the PNG compression), so round trips are exact
 and auditable: an 8-bit image saved and reloaded is bit-identical. Loaded
 pixels are float64 in [0, 1], channel-first (1|3, H, W); 16-bit samples
 scale by 65535, 8-bit by 255.
+
+PNG rows filtered None, Sub or Up decode one numpy step per row; the block
+from the first Average/Paeth row through the last decodes as a wavefront,
+one numpy step per anti-diagonal, in bands of at most ``_BAND_ROWS`` rows
+held in diagonal-major int16 arrays. ``_unfilter`` gives its costs: about
+5x faster than a per-byte loop on mostly-Paeth images, slower on a lone
+Paeth row or an image a few pixels wide.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import sys
 import zlib
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
@@ -76,45 +84,135 @@ def _write_pnm(img: np.ndarray, path, bit_depth: int) -> None:
 # -- PNG (color types 0 and 2, bit depths 8 and 16, no interlace) ---------------
 
 
+# Most rows one wavefront band decodes. A band of n rows and width w takes
+# w + n - 1 numpy steps, one per diagonal, and O(n (n + w) bpp) scratch;
+# unbanded, a 20000 x 1 gray image would need two 0.8 GB diagonal arrays.
+# Measured on a 2-vCPU host, all-Paeth RGB 640x480 decoded in 33 ms at 256
+# rows (two bands) and 28-33 ms at 512 (one band), with 3.5 MB against 7 MB
+# of scratch; 128 rows took 72 ms and 64 rows 89 ms. At 256, 320x240 images
+# take one band and 640x480 two.
+_BAND_ROWS = 256
+
+
 def _unfilter(data: bytes, height: int, stride: int, bpp: int, path) -> np.ndarray:
+    """Undo the PNG scanline filters (RFC 2083 section 6): (height, stride) uint8.
+
+    None, Sub and Up rows decode in one numpy step per row. An Average or
+    Paeth byte needs the byte to its left in the same row, so the rows from
+    the first Average/Paeth row through the last one, whatever their types,
+    form a block decoded as a wavefront: byte (y, x) depends only on
+    (y, x-1), (y-1, x) and (y-1, x-1), so all bytes on one anti-diagonal
+    decode at once (Lamport's hyperplane method, CACM 17(2), 1974). The
+    block runs in bands of at most ``_BAND_ROWS`` rows, each with the row
+    above it as its ``prev``; ``_unfilter_band`` gives the layout.
+
+    A step costs about 15 us however few pixels its diagonal holds. So an
+    all-Paeth 320x240 RGB image takes about 13 ms (81 ms for a per-byte
+    loop), but one Paeth row among Up rows costs a step per pixel: 4.5 ms at
+    320x240 and 6.6 ms at 640x480, against 0.7 and 0.95 ms. Images a few
+    pixels wide pay the same way: 20000 x 1 gray, all Paeth, about 250 ms
+    against 78 ms.
+    """
     rows = np.frombuffer(data, dtype=np.uint8).reshape(height, stride + 1)
     ftypes = rows[:, 0]
     bad = np.flatnonzero(ftypes > 4)
     if bad.size:
         raise ImageFormatError(
             f"{path}: unknown PNG filter type {ftypes[bad[0]]} in row {bad[0]}")
+    filtered = rows[:, 1:]
     out = np.empty((height, stride), dtype=np.uint8)
-    prev = np.zeros(stride, dtype=np.uint8)
-    for y, ftype in enumerate(ftypes.tolist()):
-        cur = rows[y, 1:]
-        if ftype == 0:
-            out[y] = cur
-        elif ftype == 1:
-            # uint8 accumulation wraps mod 256; each of the bpp byte lanes
-            # is an independent running sum along the row
-            np.add.accumulate(cur.reshape(-1, bpp), axis=0, dtype=np.uint8,
-                              out=out[y].reshape(-1, bpp))
-        elif ftype == 2:
-            np.add(cur, prev, out=out[y])
-        else:
-            # Average and Paeth depend on the byte just decoded, so they run
-            # sequentially, on Python ints: a numpy scalar per byte costs far
-            # more. The bpp leading zeros are the bytes left of column 0.
-            line = bytearray(bpp) + cur.tobytes()
-            up = bytes(bpp) + prev.tobytes()
-            if ftype == 3:
-                for x in range(bpp, bpp + stride):
-                    line[x] = (line[x] + ((line[x - bpp] + up[x]) >> 1)) & 0xFF
-            else:
-                for x in range(bpp, bpp + stride):
-                    a, b, c = line[x - bpp], up[x], up[x - bpp]
-                    # |p - a|, |p - b|, |p - c| for the Paeth estimate p = a + b - c
-                    pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
-                    pred = a if pa <= pb and pa <= pc else (b if pb <= pc else c)
-                    line[x] = (line[x] + pred) & 0xFF
-            out[y] = np.frombuffer(line, dtype=np.uint8, offset=bpp)
-        prev = out[y]
+    zeros = np.zeros(stride, dtype=np.uint8)
+    slow = np.flatnonzero(ftypes >= 3)
+    first, last = (int(slow[0]), int(slow[-1]) + 1) if slow.size else (height, height)
+    for y in range(first):
+        _unfilter_row(filtered[y], ftypes[y], out[y - 1] if y else zeros, bpp, out[y])
+    for start in range(first, last, _BAND_ROWS):
+        stop = min(start + _BAND_ROWS, last)
+        _unfilter_band(filtered[start:stop], ftypes[start:stop],
+                       out[start - 1] if start else zeros, bpp, out[start:stop])
+    for y in range(last, height):
+        _unfilter_row(filtered[y], ftypes[y], out[y - 1], bpp, out[y])
     return out
+
+
+def _unfilter_row(cur, ftype, prev, bpp, out) -> None:
+    """Decode one None, Sub or Up row into ``out``."""
+    if ftype == 0:
+        out[:] = cur
+    elif ftype == 1:
+        # uint8 accumulation wraps mod 256; each of the bpp byte lanes is an
+        # independent running sum along the row
+        np.add.accumulate(cur.reshape(-1, bpp), axis=0, dtype=np.uint8,
+                          out=out.reshape(-1, bpp))
+    else:
+        np.add(cur, prev, out=out)
+
+
+def _unfilter_band(raw, ftypes, prev, bpp, out) -> None:
+    """Decode n filtered rows ``raw`` (n, stride) of any types into ``out``.
+
+    The filtered bytes and the output are held in diagonal-major int16
+    arrays, bpp byte lanes last: filtered pixel (y, x) at ``diag[x + y, y]``
+    and output pixel (y, x) at ``dec[x + y + 2, y + 1]``, where the padding
+    row y = -1 holds ``prev`` and the padding column x = -1 stays zero (the
+    a and c left of column 0). For the rows lo..hi (1-based) on diagonal k,
+    a = (y, x-1), b = (y-1, x) and c = (y-1, x-1) are then the contiguous
+    slices ``dec[k-1, lo:hi+1]``, ``dec[k-1, lo-1:hi]`` and
+    ``dec[k-2, lo-1:hi]``; a ufunc on a strided column view costs about 8x
+    more. Each diagonal computes the predictor of every filter type in the
+    band, picks each row's with a mask and writes (raw + pred) & 0xFF.
+    """
+    n, stride = raw.shape
+    w = stride // bpp
+    diag = np.empty((w + n - 1, n, bpp), dtype=np.int16)
+    s0, s1, s2 = diag.strides
+    as_strided(diag, (n, w, bpp), (s0 + s1, s0, s2))[...] = raw.reshape(n, w, bpp)
+    dec = np.zeros((w + n + 1, n + 1, bpp), dtype=np.int16)
+    dec[1:w + 1, 0] = prev.reshape(w, bpp)
+    # the first type present sets every row's predictor and the others
+    # overwrite their own rows; Paeth goes first when present
+    present = [t for t in (4, 3, 1, 2, 0) if (ftypes == t).any()]
+    masks = [(present[0], True)] + [(t, (ftypes == t)[:, None]) for t in present[1:]]
+    pred, pa, pb, pc = (np.empty((n, bpp), dtype=np.int16) for _ in range(4))
+    le = np.empty((n, bpp), dtype=bool)
+    for k in range(2, w + n + 1):
+        lo, hi = max(1, k - w), min(n, k - 1)
+        m = hi - lo + 1
+        a, b, c = dec[k - 1, lo:hi + 1], dec[k - 1, lo - 1:hi], dec[k - 2, lo - 1:hi]
+        p = pred[:m]
+        for ftype, mask in masks:
+            rows = mask if mask is True else mask[lo - 1:hi]
+            if ftype == 4:
+                # |p - a|, |p - b| and |p - c| for the Paeth estimate
+                # p = a + b - c; ties go to a, then b, then c. qc becomes
+                # min(|p - b|, |p - c|), so a wins when qa is at most both
+                qa, qb, qc, use = pa[:m], pb[:m], pc[:m], le[:m]
+                np.subtract(b, c, out=qa)
+                np.subtract(a, c, out=qb)
+                np.add(qa, qb, out=qc)
+                np.abs(qa, out=qa)
+                np.abs(qb, out=qb)
+                np.abs(qc, out=qc)
+                np.minimum(qb, qc, out=qc)
+                np.copyto(p, c)
+                np.copyto(p, b, where=np.less_equal(qb, qc, out=use))
+                np.copyto(p, a, where=np.less_equal(qa, qc, out=use))
+            elif ftype == 3:
+                qa = pa[:m]
+                np.add(a, b, out=qa)
+                qa >>= 1
+                np.copyto(p, qa, where=rows)
+            elif ftype == 2:
+                np.copyto(p, b, where=rows)
+            elif ftype == 1:
+                np.copyto(p, a, where=rows)
+            else:
+                np.copyto(p, 0, where=rows)
+        cur = dec[k, lo:hi + 1]
+        np.add(diag[k - 2, lo - 1:hi], p, out=cur)
+        cur &= 0xFF
+    t0, t1, t2 = dec.strides
+    out.reshape(n, w, bpp)[...] = as_strided(dec[2, 1:], (n, w, bpp), (t0 + t1, t0, t2))
 
 
 def _read_png(raw: bytes, path) -> np.ndarray:

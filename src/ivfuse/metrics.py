@@ -83,23 +83,30 @@ VIF_NOISE_VAR = 2.0
 _VIF_EPS = 1e-10
 
 
-def _vif_single(ref: np.ndarray, dist: np.ndarray) -> float:
-    """Pixel-domain VIF of dist against ref (both [0,255] grayscale)."""
+def _vif_smooth(im: np.ndarray) -> np.ndarray:
+    return gaussian_filter(im, VIF_SIGMA, mode="mirror")
+
+
+def _vif_pyramid(img: np.ndarray) -> list:
+    """Per scale (x, smooth(x), smooth(x*x)); each scale's x decimates the
+    smooth of the scale above, so every level is filtered once."""
+    levels = []
+    x = img
+    for _ in range(VIF_SCALES):
+        mu = _vif_smooth(x)
+        levels.append((x, mu, _vif_smooth(x * x)))
+        x = mu[::2, ::2]
+    return levels
+
+
+def _vif_single(ref: list, dist: list) -> float:
+    """Pixel-domain VIF of dist against ref, given their ``_vif_pyramid``s."""
     num = 0.0
     den = 0.0
-    r, d = ref, dist
-
-    def smooth(im):
-        return gaussian_filter(im, VIF_SIGMA, mode="mirror")
-
-    for scale in range(VIF_SCALES):
-        if scale > 0:
-            r = smooth(r)[::2, ::2]
-            d = smooth(d)[::2, ::2]
-        mu1, mu2 = smooth(r), smooth(d)
-        s1 = np.maximum(smooth(r * r) - mu1 * mu1, 0.0)
-        s2 = np.maximum(smooth(d * d) - mu2 * mu2, 0.0)
-        s12 = smooth(r * d) - mu1 * mu2
+    for (r, mu1, rr), (d, mu2, dd) in zip(ref, dist):
+        s1 = np.maximum(rr - mu1 * mu1, 0.0)
+        s2 = np.maximum(dd - mu2 * mu2, 0.0)
+        s12 = _vif_smooth(r * d) - mu1 * mu2
         g = s12 / (s1 + _VIF_EPS)
         sv = s2 - g * s12
         g = np.where(s1 < _VIF_EPS, 0.0, g)
@@ -119,8 +126,9 @@ def vif_fusion(fused: np.ndarray, i_vis: np.ndarray, i_ir: np.ndarray,
     f = to_gray255(fused)
     if min(f.shape) < 32:
         raise ValueError(f"vif: min dimension {min(f.shape)} < 32 (four dyadic scales)")
-    v_score = _vif_single(to_gray255(i_vis), f)
-    i_score = _vif_single(to_gray255(i_ir), f)
+    fused_levels = _vif_pyramid(f)
+    v_score = _vif_single(_vif_pyramid(to_gray255(i_vis)), fused_levels)
+    i_score = _vif_single(_vif_pyramid(to_gray255(i_ir)), fused_levels)
     mean = 0.5 * (v_score + i_score)
     if per_source:
         return mean, v_score, i_score

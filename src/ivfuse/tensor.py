@@ -198,7 +198,10 @@ class Tensor:
                     stack.append((p, False))
 
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        while topo:
+            # popping drops the walk's reference, so a node's output is freed
+            # once the VJPs of its children have run
+            node = topo.pop()
             g = grads.pop(id(node), None)
             if g is None:
                 continue

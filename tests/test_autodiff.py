@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -217,6 +218,28 @@ def test_grad_accumulates_until_zeroed(rng):
     np.testing.assert_allclose(w.grad, first + 3.0)
     w.zero_grad()
     assert w.grad is None
+
+
+def test_backward_frees_each_output_once_its_children_have_run(rng):
+    """A probe VJP near the leaf runs last; by then the walk must hold no
+    output of the four sigmoid nodes above it."""
+    x = Tensor(rng.standard_normal(64), requires_grad=True)
+    alive = []
+
+    def probe_vjp(g):
+        alive.extend(ref() is not None for ref in refs)
+        return (g,)
+
+    h = Tensor._result("probe", x.data.copy(), (x,), probe_vjp)
+    refs = []
+    for _ in range(4):
+        h = T.sigmoid(h * 1.5)
+        refs.append(weakref.ref(h.data))
+    loss = T.reduce_sum(h)
+    del h
+    loss.backward()
+    assert alive == [False] * 4
+    assert x.grad.shape == (64,)
 
 
 def test_no_grad_skips_tape(rng):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ivfuse import imgio
 from ivfuse.imgio import PNG_SIGNATURE, ImageFormatError, load_image, save_image
 from mutation import MUTATION, mutate
 
@@ -179,6 +180,112 @@ def test_png_filters_decoded(tmp_path, rng):
             np.testing.assert_array_equal(load_image(path),
                                           raw_to_image(rows, width, depth, color),
                                           err_msg=f"depth {depth} color {color} {filters}")
+
+
+def decode_matches_reference(path, filtered, width, height, depth, color):
+    """Write filtered scanlines as a PNG; load_image must decode them as
+    ref_unfilter does."""
+    stride = width * (1 if color == 0 else 3) * depth // 8
+    want = ref_unfilter(filtered, height, stride, stride // width)
+    path.write_bytes(png_file(ihdr(width, height, depth, color), filtered))
+    np.testing.assert_array_equal(load_image(path), raw_to_image(want, width, depth, color))
+
+
+def random_filtered(rng, filters, width, depth, color):
+    """Random filtered bytes under the given row types: any bytes are valid."""
+    stride = width * (1 if color == 0 else 3) * depth // 8
+    return b"".join(bytes([f]) + rng.integers(0, 256, stride, dtype=np.uint8).tobytes()
+                    for f in filters)
+
+
+# Row filter types of 24-row images. The block is the rows from the first
+# Average/Paeth (3/4) row through the last, decoded as one wavefront.
+BLOCK_LAYOUTS = {
+    "top": [4, 3, 4] + [1, 2, 0] * 7,
+    "middle": [0, 1, 2] * 3 + [3, 4, 4, 3] + [2, 1] * 5 + [0],
+    "bottom": [1, 2, 0] * 7 + [4, 4, 3],
+    "single-paeth": [2] * 11 + [4] + [2] * 12,
+    "single-average": [1] * 23 + [3],
+    "other-types-inside": [1, 4, 0, 0, 4, 3, 0, 1, 2, 4, 0, 4] * 2,
+    "all-paeth": [4] * 24,
+    "all-average": [3] * 24,
+}
+
+
+@pytest.mark.parametrize("layout", sorted(BLOCK_LAYOUTS))
+@pytest.mark.parametrize("depth, color", FORMATS)
+def test_png_filter_blocks_decoded(tmp_path, rng, layout, depth, color):
+    filters = BLOCK_LAYOUTS[layout]
+    assert len(filters) == 24
+    width = 9
+    decode_matches_reference(tmp_path / "block.png",
+                             random_filtered(rng, filters, width, depth, color),
+                             width, len(filters), depth, color)
+
+
+@pytest.mark.parametrize("width, filters", [
+    (1, BLOCK_LAYOUTS["other-types-inside"]),
+    (1, BLOCK_LAYOUTS["all-paeth"]),
+    (9, [4]),
+    (9, [3]),
+    (1, [4]),
+], ids=["width-1-mixed", "width-1-paeth", "height-1-paeth", "height-1-average", "1x1-paeth"])
+@pytest.mark.parametrize("depth, color", FORMATS)
+def test_png_one_pixel_wide_or_one_row_high_decoded(tmp_path, rng, width, filters, depth,
+                                                    color):
+    decode_matches_reference(tmp_path / "thin.png",
+                             random_filtered(rng, filters, width, depth, color),
+                             width, len(filters), depth, color)
+
+
+@pytest.mark.parametrize("depth, color", FORMATS)
+def test_png_block_longer_than_one_band_decoded(tmp_path, rng, monkeypatch, depth, color):
+    """Rows 1-22 form the block, decoded in bands of 5 + 5 + 5 + 5 + 2 rows."""
+    monkeypatch.setattr(imgio, "_BAND_ROWS", 5)
+    filters = [2] + [4, 0, 0, 4, 3, 0, 1, 2, 4, 0] + [4] * 12 + [0]
+    decode_matches_reference(tmp_path / "bands.png",
+                             random_filtered(rng, filters, 7, depth, color),
+                             7, len(filters), depth, color)
+
+
+@st.composite
+def filtered_scanlines(draw):
+    depth, color = draw(st.sampled_from(FORMATS))
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    stride = width * (1 if color == 0 else 3) * depth // 8
+    filters = draw(st.lists(st.integers(0, 4), min_size=height, max_size=height))
+    data = draw(st.binary(min_size=stride * height, max_size=stride * height))
+    filtered = b"".join(bytes([f]) + data[y * stride:(y + 1) * stride]
+                        for y, f in enumerate(filters))
+    return filtered, width, height, depth, color
+
+
+@pytest.fixture(scope="module")
+def decode_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("decoded")
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(case=filtered_scanlines())
+def test_png_decode_matches_reference_codec(decode_dir, case):
+    decode_matches_reference(decode_dir / "img.png", *case)
+
+
+def test_tall_narrow_png_decodes_in_bounded_memory(tmp_path, rng):
+    """20000 x 1 gray, every row Paeth (40 kB inflated): a wavefront over the
+    whole block at once would need two 20000 x 20000 int16 diagonal arrays."""
+    height = 20000
+    rows = [bytes([v]) for v in rng.integers(0, 256, height).tolist()]
+    path = tmp_path / "tall.png"
+    path.write_bytes(png_file(ihdr(1, height), ref_filter(rows, [4] * height, 1)))
+    tracemalloc.start()
+    try:
+        img = load_image(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    np.testing.assert_array_equal(img, raw_to_image(rows, 1, 8, 0))
 
 
 def test_png_unknown_filter_type_rejected(tmp_path):

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
+from ivfuse import metrics
 from ivfuse.dataset import synth_pair
 from ivfuse.imgio import save_image
 from ivfuse.metrics import (METRIC_COLUMNS, MetricReport, entropy,
@@ -108,7 +110,6 @@ def test_vif_self_fidelity_is_one(rng):
 
 
 def test_vif_blur_reduces_information(rng):
-    from scipy.ndimage import gaussian_filter
     img = rng.random((64, 64))
     blurred = gaussian_filter(img, 3.0)
     got = vif_fusion(gray_img(blurred), gray_img(img), gray_img(img))
@@ -121,6 +122,22 @@ def test_vif_matches_independent_transcription(rng):
     want = 0.5 * (vif_pixel_transcription(v * 255, f * 255)
                   + vif_pixel_transcription(r * 255, f * 255))
     assert abs(got - want) < 1e-6
+
+
+def test_vif_filters_each_pyramid_once(rng, monkeypatch):
+    """Three pyramids of 4 scales, smooth(x) and smooth(x^2) each, plus
+    smooth(ref * fused) per source and scale: 24 + 8 Gaussian filters."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return gaussian_filter(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "gaussian_filter", counting)
+    f, v, r = rng.random((64, 48)), rng.random((64, 48)), rng.random((64, 48))
+    vif_fusion(gray_img(f), gray_img(v), gray_img(r))
+    assert len(calls) == 32
+    assert sorted(set(calls)) == [(8, 6), (16, 12), (32, 24), (64, 48)]
 
 
 def test_vif_small_images_rejected(rng):
