@@ -124,8 +124,9 @@ class CrossAttention(Module):
     def __call__(self, queries: Tensor, keys_values: Tensor) -> Tensor:
         """Queries (N_q, D_q) or batched (B, N_q, D_q); KV shaped likewise.
 
-        ``T.attention`` bounds the score memory: row chunks with or without
-        a tape, except on its taped fallback branch (see ``T.attention``).
+        ``T.attention`` bounds the score memory: it runs in row chunks on
+        either branch, with or without a tape, and its tape keeps no
+        N_q x N_kv array (see ``T.attention``).
         """
         q, kt, v, perm = self._heads(queries, keys_values)
         mixed = T.attention(q, kt, v)                          # (..., h, Nq, dh)
@@ -135,17 +136,13 @@ class CrossAttention(Module):
     def attention_weights(self, queries: Tensor, keys_values: Tensor) -> np.ndarray:
         """Per-head softmax weights (..., h, Nq, Nkv), for inspection and tests.
 
-        They take the branch ``T.attention`` takes on the same operands, by
-        the same operations. On the fallback branch (large scores) they equal
-        the probabilities its tape keeps bit for bit; on the shift-free
-        branch the tape keeps none, and its backward recomputes them per
-        chunk within rounding.
+        The unfused chain's ``softmax(q @ kt)`` on the projected heads, all
+        rows at once. ``T.attention`` keeps none of them; its backward
+        recomputes each chunk's rows from their log-sum-exp within rounding.
         """
         with T.no_grad():
-            q, kt, v, _ = self._heads(queries, keys_values)
-        q, kt, v = q.data, kt.data, v.data
-        out = np.empty(q.shape[:-1] + v.shape[-1:])
-        return T._attend(q, kt, v, out, T._shift_free_values(q, kt, v), keep=True)
+            q, kt, _, _ = self._heads(queries, keys_values)
+            return T.softmax(T.matmul(q, kt)).data
 
 
 class FeedForward(Module):

@@ -19,7 +19,8 @@ from .imgio import save_image
 from .metrics import METRIC_COLUMNS, evaluate_dataset
 from .model import FusionModel, fuse
 from .sig import write_mask
-from .training import TrainingDiverged, checkpoint_mismatch, load_model, train
+from .training import (TrainingDiverged, checkpoint_mismatch, load_model, load_resume,
+                       train)
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
@@ -98,14 +99,12 @@ def _semantics(config: RunConfig, dataset, pairs, cache_dir) -> dict:
     return semantics
 
 
-def _checkpoint_model(path, config: RunConfig) -> FusionModel:
-    """The model a checkpoint holds; a config that describes another model
-    is a usage error naming the keys that differ."""
-    model = load_model(path)
+def _check_checkpoint(model: FusionModel, path, config: RunConfig) -> None:
+    """A config that describes another model than the one checkpoint ``path``
+    holds is a usage error naming the keys that differ."""
     differ = checkpoint_mismatch(model, config.train.model, config.train.variant)
     if differ:
         raise ConfigError(f"config differs from checkpoint {path} in " + ", ".join(differ))
-    return model
 
 
 def _fuse_to(model, pairs, semantics, out_dir: Path, jobs: int) -> int:
@@ -133,7 +132,8 @@ def cmd_fuse(args) -> int:
         raise ConfigError("--jobs must be >= 1")
     config = load_config(args.config)
     if args.checkpoint:
-        model = _checkpoint_model(args.checkpoint, config)
+        model = load_model(args.checkpoint)
+        _check_checkpoint(model, args.checkpoint, config)
     else:
         model = FusionModel(config.train.model, variant=config.train.variant,
                             seed=config.train.seed)
@@ -149,13 +149,14 @@ def cmd_fuse(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
-    if args.resume:
-        _checkpoint_model(args.resume, config)
+    resume = load_resume(args.resume) if args.resume else None
+    if resume:
+        _check_checkpoint(resume.model, resume.path, config)
     pairs = load_pairs(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     semantics = _semantics(config, args.dataset, pairs, out_dir / "cache")
-    result = train(config.train, pairs, semantics, out_dir, resume_from=args.resume)
+    result = train(config.train, pairs, semantics, out_dir, resume_from=resume)
     print(f"trained {result.steps} steps, final loss {result.final_loss:.6f}; "
           f"checkpoint {result.checkpoint_path}")
     return 0

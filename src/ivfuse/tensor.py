@@ -12,28 +12,32 @@ operand's array or the gradient its VJP receives (one upstream gradient may
 reach several parents). ``matmul``'s optional ``bias`` is added in the
 product's own buffer, so ``Linear`` is one node with one finite check.
 
-``attention`` is one fused node for ``softmax(q @ kt) @ v``. Its backward
-takes the softmax's row term from the output (sum over d_v of dO * O)
-instead of from the N_q x N_kv probabilities. It has two branches, chosen
-once per call from an O(N d) bound on the operands:
+``attention`` is one fused node for ``softmax(q @ kt) @ v``. Every call
+runs the queries in row chunks whose scores fit in ``_SCORE_BUDGET_BYTES``,
+with or without a tape. The tape keeps q, kt, v, the output and one
+log-sum-exp L per row (N_q values per lead slice), no N_q x N_kv array; the
+backward walks the same chunks and recomputes each chunk's probabilities as
+exp(q @ kt - L) (the FlashAttention backward). It takes the softmax's row
+term from the output (sum over d_v of dO * O) instead of from the
+probabilities, so gradients differ from the unfused chain's by rounding
+only. Each chunk takes one of two kernels, chosen once per call from an
+O(N d) bound on the operands:
 
 - shift-free, when the Cauchy-Schwarz bound max|q_i| * max|k_j| on every
   score is at most ``_SHIFT_FREE_BOUND`` and N_kv e^bound max|v| stays far
   below the float64 maximum: ``exp`` of the raw scores cannot overflow, so
-  the queries run in row chunks under ``_SCORE_BUDGET_BYTES``, with or
-  without a tape, and each chunk makes three passes over its scores: GEMM,
-  ``exp`` in place, and a GEMM against ``[v | 1]`` that returns E @ V and
-  the row sums s together; the divide falls on the N x d_v result. The tape
-  keeps q, kt, v, the output and log s (N_q values per lead slice), no
-  N_q x N_kv array; the backward walks the same chunks and recomputes each
-  chunk's probabilities (the FlashAttention backward). Output and gradients
-  are within rounding (1e-12 relative) of the unfused matmul -> softmax ->
-  matmul chain.
-- otherwise (large, NaN or infinite operands) the chain's own kernel: a full
+  each chunk makes three passes over its scores: GEMM, ``exp`` in place, and
+  a GEMM against ``[v | 1]`` that returns E @ V and the row sums s together;
+  the divide falls on the N x d_v result, and L = log s. Output and
+  gradients are within rounding (1e-12 relative) of the unfused matmul ->
+  softmax -> matmul chain.
+- otherwise (large, NaN or infinite operands) the chain's own kernel: a
   finite check on the scores (``NonFiniteError`` naming ``attention``), the
-  max-shifted softmax, then P @ V, bitwise equal to the chain. Without a
-  tape it runs in the same row chunks; with one it builds all scores at
-  once and the tape keeps the dense probabilities.
+  max-shifted softmax, then P @ V; L = m + log s for the row maximum m and
+  the shifted row sums s. A call that fits in one chunk is bitwise equal to
+  the chain. Over several chunks it is within rounding: BLAS may round a
+  chunk's P @ V differently from the whole product, as OpenBLAS does for a
+  tail chunk of a few rows.
 
 Concurrency: tensors are treated as immutable once built, so inference over
 a frozen parameter set is safe from many workers; anything that mutates
@@ -55,9 +59,8 @@ _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
 _LAYER_NORM_EPS = 1e-5
 
-# Largest score array (bytes) one ``attention`` chunk may build, except on
-# the taped fallback branch. A constant, not a setting: it bounds memory, not
-# results.
+# Largest score array (bytes) one ``attention`` chunk may build. A constant,
+# not a setting: it bounds memory, not results.
 _SCORE_BUDGET_BYTES = 8 * 2**20
 
 # Largest bound on |q_i . k_j| for which ``attention`` skips the softmax's max
@@ -392,11 +395,17 @@ def gelu(a: Tensor) -> Tensor:
     return Tensor._result("gelu", x * cdf, (a,), vjp, check=False)
 
 
-def _softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax of ``x`` along ``axis`` into ``out`` (``out=x`` works in place)."""
-    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+def _softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None,
+             log_z: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of ``x`` along ``axis`` into ``out`` (``out=x`` works in place);
+    ``log_z``, when given, receives the log-sum-exp of ``x`` along ``axis``."""
+    m = x.max(axis=axis, keepdims=True)
+    out = np.subtract(x, m, out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+    s = out.sum(axis=axis, keepdims=True)
+    out /= s
+    if log_z is not None:
+        np.add(m, np.log(s), out=log_z)
     return out
 
 
@@ -611,30 +620,27 @@ def _shift_free_values(q: np.ndarray, kt: np.ndarray, v: np.ndarray) -> np.ndarr
 
 
 def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, out: np.ndarray,
-            v1: np.ndarray | None, keep: bool, log_s: np.ndarray | None = None) -> np.ndarray:
+            v1: np.ndarray | None, log_z: np.ndarray | None = None) -> np.ndarray:
     """One row chunk of ``attention``: ``softmax(q @ kt) @ v`` into ``out``.
 
-    ``v1`` is ``_shift_free_values`` of the whole call. Returns the chunk's
-    score buffer, which holds the probabilities when ``keep`` is set or the
-    fallback ran. On the shift-free branch the ones column makes the second
-    GEMM return the row sums s too, and the divide falls on the N x d_v
-    output; ``keep`` divides the exponentials as well, so they become
-    exactly the probabilities, and ``log_s`` (N x 1), when given, receives
-    log s for the backward.
+    ``v1`` is ``_shift_free_values`` of the whole call. On the shift-free
+    branch the ones column makes the second GEMM return the row sums s too,
+    and the divide falls on the N x d_v output; otherwise the chain's
+    max-shifted softmax runs after a finite check. ``log_z`` (N x 1), when
+    given, receives each row's log-sum-exp for the backward. Returns the
+    chunk's score buffer.
     """
     p = q @ kt
     if v1 is None:
         _check_finite(p, "attention")
-        np.matmul(_softmax(p, out=p), v, out=out)
+        np.matmul(_softmax(p, out=p, log_z=log_z), v, out=out)
         return p
     np.exp(p, out=p)
     ev = p @ v1
     s = ev[..., -1:]
     np.divide(ev[..., :-1], s, out=out)
-    if keep:
-        p /= s
-    if log_s is not None:
-        np.log(s, out=log_s)
+    if log_z is not None:
+        np.log(s, out=log_z)
     return p
 
 
@@ -652,19 +658,19 @@ def _chunk_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chunked_attention_vjp(g: np.ndarray, q: np.ndarray, kt: np.ndarray, v: np.ndarray,
-                           out: np.ndarray, log_s: np.ndarray, rows: int):
-    """Gradients of shift-free ``attention`` for the output gradient ``g``.
+                           out: np.ndarray, log_z: np.ndarray, rows: int):
+    """Gradients of ``attention`` for the output gradient ``g``, either branch.
 
     The FlashAttention backward over the forward's row chunks: each chunk's
-    probabilities are recomputed as P = exp([q | -log s] @ [kt ; 1]), and
-    dS = ([g | -D] @ [v^T ; 1]) * P with D = rowsum(g * out), the softmax
-    VJP's row term (sum_j dP_ij P_ij = sum_d dO_id O_id). Both the 1/s and
-    the -D ride inside a GEMM, so the two score-sized buffers see only GEMM
-    writes, one ``exp`` and one multiply.
+    probabilities are recomputed from the rows' log-sum-exp L as
+    P = exp([q | -L] @ [kt ; 1]), and dS = ([g | -D] @ [v^T ; 1]) * P with
+    D = rowsum(g * out), the softmax VJP's row term (sum_j dP_ij P_ij =
+    sum_d dO_id O_id). Both the -L and the -D ride inside a GEMM, so the two
+    score-sized buffers see only GEMM writes, one ``exp`` and one multiply.
     """
     lead = out.shape[:-2]
     nq, nkv = q.shape[-2], kt.shape[-1]
-    qs = np.concatenate((np.broadcast_to(q, lead + q.shape[-2:]), -log_s), axis=-1)
+    qs = np.concatenate((np.broadcast_to(q, lead + q.shape[-2:]), -log_z), axis=-1)
     gd = np.concatenate((g, -(g * out).sum(axis=-1, keepdims=True)), axis=-1)
     kt1 = np.concatenate((kt, np.ones(kt.shape[:-2] + (1, nkv))), axis=-2)
     vt1 = np.concatenate((np.swapaxes(v, -1, -2), np.ones(v.shape[:-2] + (1, nkv))), axis=-2)
@@ -689,23 +695,12 @@ def _chunked_attention_vjp(g: np.ndarray, q: np.ndarray, kt: np.ndarray, v: np.n
 def attention(q: Tensor, kt: Tensor, v: Tensor) -> Tensor:
     """``softmax(q @ kt) @ v`` as one tape node; q (..., N_q, d), kt (..., d, N_kv).
 
-    One bound per call picks the branch (see the module docstring): when it
-    proves ``exp`` of the raw scores finite, queries run in row chunks whose
-    scores fit in ``_SCORE_BUDGET_BYTES`` (at least one row each), each
-    chunk makes three passes over its scores (GEMM, exp, GEMM) and divides
-    the output, and the tape keeps q, kt, v, the output and the log row
-    sums. Its backward runs ``_chunked_attention_vjp`` over the same chunks.
-    Any other input runs the unfused chain's max-shifted softmax, bit for
-    bit, after a full finite check that raises ``NonFiniteError`` naming
-    ``attention`` on any NaN or infinite score: in the same row chunks
-    without a tape, all at once with one, whose tape keeps the dense
-    probabilities (built in the scores' buffer) plus q, kt and v. Every row
-    takes its softmax over all keys. Zero keys raise ``ShapeError``.
-
-    Both backwards use the output's row sums: sum_j dP_ij P_ij equals
-    sum_d dO_id O_id, so the softmax VJP needs no second N_q x N_kv pass.
-    Gradients therefore differ from the unfused matmul -> softmax -> matmul
-    chain by rounding only.
+    Queries run in row chunks of at least one row whose scores fit in
+    ``_SCORE_BUDGET_BYTES``, on either branch (see the module docstring), with
+    or without a tape; every row takes its softmax over all keys. A NaN or
+    infinite score raises ``NonFiniteError`` naming ``attention``, zero keys
+    ``ShapeError``. The tape keeps q, kt, v, the output and the rows'
+    log-sum-exp, and ``_chunked_attention_vjp`` walks the same chunks.
     """
     q, kt, v = _as_tensor(q), _as_tensor(kt), _as_tensor(v)
     if (min(q.ndim, kt.ndim, v.ndim) < 2 or q.shape[-1] != kt.shape[-2]
@@ -714,33 +709,16 @@ def attention(q: Tensor, kt: Tensor, v: Tensor) -> Tensor:
                          "over at least one key")
     lead = np.broadcast_shapes(q.shape[:-2], kt.shape[:-2], v.shape[:-2])
     nq, nkv = q.shape[-2], kt.shape[-1]
-    track = _tracks((q, kt, v))
     v1 = _shift_free_values(q.data, kt.data, v.data)
     out = np.empty(lead + (nq, v.shape[-1]))
-    if track and v1 is None:
-        p = _attend(q.data, kt.data, v.data, out, v1, keep=True)
-
-        def vjp(g):
-            # softmax VJP dS = (dP - rowsum(dP * P)) * P, built in dP's buffer;
-            # rowsum(dP * P) = rowsum(g * out), a sum over N_q * d_v values
-            gs = g @ np.swapaxes(v.data, -1, -2)
-            gs -= (g * out).sum(axis=-1, keepdims=True)
-            gs *= p
-            gv = np.swapaxes(p, -1, -2) @ g
-            return (_unbroadcast(gs @ np.swapaxes(kt.data, -1, -2), q.shape),
-                    _unbroadcast(np.swapaxes(q.data, -1, -2) @ gs, kt.shape),
-                    _unbroadcast(gv, v.shape))
-
-        return Tensor._result("attention", out, (q, kt, v), vjp)
-
     rows = max(1, _SCORE_BUDGET_BYTES // (8 * max(1, math.prod(lead) * nkv)))
-    log_s = np.empty(lead + (nq, 1)) if track else None
+    log_z = np.empty(lead + (nq, 1)) if _tracks((q, kt, v)) else None
     for r in range(0, nq, rows):
         _attend(q.data[..., r:r + rows, :], kt.data, v.data, out[..., r:r + rows, :], v1,
-                keep=False, log_s=None if log_s is None else log_s[..., r:r + rows, :])
+                None if log_z is None else log_z[..., r:r + rows, :])
 
     def vjp(g):
-        return _chunked_attention_vjp(g, q.data, kt.data, v.data, out, log_s, rows)
+        return _chunked_attention_vjp(g, q.data, kt.data, v.data, out, log_z, rows)
 
     return Tensor._result("attention", out, (q, kt, v), vjp)
 

@@ -103,13 +103,29 @@ class TrainResult:
     steps: int
 
 
+@dataclass(frozen=True)
+class Resume:
+    """A checkpoint read to resume from: its path, its model (AdamW moments
+    restored) and the step it was written at."""
+    path: object
+    model: FusionModel
+    step: int
+
+
+def load_resume(path) -> Resume:
+    meta, states = load_checkpoint(path)
+    return Resume(path, _model_from(meta, states), int(meta.get("global_step", "0")))
+
+
 def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
           resume_from=None) -> TrainResult:
     """Run the optimization loop and write checkpoints plus a loss history.
 
     ``semantics`` maps pair_id -> (MaskSemantics, TextSemantics), precomputed
     (the semantic generator caches them); crops slice the pair's mask, which
-    must have the pair's size.
+    must have the pair's size. ``resume_from`` is a checkpoint path or its
+    ``load_resume``, whose model is trained in place; a checkpoint of another
+    model raises ``ValueError``.
     """
     if not pairs:
         raise ValueError("train: empty dataset")
@@ -122,15 +138,15 @@ def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
 
     if resume_from is None:
         model = FusionModel(config.model, variant=config.variant, seed=config.seed)
-        start_step = 0
+        start_step, last_good = 0, None
     else:
-        meta, states = load_checkpoint(resume_from)
-        model = _model_from(meta, states)
+        if not isinstance(resume_from, Resume):
+            resume_from = load_resume(resume_from)
+        model, start_step, last_good = resume_from.model, resume_from.step, resume_from.path
         differ = checkpoint_mismatch(model, config.model, config.variant)
         if differ:
-            raise ValueError(f"checkpoint {resume_from} differs from the config in "
+            raise ValueError(f"checkpoint {last_good} differs from the config in "
                              + ", ".join(differ))
-        start_step = int(meta.get("global_step", "0"))
     params = model.trainable_parameters()
 
     n = len(pairs)
@@ -138,7 +154,6 @@ def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
     total_steps = config.epochs * steps_per_epoch
     history_path = os.path.join(out_dir, "loss_history.csv")
     final_path = os.path.join(out_dir, "model.ckpt")
-    last_good = resume_from
 
     def write_checkpoint(path, step):
         meta = {"variant": config.variant, "global_step": str(step), "seed": str(config.seed)}

@@ -293,22 +293,26 @@ def test_attention_backward_peak_stays_below_one_dense_score_array(rng, monkeypa
     """Grad-mode forward plus backward at lead (3, 4), N = 256, with the
     budget at an eighth of the dense scores, peaks below one dense score
     array, both in a fresh thread (its chunk buffers not made yet) and
-    again once they exist."""
+    again once they exist: on the shift-free branch, and with q and kt
+    scaled x4 so that the bound sends them to the fallback."""
     lead, n, dh = (3, 4), 256, 8
     score_bytes = 8 * 3 * 4 * n * n
     monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", score_bytes // 8)
-    q, kt, v = (Tensor(rng.standard_normal(lead + shape), requires_grad=True)
-                for shape in ((n, dh), (dh, n), (n, dh)))
+    arrays = [rng.standard_normal(lead + shape) for shape in ((n, dh), (dh, n), (n, dh))]
     w = Tensor(rng.standard_normal(lead + (n, dh)))
+    for scale in (1.0, 4.0):
+        q, kt, v = (Tensor(a * s, requires_grad=True)
+                    for a, s in zip(arrays, (scale, scale, 1.0)))
+        assert (T._shift_free_values(q.data, kt.data, v.data) is None) == (scale > 1.0)
 
-    def step():
-        T.reduce_sum(T.attention(q, kt, v) * w).backward()
+        def step():
+            T.reduce_sum(T.attention(q, kt, v) * w).backward()
 
-    with ThreadPoolExecutor(1) as pool:
-        fresh = pool.submit(_traced_peak, step).result()
-    step()
-    for peak in (fresh, _traced_peak(step)):
-        assert peak < score_bytes, f"peak {peak / score_bytes:.2f}x the dense score bytes"
+        with ThreadPoolExecutor(1) as pool:
+            fresh = pool.submit(_traced_peak, step).result()
+        step()
+        for peak in (fresh, _traced_peak(step)):
+            assert peak < score_bytes, f"peak {peak / score_bytes:.2f}x the dense score bytes"
 
 
 def _fused_and_chain(arrays, w):

@@ -153,17 +153,27 @@ def test_chunked_inference_matches_dense(rng, monkeypatch, batch, nq, nkv):
 
 
 def test_grad_mode_attention_runs_in_chunks(rng, monkeypatch):
-    """With a tape the shift-free forward builds the same row chunks as
-    inference, each within the budget: 9 rows as 4 + 4 + 1."""
+    """With a tape both branches build the same row chunks as inference,
+    each within the budget: 9 rows as 4 + 4 + 1, with the stock weights
+    (shift-free) and with the q and k weights scaled x1000 (fallback)."""
     ca = make_ca(4, 4, 8, 4, 2)
     row_bytes = 8 * 2 * 2 * 7
     monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", row_bytes * CHUNK_ROWS)
     sizes = score_sizes(monkeypatch, 7, row_bytes * CHUNK_ROWS)
     q = Tensor(rng.standard_normal((2, 9, 4)), requires_grad=True)
-    out = ca(q, Tensor(rng.standard_normal((2, 7, 4))))
-    assert sizes == [row_bytes * 4, row_bytes * 4, row_bytes]
-    T.reduce_sum(out).backward()
-    assert q.grad.shape == q.shape
+    kv = Tensor(rng.standard_normal((2, 7, 4)))
+    for scale in (1.0, 1000.0):
+        for lin in (ca.w_q, ca.w_k):
+            lin.weight.tensor.data = lin.weight.data * scale
+        with T.no_grad():
+            heads = [t.data for t in ca._heads(q, kv)[:3]]
+        assert (T._shift_free_values(*heads) is None) == (scale > 1.0)
+        sizes.clear()
+        out = ca(q, kv)
+        assert sizes == [row_bytes * 4, row_bytes * 4, row_bytes]
+        q.zero_grad()
+        T.reduce_sum(out).backward()
+        assert q.grad.shape == q.shape and np.isfinite(q.grad).all()
 
 
 def retained_arrays(out):
@@ -187,10 +197,11 @@ def retained_arrays(out):
 
 
 @pytest.mark.parametrize("batch", [(), (2,)])
-def test_attention_tape_keeps_only_probabilities(rng, batch):
-    """The shift-free tape keeps no N_q x N_kv array. With the q and k
-    weights scaled x1000 the scores are large and take the fallback, whose
-    tape keeps exactly one: the probabilities, bit for bit."""
+def test_attention_tape_keeps_no_score_array(rng, batch):
+    """Neither branch's tape keeps an N_q x N_kv array: not with the stock
+    weights (shift-free), and not with the q and k weights scaled x1000,
+    whose large scores take the fallback. The weights' rows still sum to
+    one there."""
     nq, nkv = 5, 7
     ca = make_ca(6, 6, 6, 6, 2)
     q = Tensor(rng.standard_normal(batch + (nq, 6)), requires_grad=True)
@@ -205,9 +216,9 @@ def test_attention_tape_keeps_only_probabilities(rng, batch):
     with T.no_grad():
         heads = ca._heads(q, kv)[:3]
     assert T._shift_free_values(*(t.data for t in heads)) is None
-    kept = square()
-    assert len(kept) == 1
-    np.testing.assert_array_equal(kept[0], ca.attention_weights(q, kv))
+    assert square() == []
+    np.testing.assert_allclose(ca.attention_weights(q, kv).sum(axis=-1),
+                               np.ones(batch + (2, nq)), atol=1e-12)
 
 
 def make_block(dim=6, heads=2, seed=3):

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from ivfuse import cli, sig
+from ivfuse import cli, sig, training
 from ivfuse.cli import _semantics, main
 from ivfuse.config import load_config, parse_config_text
 from ivfuse.dataset import (FixtureBundle, generate_dataset, load_pairs,
@@ -252,6 +252,27 @@ def test_train_then_fuse_with_checkpoint(dataset, capsys):
                      "--checkpoint", str(ckpt)]) == 1
         assert not out.exists()
         assert f"differs from checkpoint {ckpt} in {key} (checkpoint" in capsys.readouterr().err
+
+
+def test_train_resume_reads_the_checkpoint_once(dataset, monkeypatch):
+    root, cfg, tmp = dataset
+    assert main(["train", "--config", str(cfg), "--in", str(root),
+                 "--out", str(tmp / "run")]) == 0
+    ckpt = tmp / "run" / "model.ckpt"
+    longer = tmp / "longer.cfg"
+    longer.write_text(SMALL_CONFIG.replace("epochs = 2", "epochs = 3"))
+    reads, real = [], training.load_checkpoint
+
+    def counted(path):
+        reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(training, "load_checkpoint", counted)
+    out = tmp / "resumed"
+    assert main(["train", "--config", str(longer), "--in", str(root), "--out", str(out),
+                 "--resume", str(ckpt)]) == 0
+    assert reads == [str(ckpt)]
+    assert (out / "loss_history.csv").read_text().splitlines()[1].startswith("2,")
 
 
 def test_eval_self_copies_unit_vif(dataset, capsys):
