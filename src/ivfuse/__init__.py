@@ -14,7 +14,7 @@ from .dataset import ImagePair, generate_dataset, load_pairs
 from .imgio import load_image, save_image
 from .losses import LossWeights, color_loss, gradient_loss, intensity_loss, ssim_loss, total_loss
 from .metrics import entropy, evaluate_dataset, qabf, scd, std_dev, vif_fusion
-from .mgca import FeatureBundle, cross_reconstruct, decompose, encode_streams
+from .mgca import FeatureBundle, cross_reconstruct, encode_streams
 from .model import FusionModel, ModelConfig, fuse
 from .optim import Parameter, adamw_step, zero_grads
 from .providers import HashTextEncoder, LookupCaptioner, PlantedRegionDenoiser, Rect

@@ -116,10 +116,10 @@ class CrossAttention(Module):
         lead = tuple(range(len(batch)))
         perm = lead + (len(batch) + 1, len(batch), len(batch) + 2)
         q = T.transpose(T.reshape(q, batch + (nq, h, dh)), perm)
-        k = T.transpose(T.reshape(k, batch + (nkv, h, dh)), perm)
+        kt = T.transpose(T.reshape(k, batch + (nkv, h, dh)),
+                         lead + (len(batch) + 1, len(batch) + 2, len(batch)))
         v = T.transpose(T.reshape(v, batch + (nkv, h, dh)), perm)
-        swap = lead + (len(batch), len(batch) + 2, len(batch) + 1)
-        return q, T.transpose(k, swap), v, perm
+        return q, kt, v, perm
 
     def __call__(self, queries: Tensor, keys_values: Tensor) -> Tensor:
         """Queries (N_q, D_q) or batched (B, N_q, D_q); KV shaped likewise.

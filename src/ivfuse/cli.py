@@ -62,9 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="metric report for fused images")
     p_eval.add_argument("--fused", required=True, help="directory of fused images")
-    p_eval.add_argument("--in", dest="dataset", help="dataset root supplying vis/ and ir/")
-    p_eval.add_argument("--vis", help="visible image directory (overrides --in)")
-    p_eval.add_argument("--ir", help="infrared image directory (overrides --in)")
+    p_eval.add_argument("--in", dest="dataset",
+                        help="dataset root supplying vis/ and ir/ (not with --vis/--ir)")
+    p_eval.add_argument("--vis", help="visible image directory (with --ir, not --in)")
+    p_eval.add_argument("--ir", help="infrared image directory (with --vis, not --in)")
     p_eval.add_argument("--out", required=True)
     p_eval.add_argument("--per-source", action="store_true",
                         help="also write per-source VIF debug columns")
@@ -184,14 +185,12 @@ def cmd_mask(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.vis and args.ir:
+    if args.dataset and not (args.vis or args.ir):
+        vis_dir, ir_dir = Path(args.dataset) / "vis", Path(args.dataset) / "ir"
+    elif args.vis and args.ir and not args.dataset:
         vis_dir, ir_dir = args.vis, args.ir
-    elif args.dataset:
-        vis_dir = Path(args.dataset) / "vis"
-        ir_dir = Path(args.dataset) / "ir"
     else:
-        print("eval: provide --in DATASET or both --vis and --ir", file=sys.stderr)
-        return USAGE_EXIT
+        raise ConfigError("give either --in DATASET or both --vis DIR and --ir DIR")
     report = evaluate_dataset(args.fused, vis_dir, ir_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -221,10 +220,9 @@ def cmd_ablate(args) -> int:
         variant_dir = out_dir / variant
         variant_dir.mkdir(exist_ok=True)
         result = train(replace(config.train, variant=variant), pairs, semantics, variant_dir)
-        model = load_model(result.checkpoint_path)
         fused_dir = variant_dir / "fused"
         fused_dir.mkdir(exist_ok=True)
-        code = _fuse_to(model, pairs, semantics, fused_dir, config.jobs)
+        code = _fuse_to(result.model, pairs, semantics, fused_dir, config.jobs)
         if code:
             return code
         report = evaluate_dataset(fused_dir, Path(args.dataset) / "vis",

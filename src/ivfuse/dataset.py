@@ -10,6 +10,7 @@ fixture file the providers need, so the whole pipeline runs offline.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -77,7 +78,7 @@ def stem_index(directory) -> dict[str, Path]:
 def load_pairs(root, ids=None) -> list[ImagePair]:
     """Load all pairs under ``root`` (vis/ + ir/), sorted by pair id.
 
-    Every visible file must have an infrared counterpart with identical
+    vis/ and ir/ must hold the same stems, each pair of identical
     dimensions; optional masks/ and captions/ entries attach when present.
     A shipped mask must be a whole mask file of its pair's size and a
     shipped caption non-empty UTF-8 text, else ``DatasetError`` names it.
@@ -87,9 +88,11 @@ def load_pairs(root, ids=None) -> list[ImagePair]:
     ir_index = stem_index(root / "ir")
     if not vis_index:
         raise DatasetError(f"{root}: no visible images under vis/")
-    missing = sorted(set(vis_index) - set(ir_index))
-    if missing:
-        raise DatasetError(f"{root}: visible images without infrared counterpart: {missing[:5]}")
+    for have, lack, kind, other in ((vis_index, ir_index, "visible", "infrared"),
+                                    (ir_index, vis_index, "infrared", "visible")):
+        alone = sorted(set(have) - set(lack))
+        if alone:
+            raise DatasetError(f"{root}: {kind} images without {other} counterpart: {alone[:5]}")
     pairs = []
     wanted = sorted(vis_index) if ids is None else list(ids)
     for stem in wanted:
@@ -160,12 +163,42 @@ class FixtureBundle:
 
     @classmethod
     def load(cls, path) -> "FixtureBundle":
-        with open(path, "r", encoding="utf-8") as f:
-            payload = json.load(f)
+        """Read a fixtures.json; an unreadable or malformed one raises
+        ``DatasetError`` naming it, and the key where there is one."""
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                payload = json.load(f)
+        except OSError as e:
+            raise DatasetError(f"fixture file {path}: {e.strerror}") from e
+        except ValueError as e:  # a JSONDecodeError or a UnicodeDecodeError
+            raise DatasetError(f"{path}: not valid JSON ({e})") from e
+        if not isinstance(payload, dict):
+            raise DatasetError(f"{path}: not a JSON object")
+        unknown = sorted(payload.keys() - _FIXTURE_RULES.keys())
+        if unknown:
+            raise DatasetError(f"{path}: unknown keys {unknown}")
+        for key, (want, ok) in _FIXTURE_RULES.items():
+            if key in payload and not ok(payload[key]):
+                raise DatasetError(f"{path}: {key} must be {want}")
         return cls(captions=dict(payload.get("captions", {})),
                    regions=dict(payload.get("regions", {})),
                    amplitude=float(payload.get("amplitude", 1.0)),
                    vocabulary=tuple(payload.get("vocabulary", cls.vocabulary)))
+
+
+_FIXTURE_RULES = {  # fixtures.json key -> (what its value must be, a test of the value)
+    "captions": ("an object of pair id to caption string",
+                 lambda v: isinstance(v, dict) and all(isinstance(c, str) for c in v.values())),
+    "regions": ("an object of keyword to four integers [top, left, height, width] >= 0",
+                lambda v: isinstance(v, dict) and all(
+                    isinstance(r, list) and len(r) == 4
+                    and all(type(n) is int and n >= 0 for n in r) for r in v.values())),
+    # false for NaN, infinities and ints beyond the float range alike
+    "amplitude": ("a finite number",
+                  lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    "vocabulary": ("a list of strings",
+                   lambda v: isinstance(v, list) and all(isinstance(w, str) for w in v)),
+}
 
 
 def providers_from_fixtures(fixtures: FixtureBundle, pairs) -> tuple:
@@ -189,8 +222,6 @@ def semantic_generator_for(root, pairs, *, text_dim: int, cache_dir=None,
     ``vocabulary`` is empty.
     """
     path = Path(fixtures_path) if fixtures_path else Path(root) / "fixtures.json"
-    if not path.exists():
-        raise DatasetError(f"fixture file not found: {path}")
     fixtures = FixtureBundle.load(path)
     captioner, denoiser = providers_from_fixtures(fixtures, pairs)
     if settings is None or not settings.vocabulary:

@@ -1,14 +1,17 @@
 """Mask-guided cross-modal feature reconstruction.
 
-Images are split by the binary mask at pixel resolution, each piece runs
-through its modality's encoder, and foreground/background features are
-cross-reconstructed between modalities with four independent attention
+Each image times the weight maps (1, M, 1 - M) of the binary mask at pixel
+resolution gives its global, foreground and background streams, which run
+as one batch through its modality's encoder. Foreground/background features
+are cross-reconstructed between modalities with four independent attention
 parameter sets, then summed per modality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import tensor as T
 from .blocks import CrossAttention, Module
@@ -31,55 +34,32 @@ class FeatureBundle:
     fiv: Tensor | None = None
 
 
-def decompose(image: Tensor, mask: MaskSemantics) -> tuple[Tensor, Tensor]:
-    """Split into (foreground, background); the two sum back bit-exactly."""
-    image = image if isinstance(image, Tensor) else Tensor(image)
-    c, h, w = image.shape
-    if mask.m.shape != (h, w):
-        raise ShapeError(f"decompose: mask {mask.m.shape} does not match image ({h}, {w})")
-    fg = image * Tensor(mask.m)
-    bg = image * Tensor(mask.m_bar)
-    return fg, bg
-
-
-def _stack(images) -> Tensor:
-    expanded = [T.reshape(img, (1,) + img.shape) for img in images]
-    return T.concat(expanded, axis=0)
-
-
 def encode_streams(i_vis: Tensor, i_ir: Tensor, mask: MaskSemantics,
                    vis_encoder, ir_encoder,
                    streams: str = "all") -> FeatureBundle:
     """Run the shared per-modality encoders over global and masked inputs.
 
-    The global/foreground/background passes of one modality share weights,
-    so they run as a single batched encoder call. ``streams`` trims work for
-    ablations: "all", "global" (skip the masked passes), or "masked" (skip
-    the global passes).
+    Each modality's inputs are one product of its image with the stacked
+    weight maps (1, M, 1 - M), run as a single batched encoder call.
+    ``streams`` trims work for ablations: "all", "global" (skip the masked
+    passes), or "masked" (skip the global passes). A mask of another size
+    than the image raises ``ShapeError``.
     """
-    i_vis = i_vis if isinstance(i_vis, Tensor) else Tensor(i_vis)
-    i_ir = i_ir if isinstance(i_ir, Tensor) else Tensor(i_ir)
     p = vis_encoder.patch_embed.patch
     _, h, w = i_vis.shape
+    if mask.m.shape != (h, w):
+        raise ShapeError(f"encode_streams: mask {mask.m.shape} does not match image ({h}, {w})")
     bundle = FeatureBundle(grid=(h // p, w // p))
-    vis_in, ir_in = [i_vis], [i_ir]
-    if streams in ("all", "masked"):
-        fg_v, bg_v = decompose(i_vis, mask)
-        fg_i, bg_i = decompose(i_ir, mask)
-        vis_in += [fg_v, bg_v]
-        ir_in += [fg_i, bg_i]
-    if streams == "masked":
-        vis_in, ir_in = vis_in[1:], ir_in[1:]
-    vis_out = vis_encoder(_stack(vis_in))
-    ir_out = ir_encoder(_stack(ir_in))
-    pos = 0
-    if streams in ("all", "global"):
-        bundle.fv = vis_out[0]
-        bundle.fi = ir_out[0]
-        pos = 1
-    if streams in ("all", "masked"):
-        bundle.fv_m, bundle.fv_mbar = vis_out[pos], vis_out[pos + 1]
-        bundle.fi_m, bundle.fi_mbar = ir_out[pos], ir_out[pos + 1]
+    first = 1 if streams == "masked" else 0
+    last = 1 if streams == "global" else 3
+    weights = Tensor(np.stack((np.ones((h, w)), mask.m, mask.m_bar))[first:last, None])
+    vis_out = vis_encoder(T.mul(i_vis, weights))
+    ir_out = ir_encoder(T.mul(i_ir, weights))
+    if first == 0:
+        bundle.fv, bundle.fi = vis_out[0], ir_out[0]
+    if last == 3:
+        bundle.fv_m, bundle.fv_mbar = vis_out[1 - first], vis_out[2 - first]
+        bundle.fi_m, bundle.fi_mbar = ir_out[1 - first], ir_out[2 - first]
     return bundle
 
 

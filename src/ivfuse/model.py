@@ -93,22 +93,15 @@ class FusionModel(Module):
     def forward(self, i_vis, i_ir, mask: MaskSemantics, text: TextSemantics,
                 alpha_override: Tensor | None = None) -> Tensor:
         """Fused image as a (3,H,W) tensor in (0,1); tracks gradients."""
-        i_vis = i_vis if isinstance(i_vis, Tensor) else Tensor(i_vis)
-        i_ir = i_ir if isinstance(i_ir, Tensor) else Tensor(i_ir)
         _, h, w = i_vis.shape
 
         _stage.name = "encode-streams"
-        if self.variant == "no-mgca":
-            bundle = encode_streams(i_vis, i_ir, mask, self.vis_encoder,
-                                    self.ir_encoder, streams="global")
-            _stage.name = "cross-reconstruct"
-            bundle = reconstruct_unmasked(bundle, self.mgca)
-        else:
-            only = "masked" if self.variant == "no-gaf" else "all"
-            bundle = encode_streams(i_vis, i_ir, mask, self.vis_encoder,
-                                    self.ir_encoder, streams=only)
-            _stage.name = "cross-reconstruct"
-            bundle = cross_reconstruct(bundle, self.mgca)
+        streams = {"no-mgca": "global", "no-gaf": "masked"}.get(self.variant, "all")
+        bundle = encode_streams(i_vis, i_ir, mask, self.vis_encoder, self.ir_encoder,
+                                streams=streams)
+        _stage.name = "cross-reconstruct"
+        reconstruct = reconstruct_unmasked if self.variant == "no-mgca" else cross_reconstruct
+        bundle = reconstruct(bundle, self.mgca)
 
         _stage.name = "token-fusion"
         tokens = self._fuse_tokens(bundle, text, alpha_override)

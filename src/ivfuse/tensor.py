@@ -620,28 +620,26 @@ def _shift_free_values(q: np.ndarray, kt: np.ndarray, v: np.ndarray) -> np.ndarr
 
 
 def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, out: np.ndarray,
-            v1: np.ndarray | None, log_z: np.ndarray | None = None) -> np.ndarray:
+            v1: np.ndarray | None, log_z: np.ndarray | None = None) -> None:
     """One row chunk of ``attention``: ``softmax(q @ kt) @ v`` into ``out``.
 
     ``v1`` is ``_shift_free_values`` of the whole call. On the shift-free
     branch the ones column makes the second GEMM return the row sums s too,
     and the divide falls on the N x d_v output; otherwise the chain's
     max-shifted softmax runs after a finite check. ``log_z`` (N x 1), when
-    given, receives each row's log-sum-exp for the backward. Returns the
-    chunk's score buffer.
+    given, receives each row's log-sum-exp for the backward.
     """
     p = q @ kt
     if v1 is None:
         _check_finite(p, "attention")
         np.matmul(_softmax(p, out=p, log_z=log_z), v, out=out)
-        return p
+        return
     np.exp(p, out=p)
     ev = p @ v1
     s = ev[..., -1:]
     np.divide(ev[..., :-1], s, out=out)
     if log_z is not None:
         np.log(s, out=log_z)
-    return p
 
 
 def _chunk_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -101,6 +101,7 @@ class TrainResult:
     history: list[dict]
     final_loss: float
     steps: int
+    model: FusionModel
 
 
 @dataclass(frozen=True)
@@ -118,14 +119,14 @@ def load_resume(path) -> Resume:
 
 
 def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
-          resume_from=None) -> TrainResult:
+          resume_from: Resume | None = None) -> TrainResult:
     """Run the optimization loop and write checkpoints plus a loss history.
 
     ``semantics`` maps pair_id -> (MaskSemantics, TextSemantics), precomputed
     (the semantic generator caches them); crops slice the pair's mask, which
-    must have the pair's size. ``resume_from`` is a checkpoint path or its
+    must have the pair's size. ``resume_from`` is a checkpoint's
     ``load_resume``, whose model is trained in place; a checkpoint of another
-    model raises ``ValueError``.
+    model raises ``ValueError``. The result carries the trained model.
     """
     if not pairs:
         raise ValueError("train: empty dataset")
@@ -140,8 +141,6 @@ def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
         model = FusionModel(config.model, variant=config.variant, seed=config.seed)
         start_step, last_good = 0, None
     else:
-        if not isinstance(resume_from, Resume):
-            resume_from = load_resume(resume_from)
         model, start_step, last_good = resume_from.model, resume_from.step, resume_from.path
         differ = checkpoint_mismatch(model, config.model, config.variant)
         if differ:
@@ -212,8 +211,8 @@ def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
                 write_checkpoint(path, step)
                 last_good = path
     write_checkpoint(final_path, total_steps)
-    return TrainResult(final_path, history, history[-1]["total"] if history else float("nan"),
-                       total_steps - start_step)
+    final_loss = history[-1]["total"] if history else float("nan")
+    return TrainResult(final_path, history, final_loss, total_steps - start_step, model)
 
 
 def _model_from(meta: dict[str, str], states) -> FusionModel:

@@ -113,18 +113,18 @@ CHUNK_ROWS = 4
 
 
 def score_sizes(monkeypatch, nkv, budget=None):
-    """Wrap T._attend: record the size of each score chunk the attention op
-    builds (N_kv columns each), and check it against ``budget`` when one is
-    given."""
+    """Wrap T._attend: record the size of each score chunk q @ kt the
+    attention op builds (N_kv columns each), and check it against ``budget``
+    when one is given."""
     sizes = []
     real = T._attend
 
-    def wrapped(*args, **kwargs):
-        p = real(*args, **kwargs)
-        assert p.shape[-1] == nkv
-        sizes.append(p.nbytes)
-        assert budget is None or p.nbytes <= budget
-        return p
+    def wrapped(q, kt, *args, **kwargs):
+        real(q, kt, *args, **kwargs)
+        assert kt.shape[-1] == nkv
+        chunk = np.broadcast_shapes(q.shape[:-2], kt.shape[:-2]) + (q.shape[-2], nkv)
+        sizes.append(8 * int(np.prod(chunk)))
+        assert budget is None or sizes[-1] <= budget
 
     monkeypatch.setattr(T, "_attend", wrapped)
     return sizes
@@ -219,6 +219,18 @@ def test_attention_tape_keeps_no_score_array(rng, batch):
     assert square() == []
     np.testing.assert_allclose(ca.attention_weights(q, kv).sum(axis=-1),
                                np.ones(batch + (2, nq)), atol=1e-12)
+
+
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_attention_tape_keeps_one_head_layout_kv_array(rng, batch):
+    """The keys go to (..., h, d_h, N_kv) in one transpose, so the tape keeps
+    one (..., h, N_kv, d_h) array, the heads of v, and no such copy of k."""
+    nq, nkv, heads = 5, 7, 2
+    ca = make_ca(6, 6, 6, 6, heads)
+    q = Tensor(rng.standard_normal(batch + (nq, 6)), requires_grad=True)
+    kv = Tensor(rng.standard_normal(batch + (nkv, 6)))
+    kept = [a for a in retained_arrays(ca(q, kv)) if a.shape == batch + (heads, nkv, 3)]
+    assert len(kept) == 1
 
 
 def make_block(dim=6, heads=2, seed=3):

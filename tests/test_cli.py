@@ -314,6 +314,16 @@ def test_usage_errors_exit_one(dataset, capsys):
                  "--jobs", "0"]) == 1
     assert main(["eval", "--config", str(cfg), "--fused", str(root / "vis"),
                  "--in", str(root), "--out", str(tmp / "r")]) == 1  # eval reads no config
+    # eval takes its sources from --in or from --vis and --ir, never a mix
+    capsys.readouterr()
+    for sources in (["--in", str(root), "--vis", str(root / "vis")],
+                    ["--in", str(root), "--ir", str(root / "ir")],
+                    ["--in", str(root), "--vis", str(root / "vis"), "--ir", str(root / "ir")],
+                    ["--vis", str(root / "vis")], ["--ir", str(root / "ir")]):
+        assert main(["eval", "--fused", str(root / "vis"), "--out", str(tmp / "r")]
+                    + sources) == 1, sources
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, sources
     # every config rule is checked when the config loads, for every command
     capsys.readouterr()
     for i, line in enumerate([b"heads = 0", b"patch = 0", b"lr_schedule = bogus",

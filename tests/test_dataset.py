@@ -48,10 +48,18 @@ def test_generate_and_load_round_trip(tmp_path):
 
 
 def test_missing_ir_counterpart_rejected(tmp_path, rng):
+    """A visible image without an infrared one, and a stray infrared image
+    beside two real pairs."""
     (tmp_path / "vis").mkdir()
     (tmp_path / "ir").mkdir()
     save_image(rng.random((3, 8, 8)), tmp_path / "vis" / "a.png")
-    with pytest.raises(DatasetError, match="counterpart"):
+    with pytest.raises(DatasetError, match="infrared counterpart"):
+        load_pairs(tmp_path)
+    save_image(rng.random((1, 8, 8)), tmp_path / "ir" / "a.png")
+    for stem in ("b", "stray"):
+        save_image(rng.random((1, 8, 8)), tmp_path / "ir" / f"{stem}.png")
+    save_image(rng.random((3, 8, 8)), tmp_path / "vis" / "b.png")
+    with pytest.raises(DatasetError, match=r"visible counterpart: \['stray'\]"):
         load_pairs(tmp_path)
 
 
@@ -152,3 +160,50 @@ def test_malformed_shipped_semantics_rejected_naming_the_file(tmp_path, capsys, 
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(path) in err and "Traceback" not in err
+
+
+MALFORMED_FIXTURES = {
+    "a-directory": (None, None),
+    "not-json": (b'{"captions": ', None),
+    "not-utf8": (b'{"captions": {"pair0000": "a \xff car"}}', None),
+    "not-an-object": (b"[1, 2]", None),
+    "unknown-key": (b'{"region": {}}', "region"),
+    "captions-not-an-object": (b'{"captions": ["a car"]}', "captions"),
+    "caption-not-a-string": (b'{"captions": {"pair0000": 3}}', "captions"),
+    "regions-not-an-object": (b'{"regions": [[1, 2, 3, 4]]}', "regions"),
+    "region-of-two-values": (b'{"regions": {"car": [1, 2]}}', "regions"),
+    "region-with-a-float": (b'{"regions": {"car": [1, 2, 3, 4.5]}}', "regions"),
+    "region-with-a-bool": (b'{"regions": {"car": [1, 2, 3, true]}}', "regions"),
+    "region-negative": (b'{"regions": {"car": [-2, 0, 4, 4]}}', "regions"),
+    "amplitude-string": (b'{"amplitude": "1"}', "amplitude"),
+    "amplitude-nan": (b'{"amplitude": NaN}', "amplitude"),
+    "amplitude-beyond-float": (b'{"amplitude": 1' + b"0" * 400 + b"}", "amplitude"),
+    "vocabulary-string": (b'{"vocabulary": "car"}', "vocabulary"),
+    "vocabulary-with-a-number": (b'{"vocabulary": ["car", 1]}', "vocabulary"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FIXTURES))
+def test_malformed_fixture_file_rejected_naming_file_and_key(tmp_path, capsys, case):
+    from ivfuse.cli import main
+
+    root = tmp_path / "data"
+    generate_dataset(root, 1, (16, 16), seed=5)
+    payload, key = MALFORMED_FIXTURES[case]
+    path = root / "fixtures.json"
+    if payload is None:
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_bytes(payload)
+    with pytest.raises(DatasetError, match=re.escape(str(path))) as err:
+        FixtureBundle.load(path)
+    assert key is None or key in str(err.value)
+    cfg = tmp_path / "run.cfg"
+    assert main(["init-config", "--out", str(cfg)]) == 0
+    capsys.readouterr()
+    for command in ("mask", "fuse"):
+        assert main([command, "--config", str(cfg), "--in", str(root),
+                     "--out", str(tmp_path / command)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err and "Traceback" not in err

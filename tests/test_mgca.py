@@ -4,7 +4,7 @@ import pytest
 from ivfuse import rng as ivrng
 from ivfuse.blocks import Encoder
 from ivfuse.mgca import (FeatureBundle, MaskGuidedAttention, cross_reconstruct,
-                         decompose, encode_streams, reconstruct_unmasked)
+                         encode_streams, reconstruct_unmasked)
 from ivfuse.sig import MaskSemantics
 from ivfuse.tensor import ShapeError, Tensor
 
@@ -29,29 +29,49 @@ def ca_raw_params(ca):
             ca.heads)
 
 
-def test_decompose_full_and_empty_mask(rng):
-    img = rng.random((3, 6, 6))
-    ones = MaskSemantics(np.ones((6, 6)))
-    fg, bg = decompose(Tensor(img), ones)
-    np.testing.assert_array_equal(fg.data, img)
-    np.testing.assert_array_equal(bg.data, np.zeros_like(img))
-    zeros = MaskSemantics(np.zeros((6, 6)))
-    fg, bg = decompose(Tensor(img), zeros)
-    np.testing.assert_array_equal(fg.data, np.zeros_like(img))
-    np.testing.assert_array_equal(bg.data, img)
+class Recording:
+    """An encoder stand-in that keeps a copy of every batch it is given."""
+
+    def __init__(self, encoder):
+        self.encoder, self.patch_embed, self.batches = encoder, encoder.patch_embed, []
+
+    def __call__(self, x):
+        self.batches.append(x.data.copy())
+        return self.encoder(x)
 
 
-def test_decompose_partition_identity_bit_exact(rng):
+def stream_inputs(i_vis, i_ir, mask, streams="all"):
+    vis, ir = (Recording(e) for e in small_encoders())
+    encode_streams(Tensor(i_vis), Tensor(i_ir), mask, vis, ir, streams=streams)
+    return vis.batches[0], ir.batches[0]
+
+
+def test_encode_streams_full_and_empty_mask(rng):
+    img, ir = rng.random((3, 6, 6)), rng.random((1, 6, 6))
+    for m, fg, bg in ((np.ones((6, 6)), 1.0, 0.0), (np.zeros((6, 6)), 0.0, 1.0)):
+        for batch, x in zip(stream_inputs(img, ir, MaskSemantics(m)), (img, ir), strict=True):
+            np.testing.assert_array_equal(batch, np.stack((x, fg * x, bg * x)))
+
+
+def test_encode_streams_inputs_partition_image_bit_exact(rng):
+    """Each encoder gets (I, I*M, I*(1-M)) bit for bit, trimmed by ``streams``;
+    the masked pair sums back to I."""
     for _ in range(10):
-        img = rng.random((3, 5, 7))
-        mask = random_mask(rng, 5, 7)
-        fg, bg = decompose(Tensor(img), mask)
-        np.testing.assert_array_equal(fg.data + bg.data, img)
+        img, ir = rng.random((3, 6, 8)), rng.random((1, 6, 8))
+        mask = random_mask(rng, 6, 8)
+        trimmed = {s: stream_inputs(img, ir, mask, s) for s in ("global", "masked")}
+        for i, (batch, x) in enumerate(zip(stream_inputs(img, ir, mask), (img, ir))):
+            np.testing.assert_array_equal(batch, np.stack((x, x * mask.m, x * mask.m_bar)))
+            np.testing.assert_array_equal(batch[1] + batch[2], x)
+            np.testing.assert_array_equal(trimmed["global"][i], batch[:1])
+            np.testing.assert_array_equal(trimmed["masked"][i], batch[1:])
 
 
-def test_decompose_shape_mismatch(rng):
-    with pytest.raises(ShapeError, match="decompose"):
-        decompose(Tensor(rng.random((3, 4, 4))), MaskSemantics(np.ones((5, 5))))
+def test_encode_streams_shape_mismatch(rng):
+    vis, ir = small_encoders()
+    with pytest.raises(ShapeError, match="encode_streams"):
+        encode_streams(Tensor(rng.random((3, 4, 4))), Tensor(rng.random((1, 4, 4))),
+                       MaskSemantics(np.ones((6, 6))), vis, ir)
 
 
 def test_full_mask_collapses_streams(rng):

@@ -191,7 +191,7 @@ def test_stage_error_is_per_thread(rng, monkeypatch):
             b_encoding.set()
             a_decoding.wait(timeout=30)
             # fuse checks the mask's shape, so B's wrong one is passed in here,
-            # where decompose rejects it
+            # where encode_streams rejects it
             mask = MaskSemantics(np.ones((5, 5)))
         return real_encode(i_vis, i_ir, mask, *args, **kwargs)
 

@@ -18,7 +18,7 @@ from ivfuse.rng import derive
 from ivfuse.sig import MaskSemantics, TextSemantics
 from ivfuse.tensor import Tensor
 from ivfuse.training import (HISTORY_HEADER, TrainConfig, TrainingDiverged,
-                             load_model, sample_crop, train)
+                             load_model, load_resume, sample_crop, train)
 
 TINY_MODEL = ModelConfig(patch=2, dim=8, heads=2, text_dim=6, depth=1, base_grid=(8, 8))
 # the checkpoint metadata ``train`` writes for TINY_MODEL at seed 3
@@ -158,7 +158,8 @@ def test_resume_equals_uninterrupted(tmp_path, rng):
     train(part_cfg, pairs, semantics, tmp_path / "part")
     mid = tmp_path / "part" / "checkpoint_step3.ckpt"
     assert mid.exists()
-    resumed = train(part_cfg, pairs, semantics, tmp_path / "resumed", resume_from=mid)
+    resumed = train(part_cfg, pairs, semantics, tmp_path / "resumed",
+                    resume_from=load_resume(mid))
     assert resumed.steps == 3
 
     _, full_states = load_checkpoint(full.checkpoint_path)
@@ -179,6 +180,8 @@ def test_variant_checkpoint_header_and_load_model(tmp_path, rng):
     model = load_model(result.checkpoint_path)
     assert model.config == TINY_MODEL
     assert model.variant == "no-gaf"
+    for a, b in zip(result.model.parameters(), model.parameters(), strict=True):
+        assert a.name == b.name and np.array_equal(a.data, b.data)
 
 
 def test_checkpoint_without_model_keys_loads_as_default(tmp_path):
@@ -241,7 +244,7 @@ def test_resume_with_a_different_model_raises_before_any_step(tmp_path, rng, mon
     monkeypatch.setattr(training, "adamw_step", lambda params, lr: steps.append(lr))
     with pytest.raises(ValueError, match=rf"differs from the config in {name} \(checkpoint"):
         train(tiny_config(epochs=2, **change), pairs, semantics, tmp_path / "b",
-              resume_from=first.checkpoint_path)
+              resume_from=load_resume(first.checkpoint_path))
     assert steps == []
 
 
