@@ -66,7 +66,9 @@ def _decode_meta(blob: bytes) -> dict[str, str]:
     if not blob:
         return meta
     for line in _utf8(blob, "metadata").split("\n"):
-        k, _, v = line.partition("=")
+        k, sep, v = line.partition("=")
+        if not sep or k in meta:
+            raise CheckpointError(f"checkpoint metadata line {line!r} is not key=value, new key")
         meta[k] = v
     return meta
 

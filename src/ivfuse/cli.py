@@ -158,7 +158,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     semantics = _semantics(config, args.dataset, pairs, out_dir / "cache")
     result = train(config.train, pairs, semantics, out_dir, resume_from=resume)
-    print(f"trained {result.steps} steps, final loss {result.final_loss:.6f}; "
+    print(f"trained {len(result.history)} steps, final loss {result.final_loss:.6f}; "
           f"checkpoint {result.checkpoint_path}")
     return 0
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import correlate, gaussian_filter
 
-from .dataset import stem_index
+from .dataset import DatasetError, stem_index
 from .imgio import load_image
 
 
@@ -274,6 +274,8 @@ def evaluate_dataset(fused_dir, vis_dir, ir_dir) -> MetricReport:
     """Per-image metrics plus means over matching filename stems."""
     fused_map, vis_map, ir_map = stem_index(fused_dir), stem_index(vis_dir), stem_index(ir_dir)
     shared = sorted(set(fused_map) & set(vis_map) & set(ir_map))
+    if not shared:
+        raise DatasetError(f"no fused image in {fused_dir} matches a pair in {vis_dir}, {ir_dir}")
     missing = sorted((set(fused_map) | set(vis_map) | set(ir_map)) - set(shared))
     report = MetricReport(missing=missing)
     for stem in shared:

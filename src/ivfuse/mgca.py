@@ -42,9 +42,11 @@ def encode_streams(i_vis: Tensor, i_ir: Tensor, mask: MaskSemantics,
     Each modality's inputs are one product of its image with the stacked
     weight maps (1, M, 1 - M), run as a single batched encoder call.
     ``streams`` trims work for ablations: "all", "global" (skip the masked
-    passes), or "masked" (skip the global passes). A mask of another size
-    than the image raises ``ShapeError``.
+    passes), or "masked" (skip the global passes); any other is a ValueError.
+    A mask of another size than the image raises ``ShapeError``.
     """
+    if streams not in ("all", "global", "masked"):
+        raise ValueError(f"encode_streams: unknown streams {streams!r}")
     p = vis_encoder.patch_embed.patch
     _, h, w = i_vis.shape
     if mask.m.shape != (h, w):

@@ -57,10 +57,8 @@ class LookupCaptioner:
 
     def __init__(self, captions: Mapping[str, str]):
         self.captions = dict(captions)
-        self.calls = 0
 
     def caption(self, image: np.ndarray) -> str:
-        self.calls += 1
         key = image_content_hash(image)
         if key not in self.captions:
             raise KeyError(f"no caption configured for image {key[:12]}")

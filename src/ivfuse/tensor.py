@@ -179,9 +179,7 @@ class Tensor:
         """
         if self.data.size != 1:
             raise GraphError(f"backward: tensor has {self.data.size} elements, expected a scalar")
-        if self._op == "freed":
-            raise GraphError("backward: graph already freed by a previous backward")
-        if self._vjp is None and not self.requires_grad:
+        if not self.requires_grad:
             raise GraphError("backward: no retained computation graph")
 
         topo: list[Tensor] = []
@@ -194,10 +192,12 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._op == "freed":
+                raise GraphError("backward: graph already freed by a previous backward")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen and (p._vjp is not None or p.requires_grad):
+                if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
 
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
@@ -210,16 +210,15 @@ class Tensor:
                 continue
             if node._vjp is not None:
                 for parent, pg in zip(node._parents, node._vjp(g)):
-                    if pg is None or not (parent._vjp is not None or parent.requires_grad):
+                    if pg is None or not parent.requires_grad:
                         continue
                     acc = grads.get(id(parent))
                     grads[id(parent)] = pg if acc is None else acc + pg
                 node._vjp = None
                 node._parents = ()
                 node._op = "freed"
-            elif node.requires_grad:
+            else:
                 node.grad = g if node.grad is None else node.grad + g
-        self._op = "freed"
 
     # -- operator sugar ----------------------------------------------------
 

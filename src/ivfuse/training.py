@@ -23,7 +23,8 @@ from .rng import derive
 from .sig import MaskSemantics, TextSemantics
 from .tensor import NonFiniteError, Tensor
 
-HISTORY_HEADER = "step,l_ssim,l_grad,l_int,l_color,total"
+HISTORY_COLUMNS = ("step", "l_ssim", "l_grad", "l_int", "l_color", "total")
+HISTORY_HEADER = ",".join(HISTORY_COLUMNS)
 
 
 class TrainingDiverged(RuntimeError):
@@ -100,7 +101,6 @@ class TrainResult:
     checkpoint_path: str
     history: list[dict]
     final_loss: float
-    steps: int
     model: FusionModel
 
 
@@ -114,8 +114,7 @@ class Resume:
 
 
 def load_resume(path) -> Resume:
-    meta, states = load_checkpoint(path)
-    return Resume(path, _model_from(meta, states), int(meta.get("global_step", "0")))
+    return Resume(path, *_model_from(*load_checkpoint(path)))
 
 
 def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
@@ -154,30 +153,20 @@ def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
     history_path = os.path.join(out_dir, "loss_history.csv")
     final_path = os.path.join(out_dir, "model.ckpt")
 
-    def write_checkpoint(path, step):
-        meta = {"variant": config.variant, "global_step": str(step), "seed": str(config.seed)}
-        for f in fields(ModelConfig):
-            value = getattr(config.model, f.name)
-            meta[f.name] = ",".join(map(str, value)) if f.name == "base_grid" else str(value)
-        save_checkpoint(path, model.parameters(), meta=meta)
-
     history: list[dict] = []
     mode = "a" if start_step > 0 and os.path.exists(history_path) else "w"
     with open(history_path, mode, encoding="utf-8") as log:
         if mode == "w":
             log.write(HISTORY_HEADER + "\n")
-        step = start_step
-        while step < total_steps:
-            epoch = step // steps_per_epoch
-            batch_idx = step % steps_per_epoch
+        for step in range(start_step, total_steps):
+            epoch, batch_idx = divmod(step, steps_per_epoch)
             order = derive(config.seed, "order", epoch).permutation(n)
             members = order[batch_idx * config.batch_size:
                             (batch_idx + 1) * config.batch_size]
             try:
                 # backward per member frees its graph before the next is built;
                 # parameter grads accumulate across the calls
-                value = 0.0
-                part_sums = {"ssim": 0.0, "grad": 0.0, "int": 0.0, "color": 0.0}
+                row = dict.fromkeys(HISTORY_COLUMNS, 0.0) | {"step": step}
                 for dataset_idx in members:
                     pair = pairs[int(dataset_idx)]
                     mask, text = semantics[pair.pair_id]
@@ -190,42 +179,50 @@ def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
                     if not math.isfinite(member):
                         raise NonFiniteError(f"loss at step {step} is {member}")
                     scaled.backward()
-                    value += member
-                    for k in part_sums:
-                        part_sums[k] += parts[k] / len(members)
+                    row["total"] += member
+                    for key, part in parts.items():
+                        row["l_" + key] += part / len(members)
                 adamw_step(params, lr=_lr_at(config, step, total_steps))
                 zero_grads(params)
             except NonFiniteError:
                 raise TrainingDiverged(step, last_good)
-            record = {"step": step, "l_ssim": part_sums["ssim"],
-                      "l_grad": part_sums["grad"], "l_int": part_sums["int"],
-                      "l_color": part_sums["color"], "total": value}
-            history.append(record)
-            log.write("%d,%.10g,%.10g,%.10g,%.10g,%.10g\n" % (
-                step, record["l_ssim"], record["l_grad"], record["l_int"],
-                record["l_color"], record["total"]))
+            history.append(row)
+            log.write(",".join("%.10g" % row[c] for c in HISTORY_COLUMNS) + "\n")
             log.flush()
-            step += 1
-            if config.checkpoint_every and step % config.checkpoint_every == 0:
-                path = os.path.join(out_dir, f"checkpoint_step{step}.ckpt")
-                write_checkpoint(path, step)
-                last_good = path
-    write_checkpoint(final_path, total_steps)
-    final_loss = history[-1]["total"] if history else float("nan")
-    return TrainResult(final_path, history, final_loss, total_steps - start_step, model)
+            if config.checkpoint_every and (step + 1) % config.checkpoint_every == 0:
+                last_good = os.path.join(out_dir, f"checkpoint_step{step + 1}.ckpt")
+                _write_checkpoint(last_good, model, step + 1, config.seed)
+    _write_checkpoint(final_path, model, total_steps, config.seed)
+    return TrainResult(final_path, history, history[-1]["total"] if history else math.nan, model)
 
 
-def _model_from(meta: dict[str, str], states) -> FusionModel:
-    """The FusionModel a checkpoint's metadata describes, with its parameters
-    restored. A ModelConfig field absent from ``meta`` takes its default."""
+def _write_checkpoint(path, model: FusionModel, step: int, seed: int) -> None:
+    """Save ``model`` under the header ``_model_from`` reads: variant,
+    global_step, seed, then each ModelConfig field (a tuple comma-separated)."""
+    meta = {"variant": model.variant, "global_step": str(step), "seed": str(seed)}
+    for f in fields(ModelConfig):
+        value = getattr(model.config, f.name)
+        meta[f.name] = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    save_checkpoint(path, model.parameters(), meta=meta)
+
+
+def _model_from(meta: dict[str, str], states) -> tuple[FusionModel, int]:
+    """The FusionModel a checkpoint's header describes, with its parameters
+    restored, and the step it was written at. A ModelConfig field absent
+    from ``meta`` takes its default; every integer is ASCII decimal."""
+    def decimal(name, raw):
+        if not (raw.isascii() and raw.isdigit()):
+            raise ValueError(f"{name} is not decimal: {raw!r}")
+        return int(raw)
+
     values = {}
     try:
-        for name in (f.name for f in fields(ModelConfig) if f.name in meta):
-            raw = meta[name]
-            parts = raw.split(",") if name == "base_grid" else [raw]
-            if not all(part.isascii() and part.isdigit() for part in parts):
-                raise ValueError(f"{name} is not decimal: {raw!r}")
-            values[name] = tuple(map(int, parts)) if name == "base_grid" else int(raw)
+        for f in fields(ModelConfig):
+            if f.name in meta:
+                raw = meta[f.name]
+                values[f.name] = (tuple(decimal(f.name, part) for part in raw.split(","))
+                                  if isinstance(f.default, tuple) else decimal(f.name, raw))
+        step = decimal("global_step", meta.get("global_step", "0"))
         config, variant = ModelConfig(**values), meta.get("variant", "full")
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
@@ -235,7 +232,7 @@ def _model_from(meta: dict[str, str], states) -> FusionModel:
     except ValueError as e:
         raise CheckpointError(f"checkpoint metadata: {e}") from e
     restore_parameters(model.parameters(), states)
-    return model
+    return model, step
 
 
 def _check_shapes(c: ModelConfig, variant: str, states) -> None:
@@ -267,4 +264,4 @@ def checkpoint_mismatch(model: FusionModel, config: ModelConfig, variant: str) -
 def load_model(checkpoint_path) -> FusionModel:
     """Rebuild the FusionModel a checkpoint holds (config and variant from
     its metadata)."""
-    return _model_from(*load_checkpoint(checkpoint_path))
+    return _model_from(*load_checkpoint(checkpoint_path))[0]

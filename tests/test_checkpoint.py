@@ -94,6 +94,19 @@ def test_non_utf8_metadata_and_names_rejected(tmp_path):
             load_checkpoint(path)
 
 
+@pytest.mark.parametrize("blob, match", [
+    (b"dim=8\ndim=16", "'dim=16' is not key=value"),
+    (b"dim=8\ngarbage", "'garbage' is not key=value"),
+])
+def test_repeated_or_unsplittable_metadata_line_rejected(tmp_path, blob, match):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, [], meta={})
+    raw = path.read_bytes()
+    path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16:])
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
 def test_dims_whose_product_overflows_int64_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, [Parameter("w", np.zeros((1, 1, 1, 1)))], meta={})

@@ -324,6 +324,14 @@ def test_usage_errors_exit_one(dataset, capsys):
                     + sources) == 1, sources
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err, sources
+    # a --fused directory with no image matching a pair is rejected before --out is made
+    (tmp / "no_fused").mkdir()
+    for fused in (tmp / "missing_fused", tmp / "no_fused"):
+        out = tmp / f"r_{fused.name}"
+        assert main(["eval", "--fused", str(fused), "--in", str(root),
+                     "--out", str(out)]) == 1, fused
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(fused) in err and not out.exists(), fused
     # every config rule is checked when the config loads, for every command
     capsys.readouterr()
     for i, line in enumerate([b"heads = 0", b"patch = 0", b"lr_schedule = bogus",

@@ -74,6 +74,13 @@ def test_encode_streams_shape_mismatch(rng):
                        MaskSemantics(np.ones((6, 6))), vis, ir)
 
 
+def test_encode_streams_unknown_streams_value(rng):
+    vis, ir = small_encoders()
+    with pytest.raises(ValueError, match="'globl'"):
+        encode_streams(Tensor(rng.random((3, 4, 4))), Tensor(rng.random((1, 4, 4))),
+                       MaskSemantics(np.ones((4, 4))), vis, ir, streams="globl")
+
+
 def test_full_mask_collapses_streams(rng):
     vis, ir = small_encoders()
     i_vis = rng.random((3, 8, 8))

@@ -213,3 +213,10 @@ def test_backward_requires_scalar_and_graph(rng):
     loss.backward()
     with pytest.raises(GraphError, match="freed"):
         loss.backward()
+    # a new graph over a freed node raises too, before any grad changes
+    x = Tensor([1.0], requires_grad=True)
+    y = x * 2
+    T.reduce_sum(y).backward()
+    with pytest.raises(GraphError, match="freed"):
+        T.reduce_sum(y * 3).backward()
+    assert x.grad.tolist() == [2.0] and y.grad is None

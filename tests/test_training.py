@@ -135,7 +135,6 @@ def test_history_written_per_step(tmp_path, rng):
     assert len(result.history) == 4
     first = lines[1].split(",")
     assert first[0] == "0" and len(first) == 6
-    assert result.steps == 4
 
 
 def test_reproducible_history(tmp_path, rng):
@@ -160,7 +159,7 @@ def test_resume_equals_uninterrupted(tmp_path, rng):
     assert mid.exists()
     resumed = train(part_cfg, pairs, semantics, tmp_path / "resumed",
                     resume_from=load_resume(mid))
-    assert resumed.steps == 3
+    assert len(resumed.history) == 3
 
     _, full_states = load_checkpoint(full.checkpoint_path)
     _, resumed_states = load_checkpoint(resumed.checkpoint_path)
@@ -200,7 +199,8 @@ def test_checkpoint_without_model_keys_loads_as_default(tmp_path):
     ("dim", "8x"), ("dim", ""), ("dim", "-8"), ("dim", "8,8"), ("dim", " 8"),
     ("dim", "٨"), ("heads", "3"), ("heads", "0"), ("gate_kernel", "2"),
     ("base_grid", "8"), ("base_grid", "8,x"), ("base_grid", "8,8,8"),
-    ("variant", "bogus"),
+    ("variant", "bogus"), ("global_step", "-2"), ("global_step", "x"),
+    ("global_step", " 1"),
     # sizes the stored parameter shapes contradict
     ("patch", "4"), ("dim", "16"), ("depth", "2"), ("base_grid", "4,4"),
     ("gate_kernel", "5"), ("text_dim", "7"),
@@ -213,6 +213,8 @@ def test_malformed_model_metadata_raises_checkpoint_error(tmp_path, key, value):
     save_checkpoint(path, params, meta=dict(TINY_META, **{key: value}))
     with pytest.raises(CheckpointError, match=key):
         load_model(path)
+    with pytest.raises(CheckpointError, match=key):
+        load_resume(path)
 
 
 def test_oversized_metadata_fails_before_the_model_is_built(tmp_path):
