@@ -151,6 +151,13 @@ class FeedForward(Module):
         self.outer = Linear(hidden, dim, name=f"{name}.outer", rng=rng)
 
     def __call__(self, x: Tensor) -> Tensor:
+        """Without a tape a batch (B, N, dim) runs one stream at a time, since
+        the hidden layer is four times as wide as ``x``; the bits are the same."""
+        if x.ndim == 3 and not T.grad_enabled():
+            return T.concat([self._mlp(x[b:b + 1]) for b in range(x.shape[0])])
+        return self._mlp(x)
+
+    def _mlp(self, x: Tensor) -> Tensor:
         return self.outer(T.gelu(self.inner(x)))
 
 

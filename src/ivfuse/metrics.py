@@ -226,18 +226,20 @@ class MetricReport:
 
     @property
     def means(self) -> dict[str, float]:
+        """Per-metric means over the rows; a report without rows raises
+        ``DatasetError``."""
         if not self.rows:
-            return {k: float("nan") for k in METRIC_COLUMNS}
+            raise DatasetError("metric report has no rows to average")
         stacked = np.array([r.values() for r in self.rows])
         return dict(zip(METRIC_COLUMNS, stacked.mean(axis=0)))
 
     def to_csv(self, path) -> None:
+        means = self.means
         with open(path, "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f)
             writer.writerow(("pair",) + METRIC_COLUMNS)
             for row in self.rows:
                 writer.writerow((row.pair_id,) + tuple(f"{v:.6f}" for v in row.values()))
-            means = self.means
             writer.writerow(("mean",) + tuple(f"{means[c]:.6f}" for c in METRIC_COLUMNS))
 
     def per_source_csv(self, path) -> None:

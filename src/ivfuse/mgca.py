@@ -9,11 +9,13 @@ parameter sets, then summed per modality.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .blas import one_blas_thread
 from .blocks import CrossAttention, Module
 from .sig import MaskSemantics
 from .tensor import ShapeError, Tensor
@@ -40,7 +42,9 @@ def encode_streams(i_vis: Tensor, i_ir: Tensor, mask: MaskSemantics,
     """Run the shared per-modality encoders over global and masked inputs.
 
     Each modality's inputs are one product of its image with the stacked
-    weight maps (1, M, 1 - M), run as a single batched encoder call.
+    weight maps (1, M, 1 - M), run as a single batched encoder call. With a
+    tape the two encoders run one after the other; without one they run
+    side by side (see ``_encode_side_by_side``).
     ``streams`` trims work for ablations: "all", "global" (skip the masked
     passes), or "masked" (skip the global passes); any other is a ValueError.
     A mask of another size than the image raises ``ShapeError``.
@@ -55,14 +59,40 @@ def encode_streams(i_vis: Tensor, i_ir: Tensor, mask: MaskSemantics,
     first = 1 if streams == "masked" else 0
     last = 1 if streams == "global" else 3
     weights = Tensor(np.stack((np.ones((h, w)), mask.m, mask.m_bar))[first:last, None])
-    vis_out = vis_encoder(T.mul(i_vis, weights))
-    ir_out = ir_encoder(T.mul(i_ir, weights))
+    vis_in, ir_in = T.mul(i_vis, weights), T.mul(i_ir, weights)
+    if T.grad_enabled():
+        vis_out, ir_out = vis_encoder(vis_in), ir_encoder(ir_in)
+    else:
+        vis_out, ir_out = _encode_side_by_side(vis_encoder, vis_in, ir_encoder, ir_in)
     if first == 0:
         bundle.fv, bundle.fi = vis_out[0], ir_out[0]
     if last == 3:
         bundle.fv_m, bundle.fv_mbar = vis_out[1 - first], vis_out[2 - first]
         bundle.fi_m, bundle.fi_mbar = ir_out[1 - first], ir_out[2 - first]
     return bundle
+
+
+def _without_tape(encoder, x: Tensor) -> Tensor:
+    with T.no_grad():
+        return encoder(x)
+
+
+def _encode_side_by_side(vis_encoder, vis_in: Tensor, ir_encoder, ir_in: Tensor):
+    """(visible, infrared) encoder outputs, computed without a tape.
+
+    The two share nothing until MGCA, so the visible encoder runs on a helper
+    thread and the infrared one on this thread, with OpenBLAS held at one
+    thread; where it cannot be held they run one after the other. The thread
+    an encoder runs on does not change its bits. An error in either surfaces
+    here, after both have stopped.
+    """
+    with one_blas_thread() as held:
+        if not held:
+            return vis_encoder(vis_in), ir_encoder(ir_in)
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            vis = helper.submit(_without_tape, vis_encoder, vis_in)
+            ir_out = ir_encoder(ir_in)
+            return vis.result(), ir_out
 
 
 class MaskGuidedAttention(Module):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .blas import one_blas_thread
 from .blocks import Encoder, Module, PatchUnembed, TransformerBlock
 from .dataset import ImagePair
 from .mgca import (FeatureBundle, MaskGuidedAttention, cross_reconstruct,
@@ -149,9 +150,13 @@ def fuse(model: FusionModel, pair: ImagePair,
 
     ``semantics`` is the pair's (mask, text). Dimensions that are not
     multiples of the patch size are reflect-padded up front and the output
-    is cropped back. Pure given a frozen model, so concurrent calls over
-    different pairs are safe; parameters must not be mutated while any call
-    is in flight.
+    is cropped back. A call uses two threads, the visible encoder running on
+    a helper beside the infrared one, and holds OpenBLAS at one thread where
+    its thread count can be set (see ``ivfuse.blas``); its bits then do not
+    depend on the machine's core count.
+    Pure given a frozen model, so concurrent calls over different pairs are
+    safe, and the last one to finish restores OpenBLAS's thread count;
+    parameters must not be mutated while any call is in flight.
     """
     mask, text = semantics
     h, w = pair.height, pair.width
@@ -165,7 +170,10 @@ def fuse(model: FusionModel, pair: ImagePair,
     padded_mask = mask if (ph, pw) == (h, w) else MaskSemantics(reflect_pad(mask.m, ph, pw))
     _stage.name = "setup"
     try:
-        with T.no_grad():
+        # The hold spans the whole forward, not just the encoders: after a
+        # stage on two BLAS threads, OpenBLAS's idle worker spins for a while
+        # and takes a core from the next call's helper thread.
+        with T.no_grad(), one_blas_thread():
             out = model.forward(i_vis, i_ir, padded_mask, text)
     except Exception as e:
         raise StageError(

@@ -13,15 +13,19 @@ reach several parents). ``matmul``'s optional ``bias`` is added in the
 product's own buffer, so ``Linear`` is one node with one finite check.
 
 ``attention`` is one fused node for ``softmax(q @ kt) @ v``. Every call
-runs the queries in row chunks whose scores fit in ``_SCORE_BUDGET_BYTES``,
-with or without a tape. The tape keeps q, kt, v, the output and one
-log-sum-exp L per row (N_q values per lead slice), no N_q x N_kv array; the
-backward walks the same chunks and recomputes each chunk's probabilities as
-exp(q @ kt - L) (the FlashAttention backward). It takes the softmax's row
-term from the output (sum over d_v of dO * O) instead of from the
-probabilities, so gradients differ from the unfused chain's by rounding
-only. Each chunk takes one of two kernels, chosen once per call from an
-O(N d) bound on the operands:
+runs the queries in row chunks whose scores, over all lead slices, fit in
+``_SCORE_BUDGET_BYTES``, with or without a tape. Without a tape each lead
+slice (one stream and head) of a chunk runs as its own 2-D problem, so the
+score tile it builds is 1/prod(lead) of the budget and stays in the core's
+cache (the row tiling of FlashAttention, Dao et al., arXiv 2205.14135); its
+GEMMs keep the batched product's shapes, and so its bits. The tape keeps q,
+kt, v, the output and one log-sum-exp L per row (N_q values per lead
+slice), no N_q x N_kv array; the backward walks the same chunks and
+recomputes each chunk's probabilities as exp(q @ kt - L) (the FlashAttention
+backward). It takes the softmax's row term from the output (sum over d_v of
+dO * O) instead of from the probabilities, so gradients differ from the
+unfused chain's by rounding only. Each chunk takes one of two kernels,
+chosen once per call from an O(N d) bound on the operands:
 
 - shift-free, when the Cauchy-Schwarz bound max|q_i| * max|k_j| on every
   score is at most ``_SHIFT_FREE_BOUND`` and N_kv e^bound max|v| stays far
@@ -42,8 +46,10 @@ O(N d) bound on the operands:
 Concurrency: tensors are treated as immutable once built, so inference over
 a frozen parameter set is safe from many workers; anything that mutates
 parameters (optimizer steps, grad zeroing) needs exclusive access. No
-interior locking is provided. The attention backward's two scratch arrays
-are per thread, so backwards on different threads never share them.
+interior locking is provided. Grad mode is per thread (``no_grad``), so a
+thread that should run without a tape enters ``no_grad`` itself. The
+attention backward's two scratch arrays are per thread, so backwards on
+different threads never share them.
 """
 
 from __future__ import annotations
@@ -87,14 +93,15 @@ class GraphError(RuntimeError):
 _state = threading.local()
 
 
-def _grad_enabled() -> bool:
+def grad_enabled() -> bool:
+    """Whether this thread records tapes: each thread starts in grad mode."""
     return getattr(_state, "grad_enabled", True)
 
 
 @contextmanager
 def no_grad():
     """Disable tape recording inside the block (inference mode)."""
-    prev = _grad_enabled()
+    prev = grad_enabled()
     _state.grad_enabled = False
     try:
         yield
@@ -104,7 +111,7 @@ def no_grad():
 
 def _tracks(parents) -> bool:
     """Whether an op on ``parents`` records a tape node."""
-    return _grad_enabled() and any(p.requires_grad for p in parents)
+    return grad_enabled() and any(p.requires_grad for p in parents)
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -622,12 +629,27 @@ def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, out: np.ndarray,
             v1: np.ndarray | None, log_z: np.ndarray | None = None) -> None:
     """One row chunk of ``attention``: ``softmax(q @ kt) @ v`` into ``out``.
 
-    ``v1`` is ``_shift_free_values`` of the whole call. On the shift-free
-    branch the ones column makes the second GEMM return the row sums s too,
-    and the divide falls on the N x d_v output; otherwise the chain's
-    max-shifted softmax runs after a finite check. ``log_z`` (N x 1), when
-    given, receives each row's log-sum-exp for the backward.
+    The operands come broadcast to the lead dims of ``out``; ``v1`` is
+    ``_shift_free_values`` of the whole call. ``log_z`` (N x 1 per lead
+    slice) is given with a tape and receives each row's log-sum-exp for the
+    backward; then the chunk runs as one batched problem, which on the two
+    BLAS threads training runs with is faster than a loop over slices.
+    Without a tape each lead slice runs as its own 2-D problem (see the
+    module docstring).
     """
+    if log_z is not None:
+        _attend_block(q, kt, v, out, v1, log_z)
+        return
+    for i in np.ndindex(out.shape[:-2]):
+        _attend_block(q[i], kt[i], v[i], out[i], None if v1 is None else v1[i], None)
+
+
+def _attend_block(q: np.ndarray, kt: np.ndarray, v: np.ndarray, out: np.ndarray,
+                  v1: np.ndarray | None, log_z: np.ndarray | None) -> None:
+    """``_attend``'s kernel over whatever lead dims the operands share. On
+    the shift-free branch the ones column of ``v1`` makes the second GEMM
+    return the row sums s too, and the divide falls on the N x d_v output;
+    otherwise the chain's max-shifted softmax runs after a finite check."""
     p = q @ kt
     if v1 is None:
         _check_finite(p, "attention")
@@ -692,11 +714,13 @@ def _chunked_attention_vjp(g: np.ndarray, q: np.ndarray, kt: np.ndarray, v: np.n
 def attention(q: Tensor, kt: Tensor, v: Tensor) -> Tensor:
     """``softmax(q @ kt) @ v`` as one tape node; q (..., N_q, d), kt (..., d, N_kv).
 
-    Queries run in row chunks of at least one row whose scores fit in
-    ``_SCORE_BUDGET_BYTES``, on either branch (see the module docstring), with
-    or without a tape; every row takes its softmax over all keys. A NaN or
-    infinite score raises ``NonFiniteError`` naming ``attention``, zero keys
-    ``ShapeError``. The tape keeps q, kt, v, the output and the rows'
+    Queries run in row chunks of at least one row whose scores, over all
+    lead slices, fit in ``_SCORE_BUDGET_BYTES``, on either branch (see the
+    module docstring), with or without a tape; without one ``_attend`` runs
+    a chunk one lead slice at a time. Every row takes its softmax over all
+    keys. A
+    NaN or infinite score raises ``NonFiniteError`` naming ``attention``,
+    zero keys ``ShapeError``. The tape keeps q, kt, v, the output and the rows'
     log-sum-exp, and ``_chunked_attention_vjp`` walks the same chunks.
     """
     q, kt, v = _as_tensor(q), _as_tensor(kt), _as_tensor(v)
@@ -707,11 +731,13 @@ def attention(q: Tensor, kt: Tensor, v: Tensor) -> Tensor:
     lead = np.broadcast_shapes(q.shape[:-2], kt.shape[:-2], v.shape[:-2])
     nq, nkv = q.shape[-2], kt.shape[-1]
     v1 = _shift_free_values(q.data, kt.data, v.data)
+    qb, ktb, vb, v1b = (None if a is None else np.broadcast_to(a, lead + a.shape[-2:])
+                        for a in (q.data, kt.data, v.data, v1))
     out = np.empty(lead + (nq, v.shape[-1]))
     rows = max(1, _SCORE_BUDGET_BYTES // (8 * max(1, math.prod(lead) * nkv)))
     log_z = np.empty(lead + (nq, 1)) if _tracks((q, kt, v)) else None
     for r in range(0, nq, rows):
-        _attend(q.data[..., r:r + rows, :], kt.data, v.data, out[..., r:r + rows, :], v1,
+        _attend(qb[..., r:r + rows, :], ktb, vb, out[..., r:r + rows, :], v1b,
                 None if log_z is None else log_z[..., r:r + rows, :])
 
     def vjp(g):

@@ -367,6 +367,32 @@ def test_chunked_attention_matches_unfused_chain(q_lead, kv_lead, rng, monkeypat
         _assert_close(got, want)
 
 
+@pytest.mark.parametrize("scale", [1.0, 40.0])
+def test_attention_lead_slices_equal_batched_chunks_bitwise(scale, rng, monkeypatch):
+    """Each (stream, head) slice of a row chunk runs as its own 2-D problem,
+    yet over ragged chunks of 4 rows the output equals the same kernel run
+    on the whole batched chunk bit for bit, on the shift-free branch and
+    (scale 40) on the fallback, with kt and v broadcast over q's lead dims."""
+    lead, nq, d, nkv, dv = (2, 3), 13, 4, 9, 5
+    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * math.prod(lead) * nkv * 4)
+    q = rng.standard_normal(lead + (nq, d)) * scale
+    kt = rng.standard_normal((1, 3, d, nkv)) * scale
+    v = rng.standard_normal((1, 3, nkv, dv))
+    v1 = T._shift_free_values(q, kt, v)
+    assert (v1 is None) == (scale > 1.0)
+    want = np.empty(lead + (nq, dv))
+    for r in range(0, nq, 4):
+        p = q[..., r:r + 4, :] @ kt
+        if v1 is None:
+            want[..., r:r + 4, :] = T._softmax(p) @ v
+        else:
+            ev = np.exp(p) @ v1
+            want[..., r:r + 4, :] = ev[..., :-1] / ev[..., -1:]
+    with T.no_grad():
+        got = T.attention(Tensor(q), Tensor(kt), Tensor(v)).data
+    np.testing.assert_array_equal(got, want)
+
+
 def test_attention_backwards_on_many_threads_equal_serial_bitwise(rng, monkeypatch):
     """Each thread's backward has its own chunk buffers: four threads
     running chunked backwards at once give the serial gradients bit for

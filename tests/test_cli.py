@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from ivfuse import cli, sig, training
+from ivfuse import blas, cli, sig, training
 from ivfuse.cli import _semantics, main
 from ivfuse.config import load_config, parse_config_text
 from ivfuse.dataset import (FixtureBundle, generate_dataset, load_pairs,
@@ -64,6 +64,30 @@ def test_fuse_jobs_parallel_matches_serial(dataset):
                  "--jobs", "2"]) == 0
     for name in ("pair0000.png", "pair0001.png"):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_fuse_pool_holds_one_blas_thread_and_restores_it(dataset, monkeypatch, jobs):
+    """Every pair is fused on one OpenBLAS thread, and the count set before
+    the command (two here) is back afterwards."""
+    get, set_ = blas._controls() or pytest.skip("OpenBLAS's thread count cannot be set here")
+    root, cfg, tmp = dataset
+    seen, real_fuse = [], cli.fuse
+
+    def fuse(model, pair, semantics):
+        seen.append(get())
+        return real_fuse(model, pair, semantics)
+
+    monkeypatch.setattr(cli, "fuse", fuse)
+    before = get()
+    set_(2)
+    try:
+        assert main(["fuse", "--config", str(cfg), "--in", str(root), "--out", str(tmp / "f"),
+                     "--jobs", jobs]) == 0
+        assert seen == [1, 1]
+        assert get() == 2
+    finally:
+        set_(before)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

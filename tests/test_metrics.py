@@ -5,7 +5,7 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 from ivfuse import metrics
-from ivfuse.dataset import synth_pair
+from ivfuse.dataset import DatasetError, synth_pair
 from ivfuse.imgio import save_image
 from ivfuse.metrics import (METRIC_COLUMNS, MetricReport, entropy,
                             evaluate_dataset, evaluate_pair, qabf, scd,
@@ -236,6 +236,17 @@ def test_report_rows_sorted_and_means_averaged(tmp_path, rng):
     hand = np.array([report.rows[0].values(), report.rows[1].values()]).mean(axis=0)
     for col, val in zip(METRIC_COLUMNS, hand):
         assert abs(report.means[col] - val) < 1e-12
+
+
+def test_empty_report_means_raise_dataset_error(tmp_path):
+    """A report without rows has no means: ``means``, the CSV and the text
+    report raise ``DatasetError``, and no CSV is left behind."""
+    report = MetricReport()
+    for read in (lambda: report.means, lambda: report.to_csv(tmp_path / "r.csv"),
+                 report.to_text):
+        with pytest.raises(DatasetError, match="no rows"):
+            read()
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_unmatched_ids_listed_but_evaluation_continues(tmp_path, rng):

@@ -1,12 +1,15 @@
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from ivfuse import blas
 from ivfuse import model as model_module
 from ivfuse import tensor as T
+from ivfuse.blocks import Encoder
 from ivfuse.dataset import ImagePair, synth_pair
-from ivfuse.model import FusionModel, ModelConfig, StageError, fuse
+from ivfuse.model import VARIANTS, FusionModel, ModelConfig, StageError, fuse, reflect_pad
 from ivfuse.optim import zero_grads
 from ivfuse.sig import MaskSemantics, TextSemantics
 from ivfuse.tensor import Tensor
@@ -222,6 +225,148 @@ def test_stage_error_is_per_thread(rng, monkeypatch):
     assert "a" not in errors
     assert isinstance(errors["b"], StageError)
     assert "stage encode-streams" in str(errors["b"])
+
+
+# -- encoders side by side ----------------------------------------------------
+
+
+def blas_threads():
+    """OpenBLAS's thread count now; skips where it cannot be read."""
+    controls = blas._controls()
+    if controls is None:
+        pytest.skip("OpenBLAS's thread count cannot be read here")
+    return controls[0]()
+
+
+def record_encoders(monkeypatch, model):
+    """Wrap ``Encoder.__call__``: note which encoder ran, on which thread,
+    and whether it recorded a tape."""
+    calls = []
+    real = Encoder.__call__
+
+    def recording(self, image):
+        which = "vis" if self is model.vis_encoder else "ir"
+        calls.append((which, threading.current_thread() is threading.main_thread(),
+                      T.grad_enabled()))
+        return real(self, image)
+
+    monkeypatch.setattr(Encoder, "__call__", recording)
+    return calls
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fuse_equals_grad_mode_forward_bitwise(rng, monkeypatch, variant):
+    """On an odd-sized pair that needs reflect padding, with attention forced
+    into several row chunks, ``fuse`` (the visible encoder on a helper thread,
+    attention by lead slice, the FFN by stream) equals the clipped grad-mode
+    forward (both encoders on this thread, attention and the FFN batched) bit
+    for bit. Both
+    run on one BLAS thread, as ``fuse`` always does: OpenBLAS's own bits
+    depend on its thread count at some GEMM shapes."""
+    blas_threads()
+    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * 3 * 2 * 42 * 10)
+    model = FusionModel(SMALL, variant=variant, seed=21)
+    h, w = 13, 11
+    pair = make_pair(rng, h, w)
+    mask, text = semantics_for(rng, h, w)
+    calls = record_encoders(monkeypatch, model)
+    got = fuse(model, pair, (mask, text))
+    assert sorted(calls) == [("ir", True, False), ("vis", False, False)]
+    calls.clear()
+    with blas.one_blas_thread():
+        out = model.forward(reflect_pad(pair.i_vis, 14, 12), reflect_pad(pair.i_ir, 14, 12),
+                            MaskSemantics(reflect_pad(mask.m, 14, 12)), text)
+    assert calls == [("vis", True, True), ("ir", True, True)]
+    assert out.requires_grad
+    np.testing.assert_array_equal(got, np.clip(out.data[:, :h, :w], 0.0, 1.0))
+
+
+@pytest.mark.parametrize("failing", ["vis", "ir"])
+def test_encoder_error_names_encode_streams_and_restores_blas(rng, monkeypatch, failing):
+    """An error in the helper thread's visible encoder, or in the calling
+    thread's infrared one, surfaces as a ``StageError`` naming encode-streams,
+    and OpenBLAS's thread count is back at its value before the call."""
+    before = blas_threads()
+    model = FusionModel(SMALL, seed=22)
+    real = Encoder.__call__
+
+    def broken(self, image):
+        if self is (model.vis_encoder if failing == "vis" else model.ir_encoder):
+            raise RuntimeError(f"{failing} encoder broke")
+        return real(self, image)
+
+    monkeypatch.setattr(Encoder, "__call__", broken)
+    with pytest.raises(StageError, match=f"stage encode-streams .*: {failing} encoder broke"):
+        fuse(model, make_pair(rng), semantics_for(rng, 12, 12))
+    assert blas_threads() == before
+
+
+def test_fuse_without_blas_control_runs_sequentially_with_same_bits(rng, monkeypatch):
+    """Where OpenBLAS's thread count cannot be set, ``fuse`` runs both
+    encoders on the calling thread and gives the same bits. The test itself
+    sets one BLAS thread for that run, so only the encoders' threads differ."""
+    get, set_ = blas._controls() or pytest.skip("OpenBLAS's thread count cannot be set here")
+    model = FusionModel(SMALL, seed=23)
+    pair = make_pair(rng, 13, 11)
+    sem = semantics_for(rng, 13, 11)
+    calls = record_encoders(monkeypatch, model)
+    want = fuse(model, pair, sem)
+    assert sorted(calls) == [("ir", True, False), ("vis", False, False)]
+    calls.clear()
+    monkeypatch.setattr(blas, "_controls", lambda: None)
+    before = get()
+    set_(1)
+    try:
+        got = fuse(model, pair, sem)
+    finally:
+        set_(before)
+    assert calls == [("vis", True, False), ("ir", True, False)]
+    assert got.tobytes() == want.tobytes()
+
+
+def test_grad_mode_starts_no_thread_and_leaves_blas_alone(rng, monkeypatch):
+    """A grad-mode forward and backward start no thread and never read or
+    set OpenBLAS's thread count."""
+    touched = []
+    monkeypatch.setattr(blas, "_controls", lambda: touched.append("blas"))
+    real_start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: touched.append("thread") or real_start(self))
+    model = FusionModel(SMALL, seed=24)
+    mask, text = semantics_for(rng, 12, 12)
+    out = model.forward(rng.random((3, 12, 12)), rng.random((1, 12, 12)), mask, text)
+    T.reduce_sum(out).backward()
+    assert touched == []
+
+
+def test_concurrent_fuse_calls_restore_blas(rng):
+    """Overlapping ``fuse`` calls on six threads, switching often, each hold
+    one BLAS thread; each gives the serial image, and the last one out
+    restores the count, so a lost update to the hold count would show."""
+    before = blas_threads()
+    model = FusionModel(SMALL, seed=25)
+    pairs = [make_pair(rng, pair_id=f"p{i}") for i in range(6)]
+    sems = [semantics_for(rng, 12, 12) for _ in pairs]
+    serial = [fuse(model, p, s) for p, s in zip(pairs, sems)]
+    results = [None] * len(pairs)
+
+    def run(i):
+        for _ in range(3):
+            results[i] = fuse(model, pairs[i], sems[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(pairs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r is not None and r.tobytes() == s.tobytes() for r, s in zip(results, serial))
+    assert blas_threads() == before
 
 
 def test_variant_flag_validation():
