@@ -2,12 +2,14 @@
 
 numpy's wheel bundles OpenBLAS, which by default splits each call over
 every core. Where ivfuse keeps the cores busy itself (the two encoders of
-one ``fuse``, the pairs of ``fuse --jobs``), OpenBLAS's extra threads only
-spin-wait for a core. ``one_blas_thread`` sets the bundled library's thread
-count to one through its exported setter. Holds are counted under a lock,
-so they nest and overlap across threads: the first holder saves the count
-and the last one out restores it. Where the library or its symbols are
-missing, nothing is held and the block is told so.
+one ``fuse``), OpenBLAS's extra threads only spin-wait for a core.
+``one_blas_thread`` sets the bundled library's thread count to one through
+its exported setter; ``model.fuse`` is the one place that takes it, and
+``held`` tells code inside whether to start its helper thread. Holds are
+counted under a lock, so overlapping ``fuse`` calls (``fuse --jobs``) are
+safe: the first holder saves the count and the last one out restores it.
+Where the library or its symbols are missing, nothing is held and the block
+is told so.
 
 OpenBLAS rounds some GEMM shapes differently on one thread than on two (a
 (174, 16) @ (16, 500) product, for one), so results computed under a hold
@@ -47,6 +49,11 @@ def _controls():
         set_.argtypes, set_.restype = [ctypes.c_int], None
         return get, set_
     return None
+
+
+def held() -> bool:
+    """Whether some thread holds OpenBLAS at one thread now."""
+    return _holders > 0
 
 
 @contextmanager

@@ -152,7 +152,10 @@ class FeedForward(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         """Without a tape a batch (B, N, dim) runs one stream at a time, since
-        the hidden layer is four times as wide as ``x``; the bits are the same."""
+        the hidden layer is four times as wide as ``x``; the bits are the same.
+        With a tape the batch runs as one: split, each weight gradient would
+        be summed stream by stream and round differently, and the tape would
+        keep the concatenated copy too."""
         if x.ndim == 3 and not T.grad_enabled():
             return T.concat([self._mlp(x[b:b + 1]) for b in range(x.shape[0])])
         return self._mlp(x)

@@ -12,7 +12,6 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .blas import one_blas_thread
 from .config import ConfigError, RunConfig, default_config_text, load_config
 from .dataset import (DatasetError, generate_dataset, load_pairs,
                       semantic_generator_for)
@@ -112,12 +111,11 @@ def _check_checkpoint(model: FusionModel, path, config: RunConfig) -> None:
 def _fuse_to(model, pairs, semantics, out_dir: Path, jobs: int) -> int:
     """Fuse pairs on ``jobs`` threads, writing ``<pair>.png`` for each success.
 
-    OpenBLAS is held at one thread for the whole pool, as each ``fuse`` holds
-    it for its own forward: the cores go to the workers and their encoders.
+    Each ``fuse`` holds OpenBLAS at one thread for its own forward.
     A failed pair is reported and skipped; the exit code is 2 if any failed.
     """
     code = 0
-    with one_blas_thread(), ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = [(p.pair_id, pool.submit(fuse, model, p, semantics[p.pair_id]))
                    for p in pairs]
         for pair_id, future in futures:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from . import tensor as T
-from .blas import one_blas_thread
 from .blocks import CrossAttention, Module
 from .sig import MaskSemantics
 from .tensor import ShapeError, Tensor
@@ -43,8 +43,9 @@ def encode_streams(i_vis: Tensor, i_ir: Tensor, mask: MaskSemantics,
 
     Each modality's inputs are one product of its image with the stacked
     weight maps (1, M, 1 - M), run as a single batched encoder call. With a
-    tape the two encoders run one after the other; without one they run
-    side by side (see ``_encode_side_by_side``).
+    tape the two encoders run one after the other; without one, under the
+    BLAS hold ``fuse`` takes, they run side by side (see
+    ``_encode_side_by_side``).
     ``streams`` trims work for ablations: "all", "global" (skip the masked
     passes), or "masked" (skip the global passes); any other is a ValueError.
     A mask of another size than the image raises ``ShapeError``.
@@ -80,19 +81,19 @@ def _without_tape(encoder, x: Tensor) -> Tensor:
 def _encode_side_by_side(vis_encoder, vis_in: Tensor, ir_encoder, ir_in: Tensor):
     """(visible, infrared) encoder outputs, computed without a tape.
 
-    The two share nothing until MGCA, so the visible encoder runs on a helper
-    thread and the infrared one on this thread, with OpenBLAS held at one
-    thread; where it cannot be held they run one after the other. The thread
-    an encoder runs on does not change its bits. An error in either surfaces
+    The two share nothing until MGCA. While OpenBLAS is held at one thread
+    (``fuse`` holds it), the visible encoder runs on a helper thread and the
+    infrared one on this thread; otherwise they run one after the other, as
+    two BLAS threads per encoder would only wait for the cores. The thread an
+    encoder runs on does not change its bits. An error in either surfaces
     here, after both have stopped.
     """
-    with one_blas_thread() as held:
-        if not held:
-            return vis_encoder(vis_in), ir_encoder(ir_in)
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            vis = helper.submit(_without_tape, vis_encoder, vis_in)
-            ir_out = ir_encoder(ir_in)
-            return vis.result(), ir_out
+    if not blas.held():
+        return vis_encoder(vis_in), ir_encoder(ir_in)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        vis = helper.submit(_without_tape, vis_encoder, vis_in)
+        ir_out = ir_encoder(ir_in)
+        return vis.result(), ir_out
 
 
 class MaskGuidedAttention(Module):

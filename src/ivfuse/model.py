@@ -150,10 +150,10 @@ def fuse(model: FusionModel, pair: ImagePair,
 
     ``semantics`` is the pair's (mask, text). Dimensions that are not
     multiples of the patch size are reflect-padded up front and the output
-    is cropped back. A call uses two threads, the visible encoder running on
-    a helper beside the infrared one, and holds OpenBLAS at one thread where
-    its thread count can be set (see ``ivfuse.blas``); its bits then do not
-    depend on the machine's core count.
+    is cropped back. A call holds OpenBLAS at one thread where its thread
+    count can be set (see ``ivfuse.blas``), and then uses two threads, the
+    visible encoder running on a helper beside the infrared one; its bits do
+    not depend on the machine's core count.
     Pure given a frozen model, so concurrent calls over different pairs are
     safe, and the last one to finish restores OpenBLAS's thread count;
     parameters must not be mutated while any call is in flight.

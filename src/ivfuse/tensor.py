@@ -47,7 +47,9 @@ Concurrency: tensors are treated as immutable once built, so inference over
 a frozen parameter set is safe from many workers; anything that mutates
 parameters (optimizer steps, grad zeroing) needs exclusive access. No
 interior locking is provided. Grad mode is per thread (``no_grad``), so a
-thread that should run without a tape enters ``no_grad`` itself. The
+thread that should run without a tape enters ``no_grad`` itself, as the
+helper thread of ``model.fuse`` does: a ``fuse`` runs its two encoders on
+two threads under one OpenBLAS thread, and concurrent calls stay safe. The
 attention backward's two scratch arrays are per thread, so backwards on
 different threads never share them.
 """

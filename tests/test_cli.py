@@ -9,7 +9,7 @@ from ivfuse.config import load_config, parse_config_text
 from ivfuse.dataset import (FixtureBundle, generate_dataset, load_pairs,
                             semantic_generator_for)
 from ivfuse.imgio import load_image
-from ivfuse.model import StageError
+from ivfuse.model import FusionModel, StageError
 from ivfuse.providers import HashTextEncoder, LookupCaptioner
 from ivfuse.sig import MaskSemantics, TextDescription, embed_text, read_mask
 
@@ -67,18 +67,19 @@ def test_fuse_jobs_parallel_matches_serial(dataset):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_fuse_pool_holds_one_blas_thread_and_restores_it(dataset, monkeypatch, jobs):
-    """Every pair is fused on one OpenBLAS thread, and the count set before
-    the command (two here) is back afterwards."""
+def test_fuse_command_runs_each_forward_on_one_blas_thread_and_restores_it(dataset, monkeypatch,
+                                                                           jobs):
+    """Every pair's forward runs on one OpenBLAS thread, and the count set
+    before the command (two here) is back afterwards."""
     get, set_ = blas._controls() or pytest.skip("OpenBLAS's thread count cannot be set here")
     root, cfg, tmp = dataset
-    seen, real_fuse = [], cli.fuse
+    seen, real_forward = [], FusionModel.forward
 
-    def fuse(model, pair, semantics):
+    def forward(self, *args):
         seen.append(get())
-        return real_fuse(model, pair, semantics)
+        return real_forward(self, *args)
 
-    monkeypatch.setattr(cli, "fuse", fuse)
+    monkeypatch.setattr(FusionModel, "forward", forward)
     before = get()
     set_(2)
     try:

@@ -339,6 +339,18 @@ def test_grad_mode_starts_no_thread_and_leaves_blas_alone(rng, monkeypatch):
     assert touched == []
 
 
+def test_no_grad_forward_outside_fuse_runs_encoders_in_turn(rng, monkeypatch):
+    """Only ``fuse`` holds OpenBLAS at one thread; a no-tape forward without
+    that hold runs both encoders on the calling thread."""
+    model = FusionModel(SMALL, seed=26)
+    mask, text = semantics_for(rng, 12, 12)
+    calls = record_encoders(monkeypatch, model)
+    with T.no_grad():
+        model.forward(rng.random((3, 12, 12)), rng.random((1, 12, 12)), mask, text)
+    assert calls == [("vis", True, False), ("ir", True, False)]
+    assert not blas.held()
+
+
 def test_concurrent_fuse_calls_restore_blas(rng):
     """Overlapping ``fuse`` calls on six threads, switching often, each hold
     one BLAS thread; each gives the serial image, and the last one out
