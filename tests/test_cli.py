@@ -418,6 +418,19 @@ def test_inputs_never_mutated(dataset):
     assert sorted(p.name for p in root.iterdir()) == ["fixtures.json", "ir", "vis"]
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--pairs", "0"], "--pairs must be >= 1"), (["--pairs", "-1"], "--pairs must be >= 1"),
+    (["--size", "0"], "at least 6"), (["--size", "5"], "at least 6"),
+], ids=["pairs0", "pairs-1", "size0", "size5"])
+def test_synth_rejects_inputs_it_cannot_use(tmp_path, capsys, args, message):
+    """No pairs, or sides below six pixels, are usage errors that write no
+    image."""
+    out = tmp_path / "synthetic"
+    assert main(["synth", "--out", str(out), *args]) == cli.USAGE_EXIT
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_and_init_config(tmp_path, capsys):
     out = tmp_path / "synthetic"
     assert main(["synth", "--out", str(out), "--pairs", "2", "--size", "24"]) == 0

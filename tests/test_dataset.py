@@ -1,4 +1,5 @@
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from ivfuse.dataset import (DatasetError, FixtureBundle, ImagePair,
                             providers_from_fixtures, semantic_generator_for,
                             synth_pair)
 from ivfuse.imgio import save_image
+from ivfuse.metrics import evaluate_dataset
 from ivfuse.sig import MaskSettings, image_content_hash
 
 
@@ -34,6 +36,36 @@ def test_synth_pair_deterministic_and_in_range():
     hot = a_ir[0][a_rect.top:a_rect.top + a_rect.height,
                   a_rect.left:a_rect.left + a_rect.width]
     assert hot.mean() > a_ir.mean() + 0.3
+
+
+@pytest.mark.parametrize("size", [(6, 6), (6, 40), (40, 6), (7, 7), (8, 8)])
+def test_synth_pair_draws_a_finite_scene_down_to_six_pixels(size):
+    for seed in range(20):
+        vis, ir, rect = synth_pair(seed, size)
+        assert np.isfinite(vis).all() and np.isfinite(ir).all()
+        assert rect.height > 0 and rect.width > 0
+
+
+@pytest.mark.parametrize("size", [(5, 5), (5, 40), (40, 5), (0, 0)])
+def test_synth_sides_below_six_rejected(tmp_path, size):
+    with pytest.raises(DatasetError, match="at least 6"):
+        synth_pair(0, size)
+    with pytest.raises(DatasetError, match="at least 6"):
+        generate_dataset(tmp_path / "data", 1, size)
+    assert not (tmp_path / "data").exists()
+
+
+def test_directories_named_like_images_are_skipped(tmp_path):
+    """A directory ``x.png/`` beside the images is no pair and no fused
+    image: ``load_pairs`` and ``evaluate_dataset`` pass over it."""
+    generate_dataset(tmp_path, 1, (64, 64), seed=7)
+    (tmp_path / "fused").mkdir()
+    shutil.copy(tmp_path / "vis" / "pair0000.png", tmp_path / "fused")
+    for sub in ("vis", "ir", "fused"):
+        (tmp_path / sub / "x.png").mkdir()
+    assert [p.pair_id for p in load_pairs(tmp_path)] == ["pair0000"]
+    report = evaluate_dataset(tmp_path / "fused", tmp_path / "vis", tmp_path / "ir")
+    assert [r.pair_id for r in report.rows] == ["pair0000"] and report.missing == []
 
 
 def test_generate_and_load_round_trip(tmp_path):
