@@ -9,7 +9,6 @@ parameter sets, then summed per modality.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +41,12 @@ def encode_streams(i_vis: Tensor, i_ir: Tensor, mask: MaskSemantics,
     """Run the shared per-modality encoders over global and masked inputs.
 
     Each modality's inputs are one product of its image with the stacked
-    weight maps (1, M, 1 - M), run as a single batched encoder call. One
-    switch picks where the two calls run: without a tape and under the BLAS
-    hold ``fuse`` takes, side by side (``_encode_side_by_side``); otherwise
-    one after the other on this thread.
+    weight maps (1, M, 1 - M), run as a single batched encoder call. The
+    two calls are one ``T.lanes`` node, and one switch picks where they
+    run: while some thread holds OpenBLAS at one thread (``fuse`` and
+    ``train`` do), side by side in the forward and in the backward, the
+    visible encoder on a helper thread; otherwise one after the other on
+    this thread, with the same bits.
     ``streams`` trims work for ablations: "all", "global" (skip the masked
     passes), or "masked" (skip the global passes); any other is a ValueError.
     A mask of another size than the image raises ``ShapeError``.
@@ -61,35 +62,13 @@ def encode_streams(i_vis: Tensor, i_ir: Tensor, mask: MaskSemantics,
     last = 1 if streams == "global" else 3
     weights = Tensor(np.stack((np.ones((h, w)), mask.m, mask.m_bar))[first:last, None])
     vis_in, ir_in = T.mul(i_vis, weights), T.mul(i_ir, weights)
-    if not T.grad_enabled() and blas.held():
-        vis_out, ir_out = _encode_side_by_side(vis_encoder, vis_in, ir_encoder, ir_in)
-    else:
-        vis_out, ir_out = vis_encoder(vis_in), ir_encoder(ir_in)
+    out = T.lanes(vis_encoder, vis_in, ir_encoder, ir_in, side_by_side=blas.held())
     if first == 0:
-        bundle.fv, bundle.fi = vis_out[0], ir_out[0]
+        bundle.fv, bundle.fi = out[0, 0], out[1, 0]
     if last == 3:
-        bundle.fv_m, bundle.fv_mbar = vis_out[1 - first], vis_out[2 - first]
-        bundle.fi_m, bundle.fi_mbar = ir_out[1 - first], ir_out[2 - first]
+        bundle.fv_m, bundle.fv_mbar = out[0, 1 - first], out[0, 2 - first]
+        bundle.fi_m, bundle.fi_mbar = out[1, 1 - first], out[1, 2 - first]
     return bundle
-
-
-def _without_tape(encoder, x: Tensor) -> Tensor:
-    with T.no_grad():
-        return encoder(x)
-
-
-def _encode_side_by_side(vis_encoder, vis_in: Tensor, ir_encoder, ir_in: Tensor):
-    """(visible, infrared) encoder outputs without a tape: the visible
-    encoder runs on a helper thread, the infrared one on this thread.
-
-    The two share nothing until MGCA, and the thread an encoder runs on does
-    not change its bits. An error in either surfaces here, after both have
-    stopped.
-    """
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        vis = helper.submit(_without_tape, vis_encoder, vis_in)
-        ir_out = ir_encoder(ir_in)
-        return vis.result(), ir_out
 
 
 class MaskGuidedAttention(Module):

@@ -21,11 +21,13 @@ budget and stays in the core's cache (the row tiling of FlashAttention, Dao
 et al., arXiv 2205.14135); its GEMMs keep the batched product's shapes, and
 so its bits. The tape keeps q, kt, v, the output and one log-sum-exp L per
 row (N_q values per lead slice), no N_q x N_kv array; the backward walks
-the same chunks and recomputes each chunk's probabilities as
-exp(q @ kt - L) (the FlashAttention backward). It takes the softmax's row term from the output (sum over d_v of
-dO * O) instead of from the probabilities, so gradients differ from the
-unfused chain's by rounding only. Each chunk takes one of two kernels,
-chosen once per call from an O(N d) bound on the operands:
+chunks of half as many rows, so that its two score-sized scratch arrays
+together fit the budget too, and recomputes each chunk's probabilities as
+exp(q @ kt - L) (the FlashAttention backward). It takes the softmax's row
+term from the output (sum over d_v of dO * O) instead of from the
+probabilities, so gradients differ from the unfused chain's by rounding
+only. Each chunk takes one of two kernels, chosen once per call from an
+O(N d) bound on the operands:
 
 - shift-free, when the Cauchy-Schwarz bound max|q_i| * max|k_j| on every
   score is at most ``_SHIFT_FREE_BOUND`` and N_kv e^bound max|v| stays far
@@ -46,19 +48,20 @@ chosen once per call from an O(N d) bound on the operands:
 Concurrency: tensors are treated as immutable once built, so inference over
 a frozen parameter set is safe from many workers; anything that mutates
 parameters (optimizer steps, grad zeroing) needs exclusive access. No
-interior locking is provided. Grad mode is per thread (``no_grad``), so a
-thread that should run without a tape enters ``no_grad`` itself, as the
-helper thread of ``mgca.encode_streams`` does: a ``fuse`` runs its two
-encoders on two threads under one OpenBLAS thread, and concurrent calls stay
-safe. The
-attention backward's two scratch arrays are per thread, so backwards on
-different threads never share them.
+interior locking is provided. Grad mode is per thread (``no_grad``).
+``lanes`` runs two sub-graphs that share no leaf needing a gradient on two
+threads, the helper in the caller's grad mode, and its backward walks them
+on two threads too; each leaf's gradient is then written from one thread
+only. ``mgca.encode_streams`` runs the two encoders of ``fuse`` and of
+every training member this way. The attention backward's two scratch
+arrays are per thread, so backwards on different threads never share them.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -102,14 +105,18 @@ def grad_enabled() -> bool:
 
 
 @contextmanager
-def no_grad():
-    """Disable tape recording inside the block (inference mode)."""
+def _grad_mode(enabled: bool):
     prev = grad_enabled()
-    _state.grad_enabled = False
+    _state.grad_enabled = enabled
     try:
         yield
     finally:
         _state.grad_enabled = prev
+
+
+def no_grad():
+    """Disable tape recording inside the block (inference mode)."""
+    return _grad_mode(False)
 
 
 def _tracks(parents) -> bool:
@@ -138,10 +145,12 @@ class Tensor:
     # -- construction of op results ------------------------------------
 
     @staticmethod
-    def _result(op: str, data: np.ndarray, parents, vjp, check: bool = True):
+    def _result(op: str, data: np.ndarray, parents, vjp, check: bool = True,
+                track: bool | None = None):
         if check:
             _check_finite(data, op)
-        track = _tracks(parents)
+        if track is None:
+            track = _tracks(parents)
         out = Tensor.__new__(Tensor)
         out.data = data
         out.requires_grad = track
@@ -191,44 +200,7 @@ class Tensor:
             raise GraphError(f"backward: tensor has {self.data.size} elements, expected a scalar")
         if not self.requires_grad:
             raise GraphError("backward: no retained computation graph")
-
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            if node._op == "freed":
-                raise GraphError("backward: graph already freed by a previous backward")
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen and p.requires_grad:
-                    stack.append((p, False))
-
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        while topo:
-            # popping drops the walk's reference, so a node's output is freed
-            # once the VJPs of its children have run
-            node = topo.pop()
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node._vjp is not None:
-                for parent, pg in zip(node._parents, node._vjp(g)):
-                    if pg is None or not parent.requires_grad:
-                        continue
-                    acc = grads.get(id(parent))
-                    grads[id(parent)] = pg if acc is None else acc + pg
-                node._vjp = None
-                node._parents = ()
-                node._op = "freed"
-            else:
-                node.grad = g if node.grad is None else node.grad + g
+        _walk(self, np.ones_like(self.data))
 
     # -- operator sugar ----------------------------------------------------
 
@@ -249,6 +221,47 @@ class Tensor:
 
     def __getitem__(self, key):
         return slice_(self, key)
+
+
+def _walk(root: Tensor, seed: np.ndarray) -> None:
+    """``backward`` from ``root`` with gradient ``seed``, which has its shape."""
+    topo: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        if node._op == "freed":
+            raise GraphError("backward: graph already freed by a previous backward")
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen and p.requires_grad:
+                stack.append((p, False))
+
+    grads: dict[int, np.ndarray] = {id(root): seed}
+    while topo:
+        # popping drops the walk's reference, so a node's output is freed
+        # once the VJPs of its children have run
+        node = topo.pop()
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node._vjp is not None:
+            for parent, pg in zip(node._parents, node._vjp(g)):
+                if pg is None or not parent.requires_grad:
+                    continue
+                acc = grads.get(id(parent))
+                grads[id(parent)] = pg if acc is None else acc + pg
+            node._vjp = None
+            node._parents = ()
+            node._op = "freed"
+        else:
+            node.grad = g if node.grad is None else node.grad + g
 
 
 def _as_tensor(x) -> Tensor:
@@ -635,8 +648,8 @@ def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, out: np.ndarray,
     The operands share the lead shape of ``out``; ``v1`` is
     ``_shift_free_values`` of the whole call. ``log_z`` (N x 1 per lead
     slice) is given with a tape and receives each row's log-sum-exp for the
-    backward; then the chunk runs as one batched problem, which on the two
-    BLAS threads training runs with is faster than a loop over slices.
+    backward; then the chunk runs as one batched problem, a branch kept
+    until ROADMAP item 2 folds it, with the VJP, into one per-slice path.
     Without a tape each lead slice runs as its own 2-D problem.
     """
     if log_z is not None:
@@ -668,9 +681,10 @@ def _attend_block(q: np.ndarray, kt: np.ndarray, v: np.ndarray, out: np.ndarray,
 def _chunk_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
     """This thread's two flat scratch arrays of at least ``size`` values.
 
-    They outlive the call and only grow: a fresh pair per backward would
-    page-fault on the first touch of every page, which cost a third more
-    time per VJP at lead (4,), N = 576.
+    They outlive the call and only grow, for as long as the thread lives: a
+    fresh pair per VJP would page-fault on the first touch of every page,
+    which cost a third more time per VJP at lead (4,), N = 576. A ``lanes``
+    helper thread lives for one walk, so it pays that once per walk.
     """
     bufs = getattr(_state, "chunk_buffers", None)
     if bufs is None or bufs[0].size < size:
@@ -682,7 +696,7 @@ def _chunked_attention_vjp(g: np.ndarray, q: np.ndarray, kt: np.ndarray, v: np.n
                            out: np.ndarray, log_z: np.ndarray, rows: int):
     """Gradients of ``attention`` for the output gradient ``g``, either branch.
 
-    The FlashAttention backward over the forward's row chunks: each chunk's
+    The FlashAttention backward over chunks of ``rows`` query rows: each chunk's
     probabilities are recomputed from the rows' log-sum-exp L as
     P = exp([q | -L] @ [kt ; 1]), and dS = ([g | -D] @ [v^T ; 1]) * P with
     D = rowsum(g * out), the softmax VJP's row term (sum_j dP_ij P_ij =
@@ -738,9 +752,62 @@ def attention(q: Tensor, kt: Tensor, v: Tensor) -> Tensor:
                 None if log_z is None else log_z[..., r:r + rows, :])
 
     def vjp(g):
-        return _chunked_attention_vjp(g, q.data, kt.data, v.data, out, log_z, rows)
+        return _chunked_attention_vjp(g, q.data, kt.data, v.data, out, log_z,
+                                      max(1, rows // 2))
 
     return Tensor._result("attention", out, (q, kt, v), vjp)
+
+
+# -- two independent sub-graphs -----------------------------------------------
+
+
+def _two_lanes(side_by_side: bool, first, second):
+    """``(first(), second())``: ``first`` on a helper thread beside ``second``
+    on this one, or both in turn here. An error in either surfaces after
+    both have stopped."""
+    if not side_by_side:
+        return first(), second()
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = helper.submit(first)
+        behind = second()
+        return ahead.result(), behind
+
+
+def lanes(fa, a: Tensor, fb, b: Tensor, side_by_side: bool) -> Tensor:
+    """``stack((fa(a), fb(b)))`` as one tape node, for two sub-graphs that
+    share no leaf that requires grad; ``fa(a)`` and ``fb(b)`` must have one
+    shape.
+
+    With ``side_by_side``, ``fa`` runs on a helper thread in this thread's
+    grad mode beside ``fb`` on this one, and the node's VJP walks the two
+    sub-graphs on the same two threads; otherwise all of it runs here in
+    turn, ``fa`` first. The bits are the same either way. Each lane starts
+    from a fresh leaf holding its input, so its walk stops there, and that
+    leaf's gradient is the one the node passes on.
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    grad = grad_enabled()
+    a_in, b_in = (Tensor._result("leaf", x.data, (), None, check=False, track=x.requires_grad)
+                  for x in (a, b))
+
+    def run_a():
+        with _grad_mode(grad):
+            return fa(a_in)
+
+    out_a, out_b = _two_lanes(side_by_side, run_a, lambda: fb(b_in))
+    if out_a.shape != out_b.shape:
+        raise ShapeError(f"lanes: outputs {out_a.shape} and {out_b.shape} differ")
+
+    def walk(out, seed):
+        if out.requires_grad:
+            _walk(out, seed)
+
+    def vjp(g):
+        _two_lanes(side_by_side, lambda: walk(out_a, g[0]), lambda: walk(out_b, g[1]))
+        return a_in.grad, b_in.grad
+
+    return Tensor._result("lanes", np.stack((out_a.data, out_b.data)), (a, b), vjp,
+                          check=False, track=out_a.requires_grad or out_b.requires_grad)
 
 
 # -- padding and convolution --------------------------------------------------

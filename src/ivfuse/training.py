@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .checkpoint import (CheckpointError, load_checkpoint, restore_parameters,
                          save_checkpoint)
 from .dataset import ImagePair
@@ -125,7 +126,10 @@ def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
     (the semantic generator caches them); crops slice the pair's mask, which
     must have the pair's size. ``resume_from`` is a checkpoint's
     ``load_resume``, whose model is trained in place; a checkpoint of another
-    model raises ``ValueError``. The result carries the trained model.
+    model raises ``ValueError``. The result carries the trained model. Where
+    OpenBLAS's thread count can be set (see ``ivfuse.blas``), the loop holds
+    it at one thread and puts the count back when it returns or raises, so
+    its bits do not depend on the count it starts with.
     """
     if not pairs:
         raise ValueError("train: empty dataset")
@@ -155,7 +159,10 @@ def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
 
     history: list[dict] = []
     mode = "a" if start_step > 0 and os.path.exists(history_path) else "w"
-    with open(history_path, mode, encoding="utf-8") as log:
+    # under the hold the two encoders of each member run side by side in the
+    # forward and the backward (``mgca.encode_streams``), and the bits do not
+    # depend on the machine's core count
+    with open(history_path, mode, encoding="utf-8") as log, one_blas_thread():
         if mode == "w":
             log.write(HISTORY_HEADER + "\n")
         for step in range(start_step, total_steps):

@@ -1,10 +1,26 @@
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ivfuse import blas
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_hold_or_thread():
+    """Fail a test that leaves OpenBLAS held at one thread, or a thread it
+    started still running (after ten seconds' grace to finish)."""
+    before = set(threading.enumerate())
+    yield
+    started = [t for t in threading.enumerate() if t not in before]
+    for t in started:
+        t.join(timeout=10)
+    assert not [t.name for t in started if t.is_alive()], "the test left threads running"
+    assert not blas.held(), "the test left OpenBLAS held at one thread"
 
 
 @pytest.fixture

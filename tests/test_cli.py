@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +93,40 @@ def test_fuse_command_runs_each_forward_on_one_blas_thread_and_restores_it(datas
         assert get() == 2
     finally:
         set_(before)
+
+
+# the stock model, two steps at crop 80: with the pairs reflect-padded to 80
+# pixels, 400 tokens give GEMMs that OpenBLAS rounds differently on two
+# threads than on one, with a tape and without the hold
+STOCK_MODEL_CONFIG = """
+crop = 80
+epochs = 1
+batch_size = 1
+seed = 11
+vocabulary = car,person,bike
+"""
+
+
+def test_train_writes_the_same_bytes_on_one_and_two_openblas_threads(dataset):
+    """``ivfuse train`` launched with OpenBLAS at one thread and at two
+    writes byte-equal loss histories and checkpoints: it holds OpenBLAS at
+    one thread whatever count it starts with."""
+    blas._controls() or pytest.skip("OpenBLAS's thread count cannot be set here")
+    root, cfg, tmp = dataset
+    cfg.write_text(STOCK_MODEL_CONFIG)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c",
+                              "import sys; from ivfuse.cli import main; sys.exit(main())",
+                              "train", "--config", str(cfg), "--in", str(root), "--out", str(out)],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        runs.append([(out / name).read_bytes() for name in ("loss_history.csv", "model.ckpt")])
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -9,6 +9,7 @@ from ivfuse import model as model_module
 from ivfuse import tensor as T
 from ivfuse.blocks import Encoder
 from ivfuse.dataset import ImagePair, synth_pair
+from ivfuse.losses import LossWeights, total_loss
 from ivfuse.model import VARIANTS, FusionModel, ModelConfig, StageError, fuse, reflect_pad
 from ivfuse.optim import zero_grads
 from ivfuse.sig import MaskSemantics, TextSemantics
@@ -257,12 +258,12 @@ def record_encoders(monkeypatch, model):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_fuse_equals_grad_mode_forward_bitwise(rng, monkeypatch, variant):
     """On an odd-sized pair that needs reflect padding, with attention forced
-    into several row chunks, ``fuse`` (the visible encoder on a helper thread,
-    attention by lead slice, the FFN by stream) equals the clipped grad-mode
-    forward (both encoders on this thread, attention and the FFN batched) bit
-    for bit. Both
-    run on one BLAS thread, as ``fuse`` always does: OpenBLAS's own bits
-    depend on its thread count at some GEMM shapes."""
+    into several row chunks, ``fuse`` (attention by lead slice, the FFN by
+    stream) equals the clipped grad-mode forward (attention and the FFN
+    batched) bit for bit. Both run on one BLAS thread, as ``fuse`` and
+    ``train`` always do (OpenBLAS's own bits depend on its thread count at
+    some GEMM shapes), so in both the visible encoder runs on a helper
+    thread, with a tape in grad mode."""
     blas_threads()
     monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * 3 * 2 * 42 * 10)
     model = FusionModel(SMALL, variant=variant, seed=21)
@@ -276,9 +277,54 @@ def test_fuse_equals_grad_mode_forward_bitwise(rng, monkeypatch, variant):
     with blas.one_blas_thread():
         out = model.forward(reflect_pad(pair.i_vis, 14, 12), reflect_pad(pair.i_ir, 14, 12),
                             MaskSemantics(reflect_pad(mask.m, 14, 12)), text)
-    assert calls == [("vis", True, True), ("ir", True, True)]
+    assert sorted(calls) == [("ir", True, True), ("vis", False, True)]
     assert out.requires_grad
     np.testing.assert_array_equal(got, np.clip(out.data[:, :h, :w], 0.0, 1.0))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_side_by_side_gradients_equal_serial_bitwise(rng, monkeypatch, variant):
+    """Under one BLAS thread, a taped forward and ``total_loss`` backward
+    with the encoders side by side (the visible one on a helper thread, in
+    the forward and in the walk of its sub-graph) gives every parameter
+    gradient bit for bit as the same step run in turn on this thread.
+    ``no-mgca`` encodes only the global streams, ``no-gaf`` only the masked
+    ones."""
+    get, set_ = blas._controls() or pytest.skip("OpenBLAS's thread count cannot be set here")
+    model = FusionModel(SMALL, variant=variant, seed=27)
+    vis, ir = rng.random((3, 16, 16)), rng.random((1, 16, 16))
+    mask, text = semantics_for(rng, 16, 16)
+    calls, walks, real_walk = record_encoders(monkeypatch, model), [], T._walk
+
+    def walk(root, seed):
+        walks.append(threading.current_thread() is threading.main_thread())
+        real_walk(root, seed)
+
+    monkeypatch.setattr(T, "_walk", walk)
+
+    def step():
+        calls.clear()
+        walks.clear()
+        loss, _ = total_loss(model.forward(vis, ir, mask, text), vis, ir, LossWeights())
+        loss.backward()
+        grads = [p.grad for p in model.trainable_parameters()]
+        zero_grads(model.parameters())
+        return grads
+
+    with blas.one_blas_thread():
+        side_by_side = step()
+    assert sorted(calls) == [("ir", True, True), ("vis", False, True)]
+    assert sorted(walks) == [False, True, True]
+    before = get()
+    set_(1)
+    try:
+        serial = step()
+    finally:
+        set_(before)
+    assert calls == [("vis", True, True), ("ir", True, True)]
+    assert walks == [True, True, True]
+    assert all(g is not None for g in serial)
+    assert [g.tobytes() for g in side_by_side] == [g.tobytes() for g in serial]
 
 
 @pytest.mark.parametrize("failing", ["vis", "ir"])

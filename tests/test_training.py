@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -9,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ivfuse import training
+from ivfuse import blas, training
+from ivfuse.blocks import Encoder
 from ivfuse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from ivfuse.dataset import ImagePair, synth_pair
 from ivfuse.losses import LossWeights, total_loss
@@ -264,6 +266,47 @@ def test_diverged_training_keeps_last_checkpoint(tmp_path, rng):
     assert meta["variant"] == "full"
 
 
+@pytest.mark.parametrize("nan_in", [None, "vis"])
+def test_train_holds_one_blas_thread_and_restores_the_count(tmp_path, rng, monkeypatch, nan_in):
+    """``train`` runs every encoder on one OpenBLAS thread, the visible one on
+    a helper thread, and puts back the count set before it (two here) when
+    it returns, and also when a lane raises: a NaN in the visible encoder's
+    positional table, met on the helper thread, ends the run as
+    ``TrainingDiverged``."""
+    get, set_ = blas._controls() or pytest.skip("OpenBLAS's thread count cannot be set here")
+    pairs, semantics = make_dataset(rng, n=2)
+    seen, real = [], Encoder.__call__
+
+    def recording(self, image):
+        seen.append((self.patch_embed.c_in, threading.current_thread() is threading.main_thread(),
+                     get()))
+        return real(self, image)
+
+    def corrupted(*args, **kwargs):
+        model = FusionModel(*args, **kwargs)
+        model.vis_encoder.pos.data = np.full(model.vis_encoder.pos.shape, np.nan)
+        return model
+
+    monkeypatch.setattr(Encoder, "__call__", recording)
+    if nan_in:
+        monkeypatch.setattr(training, "FusionModel", corrupted)
+    before = get()
+    set_(2)
+    try:
+        if nan_in:
+            with pytest.raises(TrainingDiverged) as err:
+                train(tiny_config(epochs=1), pairs, semantics, tmp_path / "run")
+            assert err.value.step == 0
+        else:
+            train(tiny_config(epochs=1), pairs, semantics, tmp_path / "run")
+        assert get() == 2 and not blas.held()
+    finally:
+        set_(before)
+    assert {(channels, on_main) for channels, on_main, _ in seen} == {(3, False), (1, True)}
+    assert {threads for *_, threads in seen} == {1}
+    assert len(seen) == (2 if nan_in else 4)
+
+
 def test_empty_dataset_rejected(tmp_path):
     with pytest.raises(ValueError, match="empty"):
         train(tiny_config(), [], {}, tmp_path / "run")
@@ -385,7 +428,8 @@ def test_stock_train_step_peak_memory(tmp_path):
     """One stock train step (crop 96, batch 2) peaks below 1000 MB RSS.
 
     With one backward pass per member and the fused attention node it peaks
-    at about 840 MB (2 cores, OpenBLAS). Per-member backward alone reads
+    at about 380 MB (2 cores, the two encoders side by side under one
+    OpenBLAS thread). Per-member backward alone reads
     about 1180 MB, the fused node alone about 1490 MB, and neither (every
     member's graph held, each attention keeping scores and probabilities)
     about 2200 MB.
