@@ -1,16 +1,16 @@
 """Hold OpenBLAS at one thread while Python threads share the cores.
 
 numpy's wheel bundles OpenBLAS, which by default splits each call over
-every core. Where ivfuse keeps the cores busy itself (the two encoders of a
-``fuse``, and of each training member in its forward and its backward),
-OpenBLAS's extra threads only spin-wait for a core. ``one_blas_thread``
-sets the bundled library's thread count to one through its exported
-setter. ``model.fuse`` takes it for one forward and ``training.train`` for
-its whole loop, and ``mgca.encode_streams`` starts its helper thread only
-while a hold is ``held``. Holds are counted under a lock, so overlapping
-``fuse`` calls (``fuse --jobs``) are safe: the first holder saves the count
-and the last one out restores it. Where the library or its symbols are
-missing, nothing is held.
+every core. Where ivfuse keeps the cores busy itself (the two encoders, then
+MGCA's two directions, of a ``fuse`` and of each training member in its
+forward and its backward), OpenBLAS's extra threads only spin-wait for a
+core. ``one_blas_thread`` sets the bundled library's thread count to one
+through its exported setter. ``model.fuse`` takes it for one forward and
+``training.train`` for its whole loop, and ``mgca``'s two-lane nodes start
+their helper threads only while a hold is ``held``. Holds are counted under
+a lock, so overlapping ``fuse`` calls (``fuse --jobs``) are safe: the first
+holder saves the count and the last one out restores it. Where the library
+or its symbols are missing, nothing is held.
 
 OpenBLAS rounds some GEMM shapes differently on one thread than on two (a
 (174, 16) @ (16, 500) product, for one), so results computed under a hold,

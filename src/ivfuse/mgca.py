@@ -4,7 +4,10 @@ Each image times the weight maps (1, M, 1 - M) of the binary mask at pixel
 resolution gives its global, foreground and background streams, which run
 as one batch through its modality's encoder. Foreground/background features
 are cross-reconstructed between modalities with four independent attention
-parameter sets, then summed per modality.
+parameter sets, then summed per modality. The two modalities' encoders, and
+then the two directions of the reconstruction (fvi and fiv share no
+parameter), each run as the two lanes of one ``T.lanes`` node: side by side
+while OpenBLAS is held at one thread, in turn otherwise.
 """
 
 from __future__ import annotations
@@ -90,25 +93,34 @@ class MaskGuidedAttention(Module):
 
 
 def cross_reconstruct(bundle: FeatureBundle, attn: MaskGuidedAttention) -> FeatureBundle:
-    """Fill fvi/fiv from the four masked streams (foreground + background)."""
+    """Fill fvi/fiv from the four masked streams (foreground + background):
+    fvi = vi_fg(fv_m, fi_m) + vi_bg(fv_mbar, fi_mbar), and fiv its mirror
+    through the iv sets, on two lanes (see ``_reconstruct``)."""
     needed = (bundle.fv_m, bundle.fv_mbar, bundle.fi_m, bundle.fi_mbar)
     if any(s is None for s in needed):
         raise ValueError("cross_reconstruct: masked streams missing from bundle")
     if attn.ca_vi_bg is None:
         raise ValueError("cross_reconstruct: attention was built without background sets")
-    fvi_m = attn.ca_vi_fg(bundle.fv_m, bundle.fi_m)
-    fvi_mbar = attn.ca_vi_bg(bundle.fv_mbar, bundle.fi_mbar)
-    fiv_m = attn.ca_iv_fg(bundle.fi_m, bundle.fv_m)
-    fiv_mbar = attn.ca_iv_bg(bundle.fi_mbar, bundle.fv_mbar)
-    bundle.fvi = fvi_m + fvi_mbar
-    bundle.fiv = fiv_m + fiv_mbar
-    return bundle
+    return _reconstruct(bundle, needed,
+                        lambda x: attn.ca_vi_fg(x[0], x[2]) + attn.ca_vi_bg(x[1], x[3]),
+                        lambda x: attn.ca_iv_fg(x[2], x[0]) + attn.ca_iv_bg(x[3], x[1]))
 
 
 def reconstruct_unmasked(bundle: FeatureBundle, attn: MaskGuidedAttention) -> FeatureBundle:
     """Mask-free variant: whole-image features through the foreground sets."""
     if bundle.fv is None or bundle.fi is None:
         raise ValueError("reconstruct_unmasked: global streams missing from bundle")
-    bundle.fvi = attn.ca_vi_fg(bundle.fv, bundle.fi)
-    bundle.fiv = attn.ca_iv_fg(bundle.fi, bundle.fv)
+    return _reconstruct(bundle, (bundle.fv, bundle.fi),
+                        lambda x: attn.ca_vi_fg(x[0], x[1]),
+                        lambda x: attn.ca_iv_fg(x[1], x[0]))
+
+
+def _reconstruct(bundle: FeatureBundle, streams, fvi, fiv) -> FeatureBundle:
+    """Fill ``bundle``'s fvi and fiv with ``fvi(x)`` and ``fiv(x)``, x the
+    ``streams`` stacked. The two share no parameter, so they are the two
+    lanes of one ``T.lanes`` node, side by side under the same switch as
+    ``encode_streams``."""
+    x = T.concat([T.reshape(s, (1,) + s.shape) for s in streams])
+    out = T.lanes(fvi, x, fiv, x, side_by_side=blas.held())
+    bundle.fvi, bundle.fiv = out[0], out[1]
     return bundle

@@ -14,20 +14,19 @@ product's own buffer, so ``Linear`` is one node with one finite check.
 
 ``attention`` is one fused node for ``softmax(q @ kt) @ v`` over operands
 of one lead shape. Every call runs the queries in row chunks whose scores,
-over all lead slices, fit in ``_SCORE_BUDGET_BYTES``, with or without a
-tape. Without a tape each lead slice (one stream and head) of a chunk runs
-as its own 2-D problem, so the score tile it builds is 1/prod(lead) of the
-budget and stays in the core's cache (the row tiling of FlashAttention, Dao
-et al., arXiv 2205.14135); its GEMMs keep the batched product's shapes, and
-so its bits. The tape keeps q, kt, v, the output and one log-sum-exp L per
-row (N_q values per lead slice), no N_q x N_kv array; the backward walks
-chunks of half as many rows, so that its two score-sized scratch arrays
-together fit the budget too, and recomputes each chunk's probabilities as
-exp(q @ kt - L) (the FlashAttention backward). It takes the softmax's row
-term from the output (sum over d_v of dO * O) instead of from the
-probabilities, so gradients differ from the unfused chain's by rounding
-only. Each chunk takes one of two kernels, chosen once per call from an
-O(N d) bound on the operands:
+over all lead slices, fit in ``_SCORE_BUDGET_BYTES``, and each lead slice
+(one stream and head) of a chunk runs as its own 2-D problem, with or
+without a tape. So the score tile it builds is 1/prod(lead) of the budget
+and stays in the core's cache (the row tiling of FlashAttention, Dao et
+al., arXiv 2205.14135); its GEMMs keep the batched product's shapes, and so
+its bits. The tape keeps q, kt, v, the output and one log-sum-exp L per row
+(N_q values per lead slice), no N_q x N_kv array. The backward walks each
+lead slice in chunks of half as many rows and recomputes each chunk's
+probabilities as exp(q @ kt - L) (the FlashAttention backward). It takes
+the softmax's row term from the output (sum over d_v of dO * O) instead of
+from the probabilities, so gradients differ from the unfused chain's by
+rounding only. Each chunk takes one of two kernels, chosen once per call
+from an O(N d) bound on the operands:
 
 - shift-free, when the Cauchy-Schwarz bound max|q_i| * max|k_j| on every
   score is at most ``_SHIFT_FREE_BOUND`` and N_kv e^bound max|v| stays far
@@ -53,8 +52,8 @@ interior locking is provided. Grad mode is per thread (``no_grad``).
 threads, the helper in the caller's grad mode, and its backward walks them
 on two threads too; each leaf's gradient is then written from one thread
 only. ``mgca.encode_streams`` runs the two encoders of ``fuse`` and of
-every training member this way. The attention backward's two scratch
-arrays are per thread, so backwards on different threads never share them.
+every training member this way, and ``mgca.cross_reconstruct`` MGCA's two
+directions. Each attention backward allocates its own two scratch arrays.
 """
 
 from __future__ import annotations
@@ -647,61 +646,38 @@ def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, out: np.ndarray,
 
     The operands share the lead shape of ``out``; ``v1`` is
     ``_shift_free_values`` of the whole call. ``log_z`` (N x 1 per lead
-    slice) is given with a tape and receives each row's log-sum-exp for the
-    backward; then the chunk runs as one batched problem, a branch kept
-    until ROADMAP item 2 folds it, with the VJP, into one per-slice path.
-    Without a tape each lead slice runs as its own 2-D problem.
+    slice), given with a tape, receives each row's log-sum-exp for the
+    backward. Each lead slice runs as its own 2-D problem. On the shift-free
+    branch the ones column of ``v1`` makes the second GEMM return the row
+    sums s too, and the divide falls on the N x d_v output; otherwise the
+    chain's max-shifted softmax runs after a finite check.
     """
-    if log_z is not None:
-        _attend_block(q, kt, v, out, v1, log_z)
-        return
     for i in np.ndindex(out.shape[:-2]):
-        _attend_block(q[i], kt[i], v[i], out[i], None if v1 is None else v1[i], None)
-
-
-def _attend_block(q: np.ndarray, kt: np.ndarray, v: np.ndarray, out: np.ndarray,
-                  v1: np.ndarray | None, log_z: np.ndarray | None) -> None:
-    """``_attend``'s kernel over the operands' lead dims. On
-    the shift-free branch the ones column of ``v1`` makes the second GEMM
-    return the row sums s too, and the divide falls on the N x d_v output;
-    otherwise the chain's max-shifted softmax runs after a finite check."""
-    p = q @ kt
-    if v1 is None:
-        _check_finite(p, "attention")
-        np.matmul(_softmax(p, out=p, log_z=log_z), v, out=out)
-        return
-    np.exp(p, out=p)
-    ev = p @ v1
-    s = ev[..., -1:]
-    np.divide(ev[..., :-1], s, out=out)
-    if log_z is not None:
-        np.log(s, out=log_z)
-
-
-def _chunk_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's two flat scratch arrays of at least ``size`` values.
-
-    They outlive the call and only grow, for as long as the thread lives: a
-    fresh pair per VJP would page-fault on the first touch of every page,
-    which cost a third more time per VJP at lead (4,), N = 576. A ``lanes``
-    helper thread lives for one walk, so it pays that once per walk.
-    """
-    bufs = getattr(_state, "chunk_buffers", None)
-    if bufs is None or bufs[0].size < size:
-        bufs = _state.chunk_buffers = (np.empty(size), np.empty(size))
-    return bufs
+        p = q[i] @ kt[i]
+        if v1 is None:
+            _check_finite(p, "attention")
+            np.matmul(_softmax(p, out=p, log_z=None if log_z is None else log_z[i]), v[i],
+                      out=out[i])
+            continue
+        np.exp(p, out=p)
+        ev = p @ v1[i]
+        s = ev[:, -1:]
+        np.divide(ev[:, :-1], s, out=out[i])
+        if log_z is not None:
+            np.log(s, out=log_z[i])
 
 
 def _chunked_attention_vjp(g: np.ndarray, q: np.ndarray, kt: np.ndarray, v: np.ndarray,
                            out: np.ndarray, log_z: np.ndarray, rows: int):
     """Gradients of ``attention`` for the output gradient ``g``, either branch.
 
-    The FlashAttention backward over chunks of ``rows`` query rows: each chunk's
-    probabilities are recomputed from the rows' log-sum-exp L as
-    P = exp([q | -L] @ [kt ; 1]), and dS = ([g | -D] @ [v^T ; 1]) * P with
-    D = rowsum(g * out), the softmax VJP's row term (sum_j dP_ij P_ij =
-    sum_d dO_id O_id). Both the -L and the -D ride inside a GEMM, so the two
-    score-sized buffers see only GEMM writes, one ``exp`` and one multiply.
+    The FlashAttention backward, per lead slice over chunks of ``rows`` query
+    rows: each chunk's probabilities are recomputed from the rows'
+    log-sum-exp L as P = exp([q | -L] @ [kt ; 1]), and dS = ([g | -D] @
+    [v^T ; 1]) * P with D = rowsum(g * out), the softmax VJP's row term
+    (sum_j dP_ij P_ij = sum_d dO_id O_id). Both the -L and the -D ride
+    inside a GEMM, so the two chunk buffers, made once per call, see only
+    GEMM writes, one ``exp`` and one multiply.
     """
     lead = out.shape[:-2]
     nq, nkv = q.shape[-2], kt.shape[-1]
@@ -710,19 +686,19 @@ def _chunked_attention_vjp(g: np.ndarray, q: np.ndarray, kt: np.ndarray, v: np.n
     ones = np.ones(lead + (1, nkv))
     kt1 = np.concatenate((kt, ones), axis=-2)
     vt1 = np.concatenate((np.swapaxes(v, -1, -2), ones), axis=-2)
-    k = np.swapaxes(kt, -1, -2)
     gq, gkt, gv = np.empty_like(q), np.zeros_like(kt), np.zeros_like(v)
-    p_buf, ds_buf = _chunk_buffers(math.prod(lead) * min(rows, nq) * nkv)
-    for r in range(0, nq, rows):
-        chunk = lead + (min(rows, nq - r), nkv)
-        size = math.prod(chunk)
-        p = np.matmul(qs[..., r:r + rows, :], kt1, out=p_buf[:size].reshape(chunk))
-        np.exp(p, out=p)
-        gv += np.swapaxes(p, -1, -2) @ g[..., r:r + rows, :]
-        ds = np.matmul(gd[..., r:r + rows, :], vt1, out=ds_buf[:size].reshape(chunk))
-        ds *= p
-        np.matmul(ds, k, out=gq[..., r:r + rows, :])
-        gkt += np.swapaxes(q[..., r:r + rows, :], -1, -2) @ ds
+    size = min(rows, nq) * nkv
+    p_buf, ds_buf = np.empty(size), np.empty(size)
+    for i in np.ndindex(lead):
+        for r in range(0, nq, rows):
+            n = min(rows, nq - r)
+            p = np.matmul(qs[i][r:r + n], kt1[i], out=p_buf[:n * nkv].reshape(n, nkv))
+            np.exp(p, out=p)
+            gv[i] += p.T @ g[i][r:r + n]
+            ds = np.matmul(gd[i][r:r + n], vt1[i], out=ds_buf[:n * nkv].reshape(n, nkv))
+            ds *= p
+            np.matmul(ds, kt[i].T, out=gq[i][r:r + n])
+            gkt[i] += q[i][r:r + n].T @ ds
     return gq, gkt, gv
 
 
@@ -783,7 +759,8 @@ def lanes(fa, a: Tensor, fb, b: Tensor, side_by_side: bool) -> Tensor:
     sub-graphs on the same two threads; otherwise all of it runs here in
     turn, ``fa`` first. The bits are the same either way. Each lane starts
     from a fresh leaf holding its input, so its walk stops there, and that
-    leaf's gradient is the one the node passes on.
+    leaf's gradient is the one the node passes on; ``a`` and ``b`` may be
+    one tensor, which then gets the sum of the two.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     grad = grad_enabled()

@@ -159,9 +159,9 @@ def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
 
     history: list[dict] = []
     mode = "a" if start_step > 0 and os.path.exists(history_path) else "w"
-    # under the hold the two encoders of each member run side by side in the
-    # forward and the backward (``mgca.encode_streams``), and the bits do not
-    # depend on the machine's core count
+    # under the hold the two encoders of each member, then MGCA's two
+    # directions, run side by side in the forward and the backward (``mgca``),
+    # and the bits do not depend on the machine's core count
     with open(history_path, mode, encoding="utf-8") as log, one_blas_thread():
         if mode == "w":
             log.write(HISTORY_HEADER + "\n")

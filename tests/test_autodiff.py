@@ -292,9 +292,8 @@ def _traced_peak(step):
 def test_attention_backward_peak_stays_below_one_dense_score_array(rng, monkeypatch):
     """Grad-mode forward plus backward at lead (3, 4), N = 256, with the
     budget at an eighth of the dense scores, peaks below one dense score
-    array, both in a fresh thread (its chunk buffers not made yet) and
-    again once they exist: on the shift-free branch, and with q and kt
-    scaled x4 so that the bound sends them to the fallback."""
+    array, in a fresh thread and on this one: on the shift-free branch, and
+    with q and kt scaled x4 so that the bound sends them to the fallback."""
     lead, n, dh = (3, 4), 256, 8
     score_bytes = 8 * 3 * 4 * n * n
     monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", score_bytes // 8)
@@ -372,7 +371,7 @@ def test_attention_lead_slices_equal_batched_chunks_bitwise(scale, rng, monkeypa
     """Each (stream, head) slice of a row chunk runs as its own 2-D problem,
     yet over ragged chunks of 4 rows the output equals the same kernel run
     on the whole batched chunk bit for bit, on the shift-free branch and
-    (scale 40) on the fallback."""
+    (scale 40) on the fallback, with a tape and without one."""
     lead, nq, d, nkv, dv = (2, 3), 13, 4, 9, 5
     monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * math.prod(lead) * nkv * 4)
     q = rng.standard_normal(lead + (nq, d)) * scale
@@ -388,15 +387,16 @@ def test_attention_lead_slices_equal_batched_chunks_bitwise(scale, rng, monkeypa
         else:
             ev = np.exp(p) @ v1
             want[..., r:r + 4, :] = ev[..., :-1] / ev[..., -1:]
-    with T.no_grad():
-        got = T.attention(Tensor(q), Tensor(kt), Tensor(v)).data
-    np.testing.assert_array_equal(got, want)
+    for tape in (False, True):
+        with T._grad_mode(tape):
+            got = T.attention(Tensor(q, requires_grad=True), Tensor(kt), Tensor(v))
+        assert got.requires_grad == tape
+        np.testing.assert_array_equal(got.data, want)
 
 
 def test_attention_backwards_on_many_threads_equal_serial_bitwise(rng, monkeypatch):
-    """Each thread's backward has its own chunk buffers: four threads
-    running chunked backwards at once give the serial gradients bit for
-    bit."""
+    """Each backward has its own chunk buffers: four threads running
+    chunked backwards at once give the serial gradients bit for bit."""
     lead, n, dh = (2,), 40, 4
     monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * 2 * n * 8)
     inputs = [[rng.standard_normal(lead + shape) for shape in ((n, dh), (dh, n), (n, dh))]

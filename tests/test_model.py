@@ -7,7 +7,7 @@ import pytest
 from ivfuse import blas
 from ivfuse import model as model_module
 from ivfuse import tensor as T
-from ivfuse.blocks import Encoder
+from ivfuse.blocks import CrossAttention, Encoder
 from ivfuse.dataset import ImagePair, synth_pair
 from ivfuse.losses import LossWeights, total_loss
 from ivfuse.model import VARIANTS, FusionModel, ModelConfig, StageError, fuse, reflect_pad
@@ -285,11 +285,12 @@ def test_fuse_equals_grad_mode_forward_bitwise(rng, monkeypatch, variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_side_by_side_gradients_equal_serial_bitwise(rng, monkeypatch, variant):
     """Under one BLAS thread, a taped forward and ``total_loss`` backward
-    with the encoders side by side (the visible one on a helper thread, in
-    the forward and in the walk of its sub-graph) gives every parameter
-    gradient bit for bit as the same step run in turn on this thread.
-    ``no-mgca`` encodes only the global streams, ``no-gaf`` only the masked
-    ones."""
+    with the encoders side by side, and MGCA's two directions too (fvi on a
+    helper thread, in the forward and in the walk of its sub-graph), gives
+    every parameter gradient bit for bit as the same step run in turn on
+    this thread. The loss's walk starts two lanes walks for MGCA and two for
+    the encoders. ``no-mgca`` encodes only the global streams, ``no-gaf``
+    only the masked ones."""
     get, set_ = blas._controls() or pytest.skip("OpenBLAS's thread count cannot be set here")
     model = FusionModel(SMALL, variant=variant, seed=27)
     vis, ir = rng.random((3, 16, 16)), rng.random((1, 16, 16))
@@ -314,7 +315,7 @@ def test_side_by_side_gradients_equal_serial_bitwise(rng, monkeypatch, variant):
     with blas.one_blas_thread():
         side_by_side = step()
     assert sorted(calls) == [("ir", True, True), ("vis", False, True)]
-    assert sorted(walks) == [False, True, True]
+    assert sorted(walks) == [False, False, True, True, True]
     before = get()
     set_(1)
     try:
@@ -322,7 +323,7 @@ def test_side_by_side_gradients_equal_serial_bitwise(rng, monkeypatch, variant):
     finally:
         set_(before)
     assert calls == [("vis", True, True), ("ir", True, True)]
-    assert walks == [True, True, True]
+    assert walks == [True] * 5
     assert all(g is not None for g in serial)
     assert [g.tobytes() for g in side_by_side] == [g.tobytes() for g in serial]
 
@@ -344,6 +345,39 @@ def test_encoder_error_names_encode_streams_and_restores_blas(rng, monkeypatch, 
     monkeypatch.setattr(Encoder, "__call__", broken)
     with pytest.raises(StageError, match=f"stage encode-streams .*: {failing} encoder broke"):
         fuse(model, make_pair(rng), semantics_for(rng, 12, 12))
+    assert blas_threads() == before
+
+
+@pytest.mark.parametrize("broken", ["vi_bg", "iv_bg"])
+def test_nan_mgca_weight_names_cross_reconstruct_after_both_lanes_stop(rng, monkeypatch,
+                                                                        broken):
+    """A NaN weight in ``ca_vi_bg`` (the helper thread's lane) or in
+    ``ca_iv_bg`` (the calling thread's) fails ``fuse`` with a ``StageError``
+    naming cross-reconstruct only once the other lane has finished and the
+    helper thread has stopped; OpenBLAS's thread count is back at its value
+    before the call."""
+    before = blas_threads()
+    model = FusionModel(SMALL, seed=28)
+    weight = getattr(model.mgca, f"ca_{broken}").w_q.weight
+    data = weight.data.copy()
+    data[0, 0] = np.nan
+    weight.tensor.data = data
+    sets = {id(getattr(model.mgca, f"ca_{name}")): name
+            for name in ("vi_fg", "vi_bg", "iv_fg", "iv_bg")}
+    finished, real = [], CrossAttention.__call__
+
+    def recording(self, queries, keys_values):
+        out = real(self, queries, keys_values)
+        if id(self) in sets:
+            finished.append(sets[id(self)])
+        return out
+
+    monkeypatch.setattr(CrossAttention, "__call__", recording)
+    threads = set(threading.enumerate())
+    with pytest.raises(StageError, match="stage cross-reconstruct .*non-finite"):
+        fuse(model, make_pair(rng), semantics_for(rng, 12, 12))
+    assert [t.name for t in threading.enumerate() if t not in threads] == []
+    assert sorted(finished) == sorted({"vi_fg", "vi_bg", "iv_fg", "iv_bg"} - {broken})
     assert blas_threads() == before
 
 
