@@ -24,15 +24,15 @@ ir = np.random.default_rng(1).random((1, h, w))
 region = Rect(top=6, left=10, height=10, width=14)
 denoiser = PlantedRegionDenoiser({"car": region}, amplitude=0.8)
 
-m_vis = mask_from_noise_diff(vis, caption, contrast, denoiser, noise_seed=0)
-m_ir = mask_from_noise_diff(ir, caption, contrast, denoiser, noise_seed=0)
+m_vis = mask_from_noise_diff(vis, caption, contrast, denoiser)
+m_ir = mask_from_noise_diff(ir, caption, contrast, denoiser)
 mask = union_masks(m_vis, m_ir)
 print("\nmask pixels set  :", int(mask.m.sum()), "of", h * w,
       "(planted rectangle:", region.height * region.width, "px)")
 print("exact recovery   :", np.array_equal(mask.m, region.indicator(h, w)))
 print("complement check :", np.array_equal(mask.m + mask.m_bar, np.ones((h, w))))
 
-empty = mask_from_noise_diff(vis, caption, caption, denoiser, noise_seed=0)
+empty = mask_from_noise_diff(vis, caption, caption, denoiser)
 print("same caption twice -> empty mask:", not empty.any())
 
 text = embed_text(caption, HashTextEncoder(16))

@@ -6,11 +6,12 @@ MGCA's two directions, of a ``fuse`` and of each training member in its
 forward and its backward), OpenBLAS's extra threads only spin-wait for a
 core. ``one_blas_thread`` sets the bundled library's thread count to one
 through its exported setter. ``model.fuse`` takes it for one forward and
-``training.train`` for its whole loop, and ``mgca``'s two-lane nodes start
-their helper threads only while a hold is ``held``. Holds are counted under
-a lock, so overlapping ``fuse`` calls (``fuse --jobs``) are safe: the first
-holder saves the count and the last one out restores it. Where the library
-or its symbols are missing, nothing is held.
+``training.train`` for its whole loop, and a ``tensor.lanes`` node starts
+its helper thread only when it is built while a hold is ``held``; no model
+stage reads the hold itself. Holds are counted under a lock, so overlapping
+``fuse`` calls (``fuse --jobs``) are safe: the first holder saves the count
+and the last one out restores it. Where the library or its symbols are
+missing, nothing is held.
 
 OpenBLAS rounds some GEMM shapes differently on one thread than on two (a
 (174, 16) @ (16, 500) product, for one), so results computed under a hold,

@@ -122,6 +122,8 @@ def load_checkpoint(path):
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
         name = _utf8(bytes(take(name_len)), "parameter name")
+        if name in states:
+            raise CheckpointError(f"checkpoint holds parameter {name!r} twice")
         (step,) = struct.unpack("<Q", take(8))
         (ndim,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim)) if ndim else ()

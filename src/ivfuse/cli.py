@@ -86,12 +86,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _generator(config: RunConfig, dataset, pairs, cache_dir):
+    """``config``'s semantic generator for ``pairs``, caching masks under ``cache_dir``."""
+    return semantic_generator_for(dataset, pairs, text_dim=config.train.model.text_dim,
+                                  cache_dir=cache_dir, settings=config.mask,
+                                  fixtures_path=config.fixtures or None)
+
+
 def _semantics(config: RunConfig, dataset, pairs, cache_dir) -> dict:
     """pair_id -> (mask, text) from one caption per pair: the shipped one,
     else the captioner's. A shipped mask wins over the generator's."""
-    generator = semantic_generator_for(dataset, pairs, text_dim=config.train.model.text_dim,
-                                       cache_dir=cache_dir, settings=config.mask,
-                                       fixtures_path=config.fixtures or None)
+    generator = _generator(config, dataset, pairs, cache_dir)
     semantics = {}
     for p in pairs:
         t = p.caption or generator.caption_for(p.i_vis)
@@ -172,9 +177,7 @@ def cmd_mask(args) -> int:
     preview_dir = out_dir / "previews"
     masks_dir.mkdir(parents=True, exist_ok=True)
     preview_dir.mkdir(parents=True, exist_ok=True)
-    generator = semantic_generator_for(args.dataset, pairs, text_dim=config.train.model.text_dim,
-                                       cache_dir=out_dir / "cache", settings=config.mask,
-                                       fixtures_path=config.fixtures or None)
+    generator = _generator(config, args.dataset, pairs, out_dir / "cache")
     masks = {p.pair_id: p.mask or generator.mask_for_pair(p.i_vis, p.i_ir, p.pair_id,
                                                          caption=p.caption)
              for p in pairs}

@@ -64,13 +64,17 @@ class ImagePair:
 
 def stem_index(directory) -> dict[str, Path]:
     """Image files directly under ``directory`` by filename stem; empty if
-    it is not a directory. A subdirectory is no image, whatever its name."""
+    it is not a directory. A subdirectory is no image, whatever its name.
+    Two images with one stem raise ``DatasetError`` naming both."""
     directory = Path(directory)
     out: dict[str, Path] = {}
     if not directory.is_dir():
         return out
     for entry in sorted(directory.iterdir()):
         if entry.suffix.lower() in IMAGE_EXTENSIONS and entry.is_file():
+            if entry.stem in out:
+                raise DatasetError(f"{directory}: images {out[entry.stem].name} and "
+                                   f"{entry.name} share the pair id {entry.stem!r}")
             out[entry.stem] = entry
     return out
 

@@ -242,6 +242,8 @@ def _read_png(raw: bytes, path) -> np.ndarray:
             idat.extend(chunk)
         elif ctype == b"IEND":
             break
+        elif not ctype[0] & 0x20 and ctype != b"PLTE":  # RFC 2083 3.3: critical
+            raise ImageFormatError(f"{path}: unknown critical PNG chunk {ctype!r}")
     width, height, depth, color, comp, filt, interlace = ihdr
     if width == 0 or height == 0:
         raise ImageFormatError(f"{path}: PNG has zero size {width}x{height}")

@@ -118,7 +118,7 @@ def sobel_magnitude(plane: Tensor) -> Tensor:
     The epsilon keeps the root differentiable where the gradient vanishes.
     """
     x = T.reshape(plane, (1, 1) + plane.shape)
-    x = T.pad2d(x, 1, mode="reflect")
+    x = T.pad2d(x, 1)
     gx = T.conv2d(x, Tensor(SOBEL_X[None, None]))
     gy = T.conv2d(x, Tensor(SOBEL_Y[None, None]))
     mag = T.pow_(gx * gx + gy * gy + _SOBEL_EPS, 0.5)

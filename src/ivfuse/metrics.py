@@ -80,6 +80,7 @@ def scd(fused: np.ndarray, i_vis: np.ndarray, i_ir: np.ndarray) -> float:
 VIF_SCALES = 4
 VIF_SIGMA = 2.0
 VIF_NOISE_VAR = 2.0
+VIF_MIN_SIDE = 32  # four dyadic scales
 _VIF_EPS = 1e-10
 
 
@@ -122,10 +123,10 @@ def _vif_single(ref: list, dist: list) -> float:
 
 def vif_fusion(fused: np.ndarray, i_vis: np.ndarray, i_ir: np.ndarray,
                per_source: bool = False):
-    """Mean of VIF(fused|vis) and VIF(fused|ir); needs min dim >= 32."""
+    """Mean of VIF(fused|vis) and VIF(fused|ir); needs min dim >= VIF_MIN_SIDE."""
     f = to_gray255(fused)
-    if min(f.shape) < 32:
-        raise ValueError(f"vif: min dimension {min(f.shape)} < 32 (four dyadic scales)")
+    if min(f.shape) < VIF_MIN_SIDE:
+        raise ValueError(f"vif: min dimension {min(f.shape)} < {VIF_MIN_SIDE} (four scales)")
     fused_levels = _vif_pyramid(f)
     v_score = _vif_single(_vif_pyramid(to_gray255(i_vis)), fused_levels)
     i_score = _vif_single(_vif_pyramid(to_gray255(i_ir)), fused_levels)
@@ -273,7 +274,9 @@ def evaluate_pair(fused: np.ndarray, i_vis: np.ndarray, i_ir: np.ndarray,
 
 
 def evaluate_dataset(fused_dir, vis_dir, ir_dir) -> MetricReport:
-    """Per-image metrics plus means over matching filename stems."""
+    """Per-image metrics plus means over matching filename stems. A fused
+    image and its two sources of more than one size, or of a side below
+    ``VIF_MIN_SIDE``, raise ``DatasetError`` naming the files."""
     fused_map, vis_map, ir_map = stem_index(fused_dir), stem_index(vis_dir), stem_index(ir_dir)
     shared = sorted(set(fused_map) & set(vis_map) & set(ir_map))
     if not shared:
@@ -281,8 +284,11 @@ def evaluate_dataset(fused_dir, vis_dir, ir_dir) -> MetricReport:
     missing = sorted((set(fused_map) | set(vis_map) | set(ir_map)) - set(shared))
     report = MetricReport(missing=missing)
     for stem in shared:
-        fused = load_image(fused_map[stem])
-        i_vis = load_image(vis_map[stem])
-        i_ir = load_image(ir_map[stem])
+        paths = (fused_map[stem], vis_map[stem], ir_map[stem])
+        fused, i_vis, i_ir = images = [load_image(path) for path in paths]
+        sizes = [img.shape[1:] for img in images]
+        if len(set(sizes)) > 1 or min(sizes[0]) < VIF_MIN_SIDE:
+            named = ", ".join(f"{path} {h}x{w}" for path, (h, w) in zip(paths, sizes))
+            raise DatasetError(f"need one image size with sides >= {VIF_MIN_SIDE}: {named}")
         report.rows.append(evaluate_pair(fused, i_vis, i_ir, stem))
     return report

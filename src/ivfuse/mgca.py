@@ -6,8 +6,8 @@ as one batch through its modality's encoder. Foreground/background features
 are cross-reconstructed between modalities with four independent attention
 parameter sets, then summed per modality. The two modalities' encoders, and
 then the two directions of the reconstruction (fvi and fiv share no
-parameter), each run as the two lanes of one ``T.lanes`` node: side by side
-while OpenBLAS is held at one thread, in turn otherwise.
+parameter), each run as the two lanes of one ``T.lanes`` node, which
+decides whether the lanes run side by side.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import blas
 from . import tensor as T
 from .blocks import CrossAttention, Module
 from .sig import MaskSemantics
@@ -45,11 +44,8 @@ def encode_streams(i_vis: Tensor, i_ir: Tensor, mask: MaskSemantics,
 
     Each modality's inputs are one product of its image with the stacked
     weight maps (1, M, 1 - M), run as a single batched encoder call. The
-    two calls are one ``T.lanes`` node, and one switch picks where they
-    run: while some thread holds OpenBLAS at one thread (``fuse`` and
-    ``train`` do), side by side in the forward and in the backward, the
-    visible encoder on a helper thread; otherwise one after the other on
-    this thread, with the same bits.
+    two calls are the lanes of one ``T.lanes`` node, the visible encoder
+    first.
     ``streams`` trims work for ablations: "all", "global" (skip the masked
     passes), or "masked" (skip the global passes); any other is a ValueError.
     A mask of another size than the image raises ``ShapeError``.
@@ -65,7 +61,7 @@ def encode_streams(i_vis: Tensor, i_ir: Tensor, mask: MaskSemantics,
     last = 1 if streams == "global" else 3
     weights = Tensor(np.stack((np.ones((h, w)), mask.m, mask.m_bar))[first:last, None])
     vis_in, ir_in = T.mul(i_vis, weights), T.mul(i_ir, weights)
-    out = T.lanes(vis_encoder, vis_in, ir_encoder, ir_in, side_by_side=blas.held())
+    out = T.lanes(vis_encoder, vis_in, ir_encoder, ir_in)
     if first == 0:
         bundle.fv, bundle.fi = out[0, 0], out[1, 0]
     if last == 3:
@@ -118,9 +114,8 @@ def reconstruct_unmasked(bundle: FeatureBundle, attn: MaskGuidedAttention) -> Fe
 def _reconstruct(bundle: FeatureBundle, streams, fvi, fiv) -> FeatureBundle:
     """Fill ``bundle``'s fvi and fiv with ``fvi(x)`` and ``fiv(x)``, x the
     ``streams`` stacked. The two share no parameter, so they are the two
-    lanes of one ``T.lanes`` node, side by side under the same switch as
-    ``encode_streams``."""
+    lanes of one ``T.lanes`` node."""
     x = T.concat([T.reshape(s, (1,) + s.shape) for s in streams])
-    out = T.lanes(fvi, x, fiv, x, side_by_side=blas.held())
+    out = T.lanes(fvi, x, fiv, x)
     bundle.fvi, bundle.fiv = out[0], out[1]
     return bundle

@@ -167,23 +167,24 @@ def _as_chw(image: np.ndarray) -> np.ndarray:
 
 
 def mask_from_noise_diff(image: np.ndarray, t: TextDescription, t_hat: TextDescription,
-                         denoiser, noise_seed: int,
-                         noise_level: float = MaskSettings.noise_level,
-                         threshold_policy: str = MaskSettings.threshold_policy,
-                         tau: float = MaskSettings.tau, content_hash: str | None = None) -> np.ndarray:
+                         denoiser, settings: MaskSettings = MaskSettings(),
+                         content_hash: str | None = None) -> np.ndarray:
     """Binary map from the denoiser's response difference under T vs T-hat.
 
-    Gaussian noise (scaled by ``noise_level``) is added once; the denoiser is
+    Gaussian noise (``settings.noise_level`` times a normal draw seeded by
+    ``settings.noise_seed`` and the image) is added once; the denoiser is
     queried under both captions; the absolute estimate difference is reduced
     over channels by mean, min-max normalized (all-zeros if flat), then
-    binarized by Otsu or a fixed threshold. ``content_hash`` is the image's
-    ``image_content_hash`` in (C,H,W) form, when the caller has taken it.
+    binarized by Otsu or by ``settings.tau``, as ``settings.threshold_policy``
+    says. ``content_hash`` is the image's ``image_content_hash`` in (C,H,W)
+    form, when the caller has taken it.
     """
     img = _as_chw(np.asarray(image, dtype=np.float64))
-    gen = derive(noise_seed, "mask-noise", content_hash or image_content_hash(img))
-    noisy = img + noise_level * gen.standard_normal(img.shape)
-    est_t = np.asarray(denoiser.estimate_noise(noisy, t, noise_level), dtype=np.float64)
-    est_hat = np.asarray(denoiser.estimate_noise(noisy, t_hat, noise_level), dtype=np.float64)
+    level = settings.noise_level
+    gen = derive(settings.noise_seed, "mask-noise", content_hash or image_content_hash(img))
+    noisy = img + level * gen.standard_normal(img.shape)
+    est_t = np.asarray(denoiser.estimate_noise(noisy, t, level), dtype=np.float64)
+    est_hat = np.asarray(denoiser.estimate_noise(noisy, t_hat, level), dtype=np.float64)
     for est, label in ((est_t, "T"), (est_hat, "T-hat")):
         if est.shape != img.shape:
             raise ShapeError(
@@ -194,12 +195,7 @@ def mask_from_noise_diff(image: np.ndarray, t: TextDescription, t_hat: TextDescr
     if hi == lo:
         return np.zeros(diff.shape)
     norm = (diff - lo) / (hi - lo)
-    if threshold_policy == "otsu":
-        thr = otsu_threshold(norm)
-    elif threshold_policy == "fixed":
-        thr = float(tau)
-    else:
-        raise ValueError(f"unknown threshold policy {threshold_policy!r}")
+    thr = otsu_threshold(norm) if settings.threshold_policy == "otsu" else float(settings.tau)
     return (norm > thr).astype(np.float64)
 
 
@@ -327,13 +323,8 @@ class SemanticGenerator:
             if os.path.exists(cache_path):
                 return MaskSemantics(read_mask(cache_path))
         t_hat = self.contrast_caption(t)
-        s = self.settings
-        m_vis = mask_from_noise_diff(vis, t, t_hat, self.denoiser, s.noise_seed,
-                                     s.noise_level, s.threshold_policy, s.tau,
-                                     content_hash=h_vis)
-        m_ir = mask_from_noise_diff(ir, t, t_hat, self.denoiser, s.noise_seed,
-                                    s.noise_level, s.threshold_policy, s.tau,
-                                    content_hash=h_ir)
+        m_vis = mask_from_noise_diff(vis, t, t_hat, self.denoiser, self.settings, h_vis)
+        m_ir = mask_from_noise_diff(ir, t, t_hat, self.denoiser, self.settings, h_ir)
         semantics = union_masks(m_vis, m_ir)
         if cache_path is not None:
             write_mask(cache_path, semantics.m)

@@ -48,12 +48,13 @@ Concurrency: tensors are treated as immutable once built, so inference over
 a frozen parameter set is safe from many workers; anything that mutates
 parameters (optimizer steps, grad zeroing) needs exclusive access. No
 interior locking is provided. Grad mode is per thread (``no_grad``).
-``lanes`` runs two sub-graphs that share no leaf needing a gradient on two
-threads, the helper in the caller's grad mode, and its backward walks them
-on two threads too; each leaf's gradient is then written from one thread
-only. ``mgca.encode_streams`` runs the two encoders of ``fuse`` and of
-every training member this way, and ``mgca.cross_reconstruct`` MGCA's two
-directions. Each attention backward allocates its own two scratch arrays.
+``lanes`` runs two sub-graphs that share no leaf needing a gradient, on
+two threads when it is built while ``blas.one_blas_thread`` is held
+(``fuse`` and ``train`` hold it), the helper in the caller's grad mode, and
+its backward walks them on two threads too; each leaf's gradient is then
+written from one thread only. ``mgca.encode_streams`` runs the two encoders
+this way, and ``mgca.cross_reconstruct`` MGCA's two directions. Each
+attention backward allocates its own two scratch arrays.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf
+
+from . import blas
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
@@ -749,21 +752,23 @@ def _two_lanes(side_by_side: bool, first, second):
         return ahead.result(), behind
 
 
-def lanes(fa, a: Tensor, fb, b: Tensor, side_by_side: bool) -> Tensor:
+def lanes(fa, a: Tensor, fb, b: Tensor) -> Tensor:
     """``stack((fa(a), fb(b)))`` as one tape node, for two sub-graphs that
     share no leaf that requires grad; ``fa(a)`` and ``fb(b)`` must have one
     shape.
 
-    With ``side_by_side``, ``fa`` runs on a helper thread in this thread's
-    grad mode beside ``fb`` on this one, and the node's VJP walks the two
-    sub-graphs on the same two threads; otherwise all of it runs here in
-    turn, ``fa`` first. The bits are the same either way. Each lane starts
-    from a fresh leaf holding its input, so its walk stops there, and that
-    leaf's gradient is the one the node passes on; ``a`` and ``b`` may be
-    one tensor, which then gets the sum of the two.
+    The node reads ``blas.held()`` once, as it is built. While some thread
+    holds OpenBLAS at one thread, ``fa`` runs on a helper thread in this
+    thread's grad mode beside ``fb`` on this one, and the node's VJP walks
+    the two sub-graphs on the same two threads, whether or not the hold is
+    still taken then; otherwise all of it runs here in turn, ``fa`` first.
+    The bits are the same either way. Each lane starts from a fresh leaf
+    holding its input, so its walk stops there, and that leaf's gradient is
+    the one the node passes on; ``a`` and ``b`` may be one tensor, which
+    then gets the sum of the two.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    grad = grad_enabled()
+    grad, side_by_side = grad_enabled(), blas.held()
     a_in, b_in = (Tensor._result("leaf", x.data, (), None, check=False, track=x.requires_grad)
                   for x in (a, b))
 
@@ -794,35 +799,26 @@ def _pair(v):
     return (v, v) if isinstance(v, int) else (int(v[0]), int(v[1]))
 
 
-def pad2d(a: Tensor, pad, mode: str = "zero") -> Tensor:
-    """Pad the last two axes by (ph, pw) per side with zeros or reflection."""
+def pad2d(a: Tensor, pad) -> Tensor:
+    """Reflect the last two axes by (ph, pw) per side, as numpy's "reflect"
+    mode (the edge row is not repeated); a pad of 0 returns ``a`` itself.
+    ``conv2d`` does its own zero padding."""
     a = _as_tensor(a)
     ph, pw = _pair(pad)
     if ph == 0 and pw == 0:
         return a
     h, w = a.shape[-2], a.shape[-1]
-    if mode == "zero":
-        spec = [(0, 0)] * (a.ndim - 2) + [(ph, ph), (pw, pw)]
-        out = np.pad(a.data, spec)
+    if ph >= h or pw >= w:
+        raise ShapeError(f"pad2d: reflect pad ({ph},{pw}) too large for ({h},{w})")
+    iy = np.concatenate([np.arange(ph, 0, -1), np.arange(h), np.arange(h - 2, h - 2 - ph, -1)])
+    ix = np.concatenate([np.arange(pw, 0, -1), np.arange(w), np.arange(w - 2, w - 2 - pw, -1)])
+    out = a.data[..., iy[:, None], ix[None, :]]
 
-        def vjp(g):
-            sl = (Ellipsis, slice(ph, ph + h), slice(pw, pw + w))
-            return (np.ascontiguousarray(g[sl]),)
+    def vjp(g):
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, (Ellipsis, iy[:, None], ix[None, :]), g)
+        return (ga,)
 
-    elif mode == "reflect":
-        if ph >= h or pw >= w:
-            raise ShapeError(f"pad2d: reflect pad ({ph},{pw}) too large for ({h},{w})")
-        iy = np.concatenate([np.arange(ph, 0, -1), np.arange(h), np.arange(h - 2, h - 2 - ph, -1)])
-        ix = np.concatenate([np.arange(pw, 0, -1), np.arange(w), np.arange(w - 2, w - 2 - pw, -1)])
-        out = a.data[..., iy[:, None], ix[None, :]]
-
-        def vjp(g):
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, (Ellipsis, iy[:, None], ix[None, :]), g)
-            return (ga,)
-
-    else:
-        raise ValueError(f"pad2d: unknown mode {mode!r}")
     return Tensor._result("pad2d", np.ascontiguousarray(out), (a,), vjp, check=False)
 
 

@@ -12,8 +12,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture(autouse=True)
 def no_leaked_hold_or_thread():
-    """Fail a test that leaves OpenBLAS held at one thread, or a thread it
-    started still running (after ten seconds' grace to finish)."""
+    """Fail a test that leaves OpenBLAS held at one thread or, where its
+    thread count can be read, at another count than it found, or a thread
+    it started still running (after ten seconds' grace to finish)."""
+    controls = blas._controls()
+    blas_threads = controls[0]() if controls else None
     before = set(threading.enumerate())
     yield
     started = [t for t in threading.enumerate() if t not in before]
@@ -21,6 +24,8 @@ def no_leaked_hold_or_thread():
         t.join(timeout=10)
     assert not [t.name for t in started if t.is_alive()], "the test left threads running"
     assert not blas.held(), "the test left OpenBLAS held at one thread"
+    if controls:
+        assert controls[0]() == blas_threads, "the test left OpenBLAS at another thread count"
 
 
 @pytest.fixture

@@ -107,6 +107,15 @@ def test_repeated_or_unsplittable_metadata_line_rejected(tmp_path, blob, match):
         load_checkpoint(path)
 
 
+
+def test_parameter_name_given_twice_rejected(tmp_path):
+    """Two entries named ``w`` are rejected; the later one does not replace
+    the earlier one in silence."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, [Parameter("w", np.zeros(2)), Parameter("w", np.ones(2))], meta={})
+    with pytest.raises(CheckpointError, match="parameter 'w' twice"):
+        load_checkpoint(path)
+
 def test_dims_whose_product_overflows_int64_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, [Parameter("w", np.zeros((1, 1, 1, 1)))], meta={})

@@ -12,7 +12,7 @@ from ivfuse.cli import _semantics, main
 from ivfuse.config import load_config, parse_config_text
 from ivfuse.dataset import (FixtureBundle, generate_dataset, load_pairs,
                             semantic_generator_for)
-from ivfuse.imgio import load_image
+from ivfuse.imgio import load_image, save_image
 from ivfuse.model import FusionModel, StageError
 from ivfuse.providers import HashTextEncoder, LookupCaptioner
 from ivfuse.sig import MaskSemantics, TextDescription, embed_text, read_mask
@@ -362,6 +362,29 @@ def test_eval_requires_sources(dataset):
     code = main(["eval", "--fused", str(root / "vis"), "--out", str(tmp / "r")])
     assert code == 1
 
+
+
+@pytest.mark.parametrize("case", ["fused-smaller", "sources-differ", "below-vif"])
+def test_eval_rejects_mismatched_or_small_images_before_writing(tmp_path, capsys, case):
+    """An 80x80 fused image against 96x96 sources, sources of two sizes, or
+    images below VIF's 32-pixel side: ``eval`` exits 1 with one line naming
+    the three files, and writes nothing under --out."""
+    root = tmp_path / "data"
+    generate_dataset(root, 1, (24, 24) if case == "below-vif" else (96, 96), seed=1)
+    files = [tmp_path / "fused" / "pair0000.png", root / "vis" / "pair0000.png",
+             root / "ir" / "pair0000.png"]
+    files[0].parent.mkdir()
+    vis = load_image(files[1])
+    save_image(vis[:, :80, :80] if case == "fused-smaller" else vis, files[0])
+    if case == "sources-differ":
+        save_image(load_image(files[2])[:, :80, :80], files[2])
+    out = tmp_path / "report"
+    capsys.readouterr()
+    assert main(["eval", "--fused", str(files[0].parent), "--in", str(root),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and not out.exists()
+    assert all(str(f) in err for f in files), err
 
 def test_usage_errors_exit_one(dataset, capsys):
     root, cfg, tmp = dataset

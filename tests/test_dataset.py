@@ -8,7 +8,7 @@ from ivfuse.dataset import (DatasetError, FixtureBundle, ImagePair,
                             generate_dataset, load_pairs,
                             providers_from_fixtures, semantic_generator_for,
                             synth_pair)
-from ivfuse.imgio import save_image
+from ivfuse.imgio import load_image, save_image
 from ivfuse.metrics import evaluate_dataset
 from ivfuse.sig import MaskSettings, image_content_hash
 
@@ -67,6 +67,24 @@ def test_directories_named_like_images_are_skipped(tmp_path):
     report = evaluate_dataset(tmp_path / "fused", tmp_path / "vis", tmp_path / "ir")
     assert [r.pair_id for r in report.rows] == ["pair0000"] and report.missing == []
 
+
+
+@pytest.mark.parametrize("sub", ["vis", "ir", "fused"])
+def test_two_images_with_one_stem_rejected(tmp_path, sub):
+    """``pair0000.png`` beside ``pair0000.ppm`` gives one pair id twice, so
+    neither wins in silence: ``load_pairs`` and ``evaluate_dataset`` raise
+    ``DatasetError`` naming both files."""
+    generate_dataset(tmp_path, 1, (64, 64), seed=7)
+    (tmp_path / "fused").mkdir()
+    shutil.copy(tmp_path / "vis" / "pair0000.png", tmp_path / "fused")
+    image = load_image(tmp_path / sub / "pair0000.png")
+    save_image(image, tmp_path / sub / ("pair0000.ppm" if len(image) == 3 else "pair0000.pgm"))
+    match = r"(?=.*pair0000\.png)(?=.*pair0000\.p[gp]m)"
+    if sub != "fused":
+        with pytest.raises(DatasetError, match=match):
+            load_pairs(tmp_path)
+    with pytest.raises(DatasetError, match=match):
+        evaluate_dataset(tmp_path / "fused", tmp_path / "vis", tmp_path / "ir")
 
 def test_generate_and_load_round_trip(tmp_path):
     fixtures = generate_dataset(tmp_path, 3, (32, 32), seed=1)

@@ -342,6 +342,25 @@ def test_png_chunk_framing_rejected(tmp_path, case, message):
         load_image(path)
 
 
+
+@pytest.mark.parametrize("ctype, loads", [
+    (b"ZZZZ", False),  # critical (bit 5 of the first byte clear), unknown
+    (b"zZZZ", True),   # ancillary
+    (b"tEXt", True),
+    (b"PLTE", True),   # critical and known: a suggested palette, unused here
+])
+def test_png_unknown_critical_chunk_rejected(tmp_path, ctype, loads):
+    """RFC 2083 3.3: a decoder must not skip a critical chunk it does not
+    know. Ancillary chunks, and ``PLTE``, are skipped."""
+    path = tmp_path / "extra.png"
+    path.write_bytes(PNG_SIGNATURE + chunk(b"IHDR", ihdr(2, 2)) + chunk(ctype, b"\x00" * 3)
+                     + chunk(b"IDAT", zlib.compress(bytes(6))) + chunk(b"IEND", b""))
+    if loads:
+        np.testing.assert_array_equal(load_image(path), np.zeros((1, 2, 2)))
+    else:
+        with pytest.raises(ImageFormatError, match="unknown critical PNG chunk b'ZZZZ'"):
+            load_image(path)
+
 def test_png_stream_longer_than_image_rejected_in_bounded_memory(tmp_path):
     """A 1x1 image whose IDAT inflates to 16 MiB is rejected without holding it."""
     path = tmp_path / "inflates.png"

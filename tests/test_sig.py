@@ -99,16 +99,16 @@ def planted_setup(rng, h=20, w=24, rect=Rect(4, 6, 8, 10)):
 
 def test_identical_conditioning_gives_empty_mask(rng):
     img, t, _, den, _ = planted_setup(rng)
-    mask = mask_from_noise_diff(img, t, t, den, noise_seed=0)
+    mask = mask_from_noise_diff(img, t, t, den)
     np.testing.assert_array_equal(mask, np.zeros(mask.shape))
 
 
 def test_planted_rectangle_recovered_exactly(rng):
     img, t, t_hat, den, rect = planted_setup(rng)
-    mask = mask_from_noise_diff(img, t, t_hat, den, noise_seed=0)
+    mask = mask_from_noise_diff(img, t, t_hat, den)
     np.testing.assert_array_equal(mask, rect.indicator(20, 24))
-    fixed = mask_from_noise_diff(img, t, t_hat, den, noise_seed=0,
-                                 threshold_policy="fixed", tau=0.5)
+    fixed = mask_from_noise_diff(img, t, t_hat, den,
+                                 MaskSettings(threshold_policy="fixed", tau=0.5))
     np.testing.assert_array_equal(fixed, rect.indicator(20, 24))
 
 
@@ -117,14 +117,14 @@ def test_constant_difference_degenerates_to_empty(rng):
     t = TextDescription.from_text("a car here")
     t_hat = TextDescription.from_text("a here")
     den = PlantedRegionDenoiser({"car": Rect(0, 0, 8, 8)})  # whole frame
-    mask = mask_from_noise_diff(img, t, t_hat, den, noise_seed=1)
+    mask = mask_from_noise_diff(img, t, t_hat, den, MaskSettings(noise_seed=1))
     np.testing.assert_array_equal(mask, np.zeros((8, 8)))
 
 
 def test_mask_deterministic_given_seed(rng):
     img, t, t_hat, den, _ = planted_setup(rng)
-    a = mask_from_noise_diff(img, t, t_hat, den, noise_seed=3)
-    b = mask_from_noise_diff(img, t, t_hat, den, noise_seed=3)
+    a = mask_from_noise_diff(img, t, t_hat, den, MaskSettings(noise_seed=3))
+    b = mask_from_noise_diff(img, t, t_hat, den, MaskSettings(noise_seed=3))
     np.testing.assert_array_equal(a, b)
 
 
@@ -141,9 +141,10 @@ def test_mask_invariant_to_affine_rescaling_of_difference(rng):
     t = TextDescription.from_text("one car outside")
     t_hat = TextDescription.from_text("one outside")
     base = PlantedRegionDenoiser({"car": rect}, amplitude=0.4)
-    ref = mask_from_noise_diff(img, t, t_hat, base, noise_seed=5)
+    ref = mask_from_noise_diff(img, t, t_hat, base, MaskSettings(noise_seed=5))
     for a, b in [(2.0, 0.0), (7.3, -1.2), (0.01, 100.0)]:
-        scaled = mask_from_noise_diff(img, t, t_hat, ScaledDenoiser(base, a, b), noise_seed=5)
+        scaled = mask_from_noise_diff(img, t, t_hat, ScaledDenoiser(base, a, b),
+                                      MaskSettings(noise_seed=5))
         np.testing.assert_array_equal(scaled, ref)
 
 
@@ -156,7 +157,7 @@ def test_denoiser_shape_mismatch_rejected(rng):
     t = TextDescription.from_text("a car")
     t_hat = TextDescription.from_text("a")
     with pytest.raises(ShapeError, match="denoiser"):
-        mask_from_noise_diff(img, t, t_hat, BadDenoiser(), noise_seed=0)
+        mask_from_noise_diff(img, t, t_hat, BadDenoiser())
 
 
 # -- union -------------------------------------------------------------------

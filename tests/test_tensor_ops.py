@@ -201,10 +201,8 @@ def test_max_elementwise_and_abs(rng):
 
 def test_pad2d_reflect_matches_numpy(rng):
     x = rng.random((2, 1, 5, 6))
-    out = T.pad2d(Tensor(x), (2, 1), mode="reflect")
+    out = T.pad2d(Tensor(x), (2, 1))
     np.testing.assert_array_equal(out.data, np.pad(x, [(0, 0), (0, 0), (2, 2), (1, 1)], mode="reflect"))
-    out = T.pad2d(Tensor(x), 1, mode="zero")
-    np.testing.assert_array_equal(out.data, np.pad(x, [(0, 0), (0, 0), (1, 1), (1, 1)]))
 
 
 def test_backward_requires_scalar_and_graph(rng):
