@@ -13,7 +13,7 @@ from ivfuse.tensor import Tensor
 gen = ivrng.derive(0, "demo-blocks")
 
 print("== cross-attention ==")
-ca = CrossAttention(d_q=8, d_kv=8, d=8, d_out=8, heads=2, name="demo", rng=gen)
+ca = CrossAttention(d_q=8, dim=8, heads=2, name="demo", rng=gen)
 queries = Tensor(np.random.default_rng(0).standard_normal((4, 8)))
 keys_values = Tensor(np.random.default_rng(1).standard_normal((6, 8)))
 weights = ca.attention_weights(queries, keys_values)

@@ -7,8 +7,6 @@ inputs, the mask preview, and the fused result under demos/out/.
 
 from pathlib import Path
 
-import numpy as np
-
 from ivfuse.dataset import synth_pair
 from ivfuse.imgio import save_image
 from ivfuse.model import FusionModel, ModelConfig, fuse

@@ -78,16 +78,16 @@ class Conv2d(Module):
 class CrossAttention(Module):
     """Scaled dot-product attention, queries from one stream, KV from another.
 
-    Projection widths may all differ: queries d_q -> d, keys/values d_kv -> d,
-    output d -> d_out, with d split across ``heads``.
+    Queries of width d_q and keys/values of width ``dim`` project to ``dim``,
+    split across ``heads``; the output is ``dim`` wide too.
     """
 
-    def __init__(self, d_q: int, d_kv: int, d: int, d_out: int, heads: int, *, name: str, rng):
-        self.d_q, self.d_kv, self.d, self.d_out, self.heads = d_q, d_kv, d, d_out, heads
-        self.w_q = Linear(d_q, d, name=f"{name}.q", rng=rng)
-        self.w_k = Linear(d_kv, d, name=f"{name}.k", rng=rng)
-        self.w_v = Linear(d_kv, d, name=f"{name}.v", rng=rng)
-        self.w_o = Linear(d, d_out, name=f"{name}.o", rng=rng)
+    def __init__(self, d_q: int, dim: int, heads: int, *, name: str, rng):
+        self.d_q, self.dim, self.heads = d_q, dim, heads
+        self.w_q = Linear(d_q, dim, name=f"{name}.q", rng=rng)
+        self.w_k = Linear(dim, dim, name=f"{name}.k", rng=rng)
+        self.w_v = Linear(dim, dim, name=f"{name}.v", rng=rng)
+        self.w_o = Linear(dim, dim, name=f"{name}.o", rng=rng)
 
     def _heads(self, queries: Tensor, keys_values: Tensor):
         """Check shapes, project and split heads.
@@ -102,14 +102,14 @@ class CrossAttention(Module):
             )
         nq, dq = queries.shape[-2], queries.shape[-1]
         nkv, dkv = keys_values.shape[-2], keys_values.shape[-1]
-        if dq != self.d_q or dkv != self.d_kv:
+        if dq != self.d_q or dkv != self.dim:
             raise ShapeError(
                 f"cross_attention: query width {dq} / kv width {dkv} do not match "
-                f"params ({self.d_q}, {self.d_kv})"
+                f"params ({self.d_q}, {self.dim})"
             )
         batch = queries.shape[:-2]
         h = self.heads
-        dh = self.d // h
+        dh = self.dim // h
         q = self.w_q(queries) * (1.0 / math.sqrt(dh))
         k = self.w_k(keys_values)
         v = self.w_v(keys_values)
@@ -130,7 +130,7 @@ class CrossAttention(Module):
         """
         q, kt, v, perm = self._heads(queries, keys_values)
         mixed = T.attention(q, kt, v)                          # (..., h, Nq, dh)
-        merged = T.reshape(T.transpose(mixed, perm), queries.shape[:-2] + (q.shape[-2], self.d))
+        merged = T.reshape(T.transpose(mixed, perm), queries.shape[:-2] + (q.shape[-2], self.dim))
         return self.w_o(merged)
 
     def attention_weights(self, queries: Tensor, keys_values: Tensor) -> np.ndarray:
@@ -169,7 +169,7 @@ class TransformerBlock(Module):
 
     def __init__(self, dim: int, heads: int, *, name: str, rng):
         self.norm_attn = LayerNorm(dim, name=f"{name}.norm_attn")
-        self.attn = CrossAttention(dim, dim, dim, dim, heads, name=f"{name}.attn", rng=rng)
+        self.attn = CrossAttention(dim, dim, heads, name=f"{name}.attn", rng=rng)
         self.norm_ffn = LayerNorm(dim, name=f"{name}.norm_ffn")
         self.ffn = FeedForward(dim, 4 * dim, name=f"{name}.ffn", rng=rng)
 

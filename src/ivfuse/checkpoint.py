@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,13 @@ def _decode_meta(blob: bytes) -> dict[str, str]:
 
 
 def save_checkpoint(path, params, meta: dict[str, str] | None = None) -> None:
-    """Serialize ``params`` (iterable of Parameter) plus metadata to ``path``."""
+    """Serialize ``params`` (iterable of Parameter) plus metadata to ``path``.
+    A parameter name given twice raises ``CheckpointError`` before anything
+    is written."""
     params = list(params)
+    twice = sorted(n for n, k in Counter(p.name for p in params).items() if k > 1)
+    if twice:
+        raise CheckpointError(f"parameter names given twice: {twice[:5]}")
     blob = _encode_meta(meta or {})
     chunks = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(blob)), blob,
               struct.pack("<I", len(params))]
@@ -96,9 +102,13 @@ def save_checkpoint(path, params, meta: dict[str, str] | None = None) -> None:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (meta, {name: ParamState})."""
-    with open(path, "rb") as f:
-        raw = f.read()
+    """Read a checkpoint; returns (meta, {name: ParamState}). A file that
+    cannot be read raises ``CheckpointError`` too."""
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as e:
+        raise CheckpointError(f"cannot read checkpoint: {e.strerror}") from e
     view = memoryview(raw)
     pos = 0
 

@@ -1,7 +1,8 @@
 """Command-line surface: fuse, train, mask, eval, ablate.
 
-Exit codes: 0 success, 1 usage/config error, 2 runtime failure. Commands
-never write into their input directories; artifacts go under --out.
+Exit codes: 0 success; 1 usage error, or a config, dataset, image or
+checkpoint file that cannot be read; 2 runtime failure. Commands never
+write into their input directories; artifacts go under --out.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from .checkpoint import CheckpointError
 from .config import ConfigError, RunConfig, default_config_text, load_config
 from .dataset import (DatasetError, generate_dataset, load_pairs,
                       semantic_generator_for)
-from .imgio import save_image
+from .imgio import ImageFormatError, save_image
 from .metrics import METRIC_COLUMNS, evaluate_dataset
 from .model import FusionModel, fuse
 from .sig import write_mask
@@ -285,7 +287,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, DatasetError) as e:
+    except (ConfigError, DatasetError, CheckpointError, ImageFormatError) as e:
         print(f"ivfuse {args.command}: {e}", file=sys.stderr)
         return USAGE_EXIT
     except TrainingDiverged as e:

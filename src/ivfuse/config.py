@@ -121,10 +121,12 @@ def parse_config_text(text: str) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
         text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read config file ({e.strerror})") from e
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8 text ({e})") from e
     return parse_config_text(text)

@@ -130,6 +130,8 @@ def _shipped_mask(path: Path, size: tuple) -> MaskSemantics:
         m = read_mask(path)
     except MaskCacheError as e:
         raise DatasetError(str(e)) from e
+    except OSError as e:
+        raise DatasetError(f"{path}: cannot read mask ({e.strerror})") from e
     if m.shape != size:
         raise DatasetError(f"{path}: mask is {m.shape[0]}x{m.shape[1]}, "
                            f"its images are {size[0]}x{size[1]}")
@@ -141,6 +143,8 @@ def _shipped_caption(path: Path) -> TextDescription:
         caption = TextDescription.from_text(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as e:
         raise DatasetError(f"{path}: caption is not UTF-8 (byte {e.start})") from e
+    except OSError as e:
+        raise DatasetError(f"{path}: cannot read caption ({e.strerror})") from e
     if not caption.tokens:
         raise DatasetError(f"{path}: empty caption")
     return caption

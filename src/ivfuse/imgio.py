@@ -1,8 +1,7 @@
-"""Raster image I/O: binary PGM/PPM and PNG (gray/RGB, 8- or 16-bit).
-
-Both codecs are implemented here against the published formats (zlib from
-the standard library does the PNG compression), so round trips are exact
-and auditable: an 8-bit image saved and reloaded is bit-identical. Loaded
+"""Raster image I/O: reads binary PGM/PPM and PNG (gray/RGB, 8- or 16-bit)
+and writes 8-bit PNG, all against the published formats (zlib from the
+standard library does the PNG compression), so round trips are exact and
+auditable: an 8-bit image saved and reloaded is bit-identical. Loaded
 pixels are float64 in [0, 1], channel-first (1|3, H, W); 16-bit samples
 scale by 65535, 8-bit by 255.
 
@@ -31,7 +30,7 @@ class ImageFormatError(ValueError):
     """Unsupported or corrupt raster file."""
 
 
-# -- PNM (binary PGM "P5" and PPM "P6") --------------------------------------
+# -- PNM reader (binary PGM "P5" and PPM "P6") -------------------------------
 
 
 def _read_pnm(raw: bytes, path) -> np.ndarray:
@@ -68,17 +67,6 @@ def _read_pnm(raw: bytes, path) -> np.ndarray:
         raise ImageFormatError(f"{path}: PNM sample {data.max()} exceeds maxval {maxval}")
     img = data.reshape(height, width, channels).astype(np.float64) / maxval
     return np.ascontiguousarray(img.transpose(2, 0, 1))
-
-
-def _write_pnm(img: np.ndarray, path, bit_depth: int) -> None:
-    c, h, w = img.shape
-    maxval = 255 if bit_depth == 8 else 65535
-    magic = b"P5" if c == 1 else b"P6"
-    quant = np.round(np.clip(img, 0.0, 1.0) * maxval)
-    payload = quant.transpose(1, 2, 0).astype(np.uint8 if bit_depth == 8 else ">u2").tobytes()
-    with open(path, "wb") as f:
-        f.write(magic + b"\n" + f"{w} {h}\n{maxval}\n".encode())
-        f.write(payload)
 
 
 # -- PNG (color types 0 and 2, bit depths 8 and 16, no interlace) ---------------
@@ -282,15 +270,12 @@ def _png_chunk(ctype: bytes, payload: bytes) -> bytes:
     return struct.pack(">I", len(payload)) + ctype + payload + struct.pack(">I", crc)
 
 
-def _write_png(img: np.ndarray, path, bit_depth: int) -> None:
+def _write_png(img: np.ndarray, path) -> None:
     c, h, w = img.shape
-    maxval = 255 if bit_depth == 8 else 65535
     color = 0 if c == 1 else 2
-    quant = np.round(np.clip(img, 0.0, 1.0) * maxval)
-    pixels = quant.transpose(1, 2, 0).astype(np.uint8 if bit_depth == 8 else ">u2")
-    rows = pixels.reshape(h, -1).view(np.uint8).reshape(h, -1)
-    filtered = np.concatenate([np.zeros((h, 1), dtype=np.uint8), rows], axis=1)
-    ihdr = struct.pack(">IIBBBBB", w, h, bit_depth, color, 0, 0, 0)
+    pixels = np.round(np.clip(img, 0.0, 1.0) * 255).transpose(1, 2, 0).astype(np.uint8)
+    filtered = np.concatenate([np.zeros((h, 1), dtype=np.uint8), pixels.reshape(h, -1)], axis=1)
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, color, 0, 0, 0)
     blob = (PNG_SIGNATURE + _png_chunk(b"IHDR", ihdr)
             + _png_chunk(b"IDAT", zlib.compress(filtered.tobytes(), 6))
             + _png_chunk(b"IEND", b""))
@@ -303,10 +288,13 @@ def _write_png(img: np.ndarray, path, bit_depth: int) -> None:
 
 def load_image(path) -> np.ndarray:
     """Load a PGM/PPM/PNG file as float64 (1|3, H, W) scaled to [0, 1]."""
-    if not os.path.exists(path):
-        raise ImageFormatError(f"{path}: no such file")
-    with open(path, "rb") as f:
-        raw = f.read()
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except FileNotFoundError:
+        raise ImageFormatError(f"{path}: no such file") from None
+    except OSError as e:
+        raise ImageFormatError(f"{path}: cannot read ({e.strerror})") from e
     if raw[:8] == PNG_SIGNATURE:
         return _read_png(raw, path)
     if raw[:2] in (b"P5", b"P6"):
@@ -314,19 +302,14 @@ def load_image(path) -> np.ndarray:
     raise ImageFormatError(f"{path}: unrecognized format (supported: binary PGM/PPM, PNG)")
 
 
-def save_image(img: np.ndarray, path, bit_depth: int = 8) -> None:
-    """Write (1|3, H, W) [0,1] pixels; format chosen by file extension."""
+def save_image(img: np.ndarray, path) -> None:
+    """Write (1|3, H, W) [0,1] pixels as an 8-bit PNG; ``path`` must end in .png."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim == 2:
         img = img[None]
     if img.ndim != 3 or img.shape[0] not in (1, 3):
         raise ImageFormatError(f"cannot save image of shape {img.shape}")
-    if bit_depth not in (8, 16):
-        raise ImageFormatError(f"unsupported bit depth {bit_depth}")
     ext = os.path.splitext(str(path))[1].lower()
-    if ext == ".png":
-        _write_png(img, path, bit_depth)
-    elif ext in (".pgm", ".ppm", ".pnm"):
-        _write_pnm(img, path, bit_depth)
-    else:
-        raise ImageFormatError(f"{path}: unsupported extension {ext!r} (use .png/.pgm/.ppm)")
+    if ext != ".png":
+        raise ImageFormatError(f"{path}: unsupported extension {ext!r} (only .png is written)")
+    _write_png(img, path)

@@ -78,11 +78,11 @@ class MaskGuidedAttention(Module):
     """
 
     def __init__(self, dim: int, heads: int, *, name: str, rng, with_background: bool = True):
-        self.ca_vi_fg = CrossAttention(dim, dim, dim, dim, heads, name=f"{name}.vi_fg", rng=rng)
-        self.ca_iv_fg = CrossAttention(dim, dim, dim, dim, heads, name=f"{name}.iv_fg", rng=rng)
+        self.ca_vi_fg = CrossAttention(dim, dim, heads, name=f"{name}.vi_fg", rng=rng)
+        self.ca_iv_fg = CrossAttention(dim, dim, heads, name=f"{name}.iv_fg", rng=rng)
         if with_background:
-            self.ca_vi_bg = CrossAttention(dim, dim, dim, dim, heads, name=f"{name}.vi_bg", rng=rng)
-            self.ca_iv_bg = CrossAttention(dim, dim, dim, dim, heads, name=f"{name}.iv_bg", rng=rng)
+            self.ca_vi_bg = CrossAttention(dim, dim, heads, name=f"{name}.vi_bg", rng=rng)
+            self.ca_iv_bg = CrossAttention(dim, dim, heads, name=f"{name}.iv_bg", rng=rng)
         else:
             self.ca_vi_bg = None
             self.ca_iv_bg = None

@@ -32,12 +32,6 @@ class Parameter:
     def data(self) -> np.ndarray:
         return self.tensor.data
 
-    @data.setter
-    def data(self, value: np.ndarray) -> None:
-        if value.shape != self.tensor.data.shape:
-            raise ValueError(f"parameter {self.name}: shape {value.shape} != {self.tensor.data.shape}")
-        self.tensor.data = np.ascontiguousarray(value, dtype=np.float64)
-
     @property
     def grad(self):
         return self.tensor.grad

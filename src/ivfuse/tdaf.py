@@ -58,7 +58,7 @@ class TextFusionParams(Module):
         self.use_text = use_text
         if use_text:
             self.text_proj = Linear(text_dim, dim, name=f"{name}.text_proj", rng=rng)
-            self.ca = CrossAttention(2 * dim, dim, dim, dim, heads, name=f"{name}.ca", rng=rng)
+            self.ca = CrossAttention(2 * dim, dim, heads, name=f"{name}.ca", rng=rng)
             self.concat_proj = None
         else:
             self.text_proj = None

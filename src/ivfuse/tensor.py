@@ -186,9 +186,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- backward --------------------------------------------------------
 
     def backward(self) -> None:
@@ -501,10 +498,8 @@ def reshape(a: Tensor, shape) -> Tensor:
     return Tensor._result("reshape", np.ascontiguousarray(out), (a,), vjp, check=False)
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
+def transpose(a: Tensor, axes) -> Tensor:
     a = _as_tensor(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
     axes = tuple(axes)
     if sorted(axes) != list(range(a.ndim)):
         raise ShapeError(f"transpose: axes {axes} invalid for ndim {a.ndim}")
@@ -795,23 +790,18 @@ def lanes(fa, a: Tensor, fb, b: Tensor) -> Tensor:
 # -- padding and convolution --------------------------------------------------
 
 
-def _pair(v):
-    return (v, v) if isinstance(v, int) else (int(v[0]), int(v[1]))
-
-
-def pad2d(a: Tensor, pad) -> Tensor:
-    """Reflect the last two axes by (ph, pw) per side, as numpy's "reflect"
+def pad2d(a: Tensor, pad: int) -> Tensor:
+    """Reflect the last two axes by ``pad`` per side, as numpy's "reflect"
     mode (the edge row is not repeated); a pad of 0 returns ``a`` itself.
     ``conv2d`` does its own zero padding."""
     a = _as_tensor(a)
-    ph, pw = _pair(pad)
-    if ph == 0 and pw == 0:
+    if pad == 0:
         return a
     h, w = a.shape[-2], a.shape[-1]
-    if ph >= h or pw >= w:
-        raise ShapeError(f"pad2d: reflect pad ({ph},{pw}) too large for ({h},{w})")
-    iy = np.concatenate([np.arange(ph, 0, -1), np.arange(h), np.arange(h - 2, h - 2 - ph, -1)])
-    ix = np.concatenate([np.arange(pw, 0, -1), np.arange(w), np.arange(w - 2, w - 2 - pw, -1)])
+    if pad >= min(h, w):
+        raise ShapeError(f"pad2d: reflect pad {pad} too large for ({h},{w})")
+    iy = np.concatenate([np.arange(pad, 0, -1), np.arange(h), np.arange(h - 2, h - 2 - pad, -1)])
+    ix = np.concatenate([np.arange(pad, 0, -1), np.arange(w), np.arange(w - 2, w - 2 - pad, -1)])
     out = a.data[..., iy[:, None], ix[None, :]]
 
     def vjp(g):
@@ -822,8 +812,9 @@ def pad2d(a: Tensor, pad) -> Tensor:
     return Tensor._result("pad2d", np.ascontiguousarray(out), (a,), vjp, check=False)
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, padding=0) -> Tensor:
-    """2-D cross-correlation at stride 1: NCHW input, OIHW kernel, zero padding."""
+def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, padding: int = 0) -> Tensor:
+    """2-D cross-correlation at stride 1: NCHW input, OIHW kernel, ``padding``
+    zeros on each side of both spatial axes."""
     x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: need NCHW input and OIHW kernel, got {x.shape} and {w.shape}")
@@ -831,8 +822,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, padding=0) -> Tenso
     o, ci, kh, kw = w.shape
     if ci != c:
         raise ShapeError(f"conv2d: input channels {c} != kernel channels {ci}")
-    ph, pw = _pair(padding)
-    hp, wp = h + 2 * ph, wd + 2 * pw
+    hp, wp = h + 2 * padding, wd + 2 * padding
     if kh > hp or kw > wp:
         raise ShapeError(f"conv2d: kernel ({kh},{kw}) larger than padded input ({hp},{wp})")
     ho, wo = hp - kh + 1, wp - kw + 1
@@ -841,7 +831,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, padding=0) -> Tenso
         if bias.shape != (o,):
             raise ShapeError(f"conv2d: bias shape {bias.shape} != ({o},)")
 
-    xp = np.pad(x.data, [(0, 0), (0, 0), (ph, ph), (pw, pw)]) if (ph or pw) else x.data
+    xp = np.pad(x.data, [(0, 0), (0, 0), (padding,) * 2, (padding,) * 2]) if padding else x.data
     acc = np.zeros((n, ho, wo, o))
     for i in range(kh):
         for j in range(kw):
@@ -862,7 +852,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, padding=0) -> Tenso
                 gw[:, :, i, j] = np.tensordot(g, view, axes=([0, 2, 3], [0, 2, 3]))
                 spread = np.tensordot(g, w.data[:, :, i, j], axes=([1], [0]))
                 gxp[:, :, i:i + ho, j:j + wo] += np.moveaxis(spread, -1, 1)
-        gx = gxp[:, :, ph:ph + h, pw:pw + wd] if (ph or pw) else gxp
+        gx = gxp[:, :, padding:padding + h, padding:padding + wd]
         if bias is None:
             return np.ascontiguousarray(gx), gw
         return np.ascontiguousarray(gx), gw, g.sum(axis=(0, 2, 3))

@@ -21,7 +21,7 @@ from .losses import LossWeights, total_loss
 from .model import VARIANTS, FusionModel, ModelConfig, reflect_pad
 from .optim import adamw_step, zero_grads
 from .rng import derive
-from .sig import MaskSemantics, TextSemantics
+from .sig import MaskSemantics
 from .tensor import NonFiniteError, Tensor
 
 HISTORY_COLUMNS = ("step", "l_ssim", "l_grad", "l_int", "l_color", "total")
@@ -115,7 +115,7 @@ class Resume:
 
 
 def load_resume(path) -> Resume:
-    return Resume(path, *_model_from(*load_checkpoint(path)))
+    return Resume(path, *_model_from(path))
 
 
 def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
@@ -213,10 +213,11 @@ def _write_checkpoint(path, model: FusionModel, step: int, seed: int) -> None:
     save_checkpoint(path, model.parameters(), meta=meta)
 
 
-def _model_from(meta: dict[str, str], states) -> tuple[FusionModel, int]:
-    """The FusionModel a checkpoint's header describes, with its parameters
+def _model_from(path) -> tuple[FusionModel, int]:
+    """The FusionModel checkpoint ``path`` holds, with its parameters
     restored, and the step it was written at. A ModelConfig field absent
-    from ``meta`` takes its default; every integer is ASCII decimal."""
+    from its header takes its default; every integer is ASCII decimal. Any
+    fault in the file raises ``CheckpointError`` naming ``path``."""
     def decimal(name, raw):
         if not (raw.isascii() and raw.isdigit()):
             raise ValueError(f"{name} is not decimal: {raw!r}")
@@ -224,6 +225,7 @@ def _model_from(meta: dict[str, str], states) -> tuple[FusionModel, int]:
 
     values = {}
     try:
+        meta, states = load_checkpoint(path)
         for f in fields(ModelConfig):
             if f.name in meta:
                 raw = meta[f.name]
@@ -236,9 +238,9 @@ def _model_from(meta: dict[str, str], states) -> tuple[FusionModel, int]:
         _check_shapes(config, variant, states)
         # every parameter is restored below, so the init seed is immaterial
         model = FusionModel(config, variant=variant)
-    except ValueError as e:
-        raise CheckpointError(f"checkpoint metadata: {e}") from e
-    restore_parameters(model.parameters(), states)
+        restore_parameters(model.parameters(), states)
+    except ValueError as e:  # CheckpointError among them
+        raise CheckpointError(f"checkpoint {path}: {e}") from e
     return model, step
 
 
@@ -271,4 +273,4 @@ def checkpoint_mismatch(model: FusionModel, config: ModelConfig, variant: str) -
 def load_model(checkpoint_path) -> FusionModel:
     """Rebuild the FusionModel a checkpoint holds (config and variant from
     its metadata)."""
-    return _model_from(*load_checkpoint(checkpoint_path))[0]
+    return _model_from(checkpoint_path)[0]

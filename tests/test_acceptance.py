@@ -21,7 +21,7 @@ from ivfuse.losses import (LossWeights, color_loss, gradient_loss,
 from ivfuse.metrics import entropy, qabf, scd, std_dev, vif_fusion
 from ivfuse.mgca import FeatureBundle, MaskGuidedAttention, cross_reconstruct
 from ivfuse.model import FusionModel, ModelConfig, fuse
-from ivfuse.optim import adamw_step, zero_grads
+from ivfuse.optim import zero_grads
 from ivfuse.providers import HashTextEncoder, PlantedRegionDenoiser, Rect
 from ivfuse.sig import (MaskSemantics, TextDescription, TextSemantics,
                         embed_text, mask_from_noise_diff, union_masks)

@@ -187,8 +187,8 @@ def test_concat_grads(rng):
 
 def test_pad2d_grads(rng):
     x = rng.standard_normal((1, 2, 5, 5))
-    w = rng.standard_normal((1, 2, 9, 7))
-    check_op(lambda t: T.reduce_sum(T.pad2d(t, (2, 1)) * Tensor(w)), x)
+    w = rng.standard_normal((1, 2, 9, 9))
+    check_op(lambda t: T.reduce_sum(T.pad2d(t, 2) * Tensor(w)), x)
 
 
 def test_backward_is_linear(rng):
@@ -217,8 +217,9 @@ def test_grad_accumulates_until_zeroed(rng):
     first = w.grad.copy()
     T.reduce_sum(w * 3.0).backward()
     np.testing.assert_allclose(w.grad, first + 3.0)
-    w.zero_grad()
-    assert w.grad is None
+    w.grad = None
+    T.reduce_sum(w * 3.0).backward()
+    np.testing.assert_allclose(w.grad, 3.0)
 
 
 def test_backward_frees_each_output_once_its_children_have_run(rng):
@@ -470,7 +471,7 @@ def test_lanes_keep_the_regime_they_were_built_in(rng, monkeypatch):
         loss.backward()
         grads = [t.grad for t in [x] + w]
         for t in [x] + w:
-            t.zero_grad()
+            t.grad = None
         return grads
 
     with blas.one_blas_thread():

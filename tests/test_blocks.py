@@ -10,8 +10,8 @@ from ivfuse.tensor import ShapeError, Tensor
 from oracles import cross_attention_brute, max_relative_error, numeric_gradient
 
 
-def make_ca(d_q, d_kv, d, d_out, heads, seed=0):
-    return CrossAttention(d_q, d_kv, d, d_out, heads, name="ca", rng=ivrng.derive(seed, "ca"))
+def make_ca(d_q, dim, heads, seed=0):
+    return CrossAttention(d_q, dim, heads, name="ca", rng=ivrng.derive(seed, "ca"))
 
 
 def set_identity(ca):
@@ -27,7 +27,7 @@ def ca_raw_params(ca):
 
 
 def test_single_key_identity_projection(rng):
-    ca = make_ca(4, 4, 4, 4, 1)
+    ca = make_ca(4, 4, 1)
     set_identity(ca)
     kv = rng.standard_normal((1, 4))
     q = rng.standard_normal((3, 4))
@@ -36,7 +36,7 @@ def test_single_key_identity_projection(rng):
 
 
 def test_duplicate_keys_average_to_same_token(rng):
-    ca = make_ca(4, 4, 4, 4, 1)
+    ca = make_ca(4, 4, 1)
     set_identity(ca)
     token = rng.standard_normal((1, 4))
     kv = np.repeat(token, 2, axis=0)
@@ -45,7 +45,7 @@ def test_duplicate_keys_average_to_same_token(rng):
 
 
 def test_matches_brute_force_per_head(rng):
-    ca = make_ca(4, 4, 4, 4, 2)
+    ca = make_ca(4, 4, 2)
     q = rng.standard_normal((3, 4))
     kv = rng.standard_normal((5, 4))
     out = ca(Tensor(q), Tensor(kv))
@@ -54,33 +54,33 @@ def test_matches_brute_force_per_head(rng):
 
 
 def test_rectangular_widths_match_brute_force(rng):
-    ca = make_ca(6, 3, 8, 5, 4)
+    ca = make_ca(6, 8, 4)
     q = rng.standard_normal((2, 6))
-    kv = rng.standard_normal((7, 3))
+    kv = rng.standard_normal((7, 8))
     out = ca(Tensor(q), Tensor(kv))
     want = cross_attention_brute(q, kv, ca_raw_params(ca))
     np.testing.assert_allclose(out.data, want, atol=1e-9)
-    assert out.shape == (2, 5)
+    assert out.shape == (2, 8)
 
 
 def test_width_mismatch_rejected(rng):
-    ca = make_ca(4, 4, 4, 4, 2)
+    ca = make_ca(4, 4, 2)
     with pytest.raises(ShapeError, match="cross_attention"):
         ca(Tensor(rng.standard_normal((3, 5))), Tensor(rng.standard_normal((4, 4))))
 
 
 def test_attention_rows_sum_to_one(rng):
-    ca = make_ca(4, 4, 8, 4, 4)
+    ca = make_ca(4, 8, 4)
     w = ca.attention_weights(Tensor(rng.standard_normal((5, 4))),
-                             Tensor(rng.standard_normal((6, 4))))
+                             Tensor(rng.standard_normal((6, 8))))
     assert w.shape == (4, 5, 6)
     np.testing.assert_allclose(w.sum(axis=-1), np.ones((4, 5)), atol=1e-9)
 
 
 def test_batched_attention_weights_match_per_sample(rng):
-    ca = make_ca(4, 4, 8, 4, 4)
+    ca = make_ca(4, 8, 4)
     q = rng.standard_normal((3, 5, 4))
-    kv = rng.standard_normal((3, 6, 4))
+    kv = rng.standard_normal((3, 6, 8))
     w = ca.attention_weights(Tensor(q), Tensor(kv))
     assert w.shape == (3, 4, 5, 6)
     for i in range(3):
@@ -88,9 +88,9 @@ def test_batched_attention_weights_match_per_sample(rng):
 
 
 def test_query_permutation_equivariance(rng):
-    ca = make_ca(4, 4, 8, 6, 2)
+    ca = make_ca(4, 8, 2)
     q = rng.standard_normal((5, 4))
-    kv = rng.standard_normal((6, 4))
+    kv = rng.standard_normal((6, 8))
     perm = rng.permutation(5)
     out = ca(Tensor(q), Tensor(kv)).data
     out_p = ca(Tensor(q[perm]), Tensor(kv)).data
@@ -98,9 +98,9 @@ def test_query_permutation_equivariance(rng):
 
 
 def test_kv_permutation_invariance(rng):
-    ca = make_ca(4, 4, 8, 6, 2)
+    ca = make_ca(4, 8, 2)
     q = rng.standard_normal((5, 4))
-    kv = rng.standard_normal((6, 4))
+    kv = rng.standard_normal((6, 8))
     perm = rng.permutation(6)
     out = ca(Tensor(q), Tensor(kv)).data
     out_p = ca(Tensor(q), Tensor(kv[perm])).data
@@ -137,9 +137,9 @@ def score_sizes(monkeypatch, nkv, budget=None):
     ((), 10, 1),        # a single KV token
 ])
 def test_chunked_inference_matches_dense(rng, monkeypatch, batch, nq, nkv):
-    ca = make_ca(6, 5, 8, 4, 2)
+    ca = make_ca(6, 4, 2)
     q = Tensor(rng.standard_normal(batch + (nq, 6)))
-    kv = Tensor(rng.standard_normal(batch + (nkv, 5)))
+    kv = Tensor(rng.standard_normal(batch + (nkv, 4)))
     with T.no_grad():
         dense = ca(q, kv).data
     budget = 8 * ca.heads * nkv * int(np.prod(batch)) * CHUNK_ROWS
@@ -156,12 +156,12 @@ def test_grad_mode_attention_runs_in_chunks(rng, monkeypatch):
     """With a tape both branches build the same row chunks as inference,
     each within the budget: 9 rows as 4 + 4 + 1, with the stock weights
     (shift-free) and with the q and k weights scaled x1000 (fallback)."""
-    ca = make_ca(4, 4, 8, 4, 2)
+    ca = make_ca(4, 8, 2)
     row_bytes = 8 * 2 * 2 * 7
     monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", row_bytes * CHUNK_ROWS)
     sizes = score_sizes(monkeypatch, 7, row_bytes * CHUNK_ROWS)
     q = Tensor(rng.standard_normal((2, 9, 4)), requires_grad=True)
-    kv = Tensor(rng.standard_normal((2, 7, 4)))
+    kv = Tensor(rng.standard_normal((2, 7, 8)))
     for scale in (1.0, 1000.0):
         for lin in (ca.w_q, ca.w_k):
             lin.weight.tensor.data = lin.weight.data * scale
@@ -171,7 +171,7 @@ def test_grad_mode_attention_runs_in_chunks(rng, monkeypatch):
         sizes.clear()
         out = ca(q, kv)
         assert sizes == [row_bytes * 4, row_bytes * 4, row_bytes]
-        q.zero_grad()
+        q.grad = None
         T.reduce_sum(out).backward()
         assert q.grad.shape == q.shape and np.isfinite(q.grad).all()
 
@@ -203,7 +203,7 @@ def test_attention_tape_keeps_no_score_array(rng, batch):
     whose large scores take the fallback. The weights' rows still sum to
     one there."""
     nq, nkv = 5, 7
-    ca = make_ca(6, 6, 6, 6, 2)
+    ca = make_ca(6, 6, 2)
     q = Tensor(rng.standard_normal(batch + (nq, 6)), requires_grad=True)
     kv = Tensor(rng.standard_normal(batch + (nkv, 6)))
 
@@ -226,7 +226,7 @@ def test_attention_tape_keeps_one_head_layout_kv_array(rng, batch):
     """The keys go to (..., h, d_h, N_kv) in one transpose, so the tape keeps
     one (..., h, N_kv, d_h) array, the heads of v, and no such copy of k."""
     nq, nkv, heads = 5, 7, 2
-    ca = make_ca(6, 6, 6, 6, heads)
+    ca = make_ca(6, 6, heads)
     q = Tensor(rng.standard_normal(batch + (nq, 6)), requires_grad=True)
     kv = Tensor(rng.standard_normal(batch + (nkv, 6)))
     kept = [a for a in retained_arrays(ca(q, kv)) if a.shape == batch + (heads, nkv, 3)]
@@ -250,7 +250,7 @@ def test_block_tape_keeps_no_pre_bias_product(rng):
     dim, n = 6, 5
     block = make_block(dim=dim)
     for p in block.parameters():       # nonzero biases set x @ W apart from x @ W + b
-        p.data = p.data + 0.5 * rng.standard_normal(p.data.shape)
+        p.tensor.data = p.data + 0.5 * rng.standard_normal(p.data.shape)
     kept = retained_arrays(block(Tensor(rng.standard_normal((2, n, dim)), requires_grad=True)))
     assert len([a for a in kept if a.shape == (2, n, 4 * dim)]) == 3
     linears = (block.attn.w_q, block.attn.w_k, block.attn.w_v, block.attn.w_o,

@@ -112,9 +112,26 @@ def test_parameter_name_given_twice_rejected(tmp_path):
     """Two entries named ``w`` are rejected; the later one does not replace
     the earlier one in silence."""
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, [Parameter("w", np.zeros(2)), Parameter("w", np.ones(2))], meta={})
+    save_checkpoint(path, [Parameter("w", np.zeros(2)), Parameter("v", np.ones(2))], meta={})
+    named_v = struct.pack("<I", 1) + b"v"
+    path.write_bytes(path.read_bytes().replace(named_v, struct.pack("<I", 1) + b"w"))
     with pytest.raises(CheckpointError, match="parameter 'w' twice"):
         load_checkpoint(path)
+
+
+def test_save_rejects_a_parameter_name_given_twice(tmp_path):
+    """``save_checkpoint`` raises before it writes: no file, no temp file."""
+    with pytest.raises(CheckpointError, match=r"given twice: \['w'\]"):
+        save_checkpoint(tmp_path / "m.ckpt",
+                        [Parameter("w", np.zeros(2)), Parameter("w", np.ones(2))], meta={})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unreadable_checkpoint_raises_checkpoint_error(tmp_path):
+    (tmp_path / "dir.ckpt").mkdir()
+    for path in (tmp_path / "missing.ckpt", tmp_path / "dir.ckpt"):
+        with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+            load_checkpoint(path)
 
 def test_dims_whose_product_overflows_int64_rejected(tmp_path):
     path = tmp_path / "m.ckpt"

@@ -457,12 +457,63 @@ def test_runtime_errors_exit_two(dataset):
     (empty / "ir").mkdir()
     code = main(["fuse", "--config", str(cfg), "--in", str(empty), "--out", str(tmp / "o")])
     assert code == 1  # dataset errors are usage-class
-    # corrupt checkpoint is a runtime failure
-    bad = tmp / "bad.ckpt"
-    bad.write_bytes(b"garbage")
-    code = main(["fuse", "--config", str(cfg), "--in", str(root),
-                 "--out", str(tmp / "o2"), "--checkpoint", str(bad)])
+    # an --out that cannot be made a directory is a runtime failure
+    taken = tmp / "o2"
+    taken.write_bytes(b"a file")
+    code = main(["fuse", "--config", str(cfg), "--in", str(root), "--out", str(taken)])
     assert code == 2
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "malformed"])
+def test_unreadable_checkpoint_exits_one_naming_it(dataset, capsys, case):
+    """``fuse --checkpoint`` and ``train --resume`` given a missing file, a
+    directory or bytes that are no checkpoint exit 1 with one line naming
+    the path, and write nothing under --out."""
+    root, cfg, tmp = dataset
+    ckpt = tmp / f"{case}.ckpt"
+    if case == "directory":
+        ckpt.mkdir()
+    elif case == "malformed":
+        ckpt.write_bytes(b"garbage")
+    capsys.readouterr()
+    for command, flag in (("fuse", "--checkpoint"), ("train", "--resume")):
+        out = tmp / f"out_{command}"
+        assert main([command, "--config", str(cfg), "--in", str(root), "--out", str(out),
+                     flag, str(ckpt)]) == 1, command
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(ckpt) in err and not out.exists(), err
+
+
+@pytest.mark.parametrize("case", ["image-in", "image-fused", "mask-dir", "caption-dir",
+                                  "config-dir"])
+def test_unreadable_input_exits_one_naming_it(dataset, capsys, case):
+    """An image that does not decode under --in or --fused, a directory where
+    a shipped mask or caption belongs, or a directory given as --config:
+    exit 1 with one line naming it, and nothing written under --out."""
+    root, cfg, tmp = dataset
+    command = "eval" if case == "image-fused" else "fuse"
+    args = ["--in", str(root)]
+    if case == "image-in":
+        bad = root / "vis" / "pair0000.png"
+        bad.write_text("not an image")
+    elif case == "image-fused":
+        (tmp / "fused").mkdir()
+        bad = tmp / "fused" / "pair0000.png"
+        bad.write_text("not an image")
+        args += ["--fused", str(bad.parent)]
+    elif case in ("mask-dir", "caption-dir"):
+        bad = root / ("masks/pair0000.mask" if case == "mask-dir" else "captions/pair0000.txt")
+        bad.mkdir(parents=True)
+    else:
+        bad = tmp / "cfg_dir"
+        bad.mkdir()
+    if command == "fuse":
+        args += ["--config", str(bad if case == "config-dir" else cfg)]
+    out = tmp / "out"
+    capsys.readouterr()
+    assert main([command, *args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(bad) in err and not out.exists(), err
 
 
 def test_inputs_never_mutated(dataset):

@@ -16,11 +16,36 @@ def quantized(rng, channels, h, w, levels=255):
     return np.round(rng.random((channels, h, w)) * levels) / levels
 
 
+def pnm_file(img, maxval):
+    """Binary PGM/PPM bytes of (1|3, H, W) pixels in [0, 1], built here
+    rather than by imgio, which writes PNG only."""
+    c, h, w = img.shape
+    samples = np.round(img * maxval).transpose(1, 2, 0)
+    payload = samples.astype(np.uint8 if maxval == 255 else ">u2").tobytes()
+    return (b"P5" if c == 1 else b"P6") + f"\n{w} {h}\n{maxval}\n".encode() + payload
+
+
+def png16_file(img):
+    """16-bit PNG bytes of (1|3, H, W) pixels in [0, 1], every row filtered None."""
+    c, h, w = img.shape
+    rows = np.round(img * 65535).transpose(1, 2, 0).astype(">u2").reshape(h, -1).view(np.uint8)
+    filtered = np.concatenate([np.zeros((h, 1), dtype=np.uint8), rows], axis=1)
+    return png_file(ihdr(w, h, 16, 0 if c == 1 else 2), filtered.tobytes())
+
+
+def write_8bit(img, path):
+    """PNG through ``save_image``; PGM/PPM as bytes built by ``pnm_file``."""
+    if path.suffix == ".png":
+        save_image(img, path)
+    else:
+        path.write_bytes(pnm_file(img, 255))
+
+
 @pytest.mark.parametrize("ext", ["png", "ppm"])
 def test_rgb_8bit_round_trip_exact(tmp_path, rng, ext):
     img = quantized(rng, 3, 9, 13)
     path = tmp_path / f"img.{ext}"
-    save_image(img, path)
+    write_8bit(img, path)
     np.testing.assert_array_equal(load_image(path), img)
 
 
@@ -28,27 +53,35 @@ def test_rgb_8bit_round_trip_exact(tmp_path, rng, ext):
 def test_gray_8bit_round_trip_exact(tmp_path, rng, ext):
     img = quantized(rng, 1, 7, 5)
     path = tmp_path / f"img.{ext}"
-    save_image(img, path)
+    write_8bit(img, path)
     np.testing.assert_array_equal(load_image(path), img)
 
 
 @pytest.mark.parametrize("ext", ["png", "pgm"])
 def test_16bit_gray_scaling(tmp_path, rng, ext):
+    encode = png16_file if ext == "png" else (lambda img: pnm_file(img, 65535))
     img = quantized(rng, 1, 6, 6, levels=65535)
     path = tmp_path / f"img16.{ext}"
-    save_image(img, path, bit_depth=16)
+    path.write_bytes(encode(img))
     back = load_image(path)
     np.testing.assert_array_equal(back, img)
     full = np.ones((1, 2, 2))
-    save_image(full, path, bit_depth=16)
+    path.write_bytes(encode(full))
     assert load_image(path).max() == 1.0
 
 
 def test_16bit_rgb_png(tmp_path, rng):
     img = quantized(rng, 3, 4, 4, levels=65535)
     path = tmp_path / "rgb16.png"
-    save_image(img, path, bit_depth=16)
+    path.write_bytes(png16_file(img))
     np.testing.assert_array_equal(load_image(path), img)
+
+
+@pytest.mark.parametrize("ext", ["ppm", "pgm"])
+def test_save_image_writes_png_only(tmp_path, ext):
+    with pytest.raises(ImageFormatError, match=rf"\.{ext}"):
+        save_image(np.zeros((1, 2, 2)), tmp_path / f"img.{ext}")
+    assert not (tmp_path / f"img.{ext}").exists()
 
 
 def test_save_clamps_out_of_range(tmp_path):

@@ -9,7 +9,7 @@ from ivfuse.dataset import DatasetError, synth_pair
 from ivfuse.imgio import save_image
 from ivfuse.metrics import (METRIC_COLUMNS, MetricReport, entropy,
                             evaluate_dataset, evaluate_pair, qabf, scd,
-                            std_dev, to_gray255, vif_fusion)
+                            std_dev, vif_fusion)
 
 from oracles import (entropy_from_histogram, pearson, qabf_transcription,
                      vif_pixel_transcription)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ivfuse.optim import Parameter, adamw_step, zero_grads
-from ivfuse.tensor import Tensor, reduce_sum
+from ivfuse.tensor import reduce_sum
 
 
 def scalar_param(value):
