@@ -13,8 +13,8 @@ the full normative description lives in docs/file_formats.md):
         step     u64
         ndim     u32, dims u32 * ndim
         data     f64 * prod(dims)  (parameter values)
-        m        f64 * prod(dims)  (first moment)
-        v        f64 * prod(dims)  (second moment)
+        m        f64 * prod(dims)  (first moment; zero if never stepped)
+        v        f64 * prod(dims)  (second moment; zero if never stepped)
 
 Writes are atomic: the file is written to a temp sibling then renamed.
 """
@@ -39,9 +39,11 @@ class CheckpointError(ValueError):
 
 @dataclass
 class ParamState:
+    """One parameter as stored; ``m`` and ``v`` None and ``step`` 0 when the
+    checkpoint was read without its optimizer state."""
     data: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
+    m: np.ndarray | None
+    v: np.ndarray | None
     step: int
 
 
@@ -93,20 +95,24 @@ def save_checkpoint(path, params, meta: dict[str, str] | None = None) -> None:
         dims = p.data.shape
         chunks.append(struct.pack("<I", len(dims)))
         chunks.append(struct.pack(f"<{len(dims)}I", *dims) if dims else b"")
-        for arr in (p.data, p.m, p.v):
-            chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        chunks.append(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+        for arr in (p.m, p.v):
+            chunks.append(bytes(8 * p.data.size) if arr is None
+                          else np.ascontiguousarray(arr, dtype="<f8").tobytes())
     tmp = str(path) + ".tmp"
     with open(tmp, "wb") as f:
         f.write(b"".join(chunks))
     os.replace(tmp, path)
 
 
-def load_checkpoint(path):
-    """Read a checkpoint; returns (meta, {name: ParamState}). A file that
-    cannot be read raises ``CheckpointError`` too."""
+def load_checkpoint(path, moments: bool = True):
+    """Read a checkpoint; returns (meta, {name: ParamState}). With
+    ``moments`` False only the values are built (each ``ParamState`` has
+    ``m``/``v`` None and step 0), but every byte and bound is checked as
+    before. A file that cannot be read raises ``CheckpointError`` too."""
     try:
         with open(path, "rb") as f:
-            raw = f.read()
+            raw = f.read()  # one block: freeing it lifts glibc's mmap threshold, so ops reuse heap
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint: {e.strerror}") from e
     view = memoryview(raw)
@@ -139,20 +145,24 @@ def load_checkpoint(path):
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim)) if ndim else ()
         size = math.prod(dims)  # exact: a product past int64 must not wrap
         arrs = []
-        for _ in range(3):
-            arr = np.frombuffer(take(8 * size), dtype="<f8").astype(np.float64)
+        for i in range(3):
+            piece = take(8 * size)  # the moments' bytes are bounds-checked even when skipped
+            if i and not moments:
+                continue
+            arr = np.frombuffer(piece, dtype="<f8").astype(np.float64)
             try:
                 arrs.append(np.ascontiguousarray(arr.reshape(dims)))
             except ValueError as e:  # more dims than numpy supports
                 raise CheckpointError(f"parameter {name!r}: {e}") from e
-        states[name] = ParamState(arrs[0], arrs[1], arrs[2], step)
+        states[name] = ParamState(*arrs, step) if moments else ParamState(arrs[0], None, None, 0)
     if pos != len(view):
         raise CheckpointError(f"{len(view) - pos} trailing bytes after checkpoint payload")
     return meta, states
 
 
 def restore_parameters(params, states: dict[str, ParamState]) -> None:
-    """Load saved state into live parameters, matching by name and shape."""
+    """Load saved state into live parameters, matching by name and shape.
+    The parameters keep the given arrays; nothing is copied."""
     params = list(params)
     names = {p.name for p in params}
     missing = [p.name for p in params if p.name not in states]
@@ -167,7 +177,4 @@ def restore_parameters(params, states: dict[str, ParamState]) -> None:
             raise CheckpointError(
                 f"parameter {p.name}: checkpoint shape {st.data.shape} != model {p.data.shape}"
             )
-        p.tensor.data = st.data.copy()
-        p.m = st.m.copy()
-        p.v = st.v.copy()
-        p.step = st.step
+        p.tensor.data, p.m, p.v, p.step = st.data, st.m, st.v, st.step

@@ -2,7 +2,8 @@
 
 A ``Parameter`` owns a gradient-tracking tensor plus its first/second moment
 accumulators and a per-parameter step counter, so checkpoints can restore the
-optimizer mid-run exactly.
+optimizer mid-run exactly. The moments are allocated at the first
+``adamw_step``, so a model that is only run holds its values alone.
 """
 
 from __future__ import annotations
@@ -17,15 +18,17 @@ ADAMW_WEIGHT_DECAY = 0.01
 
 
 class Parameter:
-    """Named leaf tensor with optimizer state."""
+    """Named leaf tensor with optimizer state. ``m`` and ``v`` are None until
+    the first ``adamw_step`` (or a checkpoint's moments) sets them; a
+    parameter never stepped is saved with zero moments."""
 
     __slots__ = ("name", "tensor", "m", "v", "step")
 
     def __init__(self, name: str, data):
         self.name = name
         self.tensor = Tensor(data, requires_grad=True)
-        self.m = np.zeros_like(self.tensor.data)
-        self.v = np.zeros_like(self.tensor.data)
+        self.m = None
+        self.v = None
         self.step = 0
 
     @property
@@ -52,7 +55,8 @@ def adamw_step(params, lr: float, weight_decay: float = ADAMW_WEIGHT_DECAY) -> N
 
     Decay is applied to the incoming parameter value before the moment
     update is subtracted; gradients are left untouched for the caller to
-    zero. Every parameter must have a populated gradient.
+    zero. Every parameter must have a populated gradient. A parameter whose
+    moments are None starts them at zero.
     """
     b1, b2 = ADAMW_BETAS
     for p in params:
@@ -60,6 +64,8 @@ def adamw_step(params, lr: float, weight_decay: float = ADAMW_WEIGHT_DECAY) -> N
             raise ValueError(f"adamw_step: parameter {p.name!r} has no gradient")
     for p in params:
         g = p.grad
+        if p.m is None:
+            p.m, p.v = np.zeros_like(p.data), np.zeros_like(p.data)
         p.step += 1
         t = p.step
         p.m = b1 * p.m + (1.0 - b1) * g

@@ -310,7 +310,9 @@ class SemanticGenerator:
         With a cache directory and a pair id, the mask is cached as
         ``masks/<key>.mask``, where the key digests every input the mask
         depends on (``_mask_key``), so a changed image, caption or
-        setting never reads a stale mask.
+        setting never reads a stale mask. An entry that ``read_mask``
+        rejects, or of another size than the images, is a miss: the mask is
+        computed again and the entry rewritten.
         """
         vis = _as_chw(np.asarray(i_vis, dtype=np.float64))
         ir = _as_chw(np.asarray(i_ir, dtype=np.float64))
@@ -320,8 +322,12 @@ class SemanticGenerator:
         if self.cache_dir is not None and pair_id is not None:
             key = self._mask_key(h_vis, h_ir, t)
             cache_path = os.path.join(self.cache_dir, "masks", key + ".mask")
-            if os.path.exists(cache_path):
-                return MaskSemantics(read_mask(cache_path))
+            try:
+                cached = read_mask(cache_path)
+                if cached.shape == vis.shape[-2:]:
+                    return MaskSemantics(cached)
+            except (FileNotFoundError, MaskCacheError):
+                pass  # a miss: computed and rewritten below
         t_hat = self.contrast_caption(t)
         m_vis = mask_from_noise_diff(vis, t, t_hat, self.denoiser, self.settings, h_vis)
         m_ir = mask_from_noise_diff(ir, t, t_hat, self.denoiser, self.settings, h_ir)

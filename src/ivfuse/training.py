@@ -115,7 +115,7 @@ class Resume:
 
 
 def load_resume(path) -> Resume:
-    return Resume(path, *_model_from(path))
+    return Resume(path, *_model_from(path, moments=True))
 
 
 def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
@@ -213,11 +213,12 @@ def _write_checkpoint(path, model: FusionModel, step: int, seed: int) -> None:
     save_checkpoint(path, model.parameters(), meta=meta)
 
 
-def _model_from(path) -> tuple[FusionModel, int]:
+def _model_from(path, moments: bool) -> tuple[FusionModel, int]:
     """The FusionModel checkpoint ``path`` holds, with its parameters
-    restored, and the step it was written at. A ModelConfig field absent
-    from its header takes its default; every integer is ASCII decimal. Any
-    fault in the file raises ``CheckpointError`` naming ``path``."""
+    restored (AdamW moments and steps too if ``moments``), and the step it
+    was written at. A ModelConfig field absent from its header takes its
+    default; every integer is ASCII decimal. Any fault in the file raises
+    ``CheckpointError`` naming ``path``."""
     def decimal(name, raw):
         if not (raw.isascii() and raw.isdigit()):
             raise ValueError(f"{name} is not decimal: {raw!r}")
@@ -225,7 +226,7 @@ def _model_from(path) -> tuple[FusionModel, int]:
 
     values = {}
     try:
-        meta, states = load_checkpoint(path)
+        meta, states = load_checkpoint(path, moments=moments)
         for f in fields(ModelConfig):
             if f.name in meta:
                 raw = meta[f.name]
@@ -272,5 +273,7 @@ def checkpoint_mismatch(model: FusionModel, config: ModelConfig, variant: str) -
 
 def load_model(checkpoint_path) -> FusionModel:
     """Rebuild the FusionModel a checkpoint holds (config and variant from
-    its metadata)."""
-    return _model_from(checkpoint_path)[0]
+    its metadata), for inference: its parameters hold the file's values
+    only, with no AdamW moments and step 0, though the whole file is still
+    checked. ``load_resume`` restores the optimizer state."""
+    return _model_from(checkpoint_path, moments=False)[0]

@@ -69,6 +69,47 @@ def test_bad_magic_and_truncation_rejected(tmp_path):
         load_checkpoint(bad)
 
 
+def test_values_only_load_builds_no_moments(tmp_path, rng):
+    params = make_params(rng)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, params, meta={"k": "v"})
+    meta, states = load_checkpoint(path, moments=False)
+    assert meta == {"k": "v"} and list(states) == ["enc.weight", "enc.bias"]
+    for p in params:
+        st = states[p.name]
+        np.testing.assert_array_equal(st.data, p.data)
+        assert st.m is None and st.v is None and st.step == 0
+    fresh = [Parameter("enc.weight", np.zeros((3, 4))), Parameter("enc.bias", np.zeros(4))]
+    restore_parameters(fresh, states)
+    assert fresh[0].data is states["enc.weight"].data  # kept, not copied
+    assert fresh[0].m is None and fresh[0].step == 0
+
+
+def test_unstepped_parameter_saves_zero_moments(tmp_path):
+    p = Parameter("w", np.array([1.5, -2.0]))
+    path = tmp_path / "w.ckpt"
+    save_checkpoint(path, [p], meta={})
+    _, states = load_checkpoint(path)
+    np.testing.assert_array_equal(states["w"].m, np.zeros(2))
+    np.testing.assert_array_equal(states["w"].v, np.zeros(2))
+    assert path.read_bytes()[-32:] == bytes(32)
+
+
+@pytest.mark.parametrize("moments", [True, False])
+def test_cut_inside_the_last_moment_or_trailing_bytes_rejected(tmp_path, rng, moments):
+    """A values-only read still walks every byte: the moments' bounds and
+    the end of the file are checked as in a full read."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, make_params(rng), meta={})
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-3])                  # inside the last parameter's v
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path, moments=moments)
+    path.write_bytes(raw + b"\x00")
+    with pytest.raises(CheckpointError, match="1 trailing bytes"):
+        load_checkpoint(path, moments=moments)
+
+
 def test_restore_rejects_mismatches(tmp_path, rng):
     params = make_params(rng)
     path = tmp_path / "m.ckpt"

@@ -60,6 +60,25 @@ def test_fuse_idempotent_outputs(dataset):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("damage", ["truncated", "other-size"])
+def test_fuse_recomputes_a_damaged_mask_cache_entry(dataset, damage):
+    """A cache entry that ``read_mask`` rejects, or of another size than the
+    pair, is a miss: a re-run into the same --out recomputes and rewrites it."""
+    root, cfg, tmp = dataset
+    out = tmp / "fused"
+    assert main(["fuse", "--config", str(cfg), "--in", str(root), "--out", str(out)]) == 0
+    fused = {p.name: p.read_bytes() for p in out.glob("*.png")}
+    entries = sorted((out / "cache" / "masks").glob("*.mask"))
+    good = {e: e.read_bytes() for e in entries}
+    if damage == "truncated":
+        entries[0].write_bytes(good[entries[0]][:10])
+    else:
+        sig.write_mask(entries[0], np.ones((4, 4)))
+    assert main(["fuse", "--config", str(cfg), "--in", str(root), "--out", str(out)]) == 0
+    assert {p.name: p.read_bytes() for p in out.glob("*.png")} == fused
+    assert {e: e.read_bytes() for e in entries} == good
+
+
 def test_fuse_jobs_parallel_matches_serial(dataset):
     root, cfg, tmp = dataset
     serial, parallel = tmp / "s", tmp / "p"
@@ -326,9 +345,9 @@ def test_train_resume_reads_the_checkpoint_once(dataset, monkeypatch):
     longer.write_text(SMALL_CONFIG.replace("epochs = 2", "epochs = 3"))
     reads, real = [], training.load_checkpoint
 
-    def counted(path):
+    def counted(path, **kwargs):
         reads.append(path)
-        return real(path)
+        return real(path, **kwargs)
 
     monkeypatch.setattr(training, "load_checkpoint", counted)
     out = tmp / "resumed"

@@ -84,6 +84,9 @@ def test_grads_untouched_and_step_counts(rng):
 
 def test_accumulator_shapes_match():
     p = Parameter("w", np.zeros((3, 4)))
+    assert p.m is None and p.v is None  # allocated at the first step
+    set_grad(p, np.ones((3, 4)))
+    adamw_step([p], lr=0.01)
     assert p.m.shape == (3, 4) and p.v.shape == (3, 4)
 
 

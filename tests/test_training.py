@@ -15,7 +15,7 @@ from ivfuse.blocks import Encoder
 from ivfuse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from ivfuse.dataset import ImagePair, synth_pair
 from ivfuse.losses import LossWeights, total_loss
-from ivfuse.model import FusionModel, ModelConfig
+from ivfuse.model import FusionModel, ModelConfig, fuse
 from ivfuse.rng import derive
 from ivfuse.sig import MaskSemantics, TextSemantics
 from ivfuse.tensor import Tensor
@@ -183,6 +183,38 @@ def test_variant_checkpoint_header_and_load_model(tmp_path, rng):
     assert model.variant == "no-gaf"
     for a, b in zip(result.model.parameters(), model.parameters(), strict=True):
         assert a.name == b.name and np.array_equal(a.data, b.data)
+
+
+def test_load_model_holds_values_only_and_fuses_like_load_resume(tmp_path, rng):
+    pairs, semantics = make_dataset(rng, n=2)
+    result = train(tiny_config(epochs=1), pairs, semantics, tmp_path / "run")
+    _, states = load_checkpoint(result.checkpoint_path)
+    model, resume = load_model(result.checkpoint_path), load_resume(result.checkpoint_path)
+    for p, q in zip(model.parameters(), resume.model.parameters(), strict=True):
+        st = states[p.name]
+        assert st.step == q.step == 1 and q.m is not None and q.v is not None
+        np.testing.assert_array_equal(p.data, st.data)
+        assert p.m is None and p.v is None and p.step == 0
+    pair = pairs[0]
+    assert (fuse(model, pair, semantics[pair.pair_id]).tobytes()
+            == fuse(resume.model, pair, semantics[pair.pair_id]).tobytes())
+
+
+def test_load_model_of_a_stock_checkpoint_holds_values_and_reads_once(tmp_path):
+    """Held memory is the parameter values; the peak is one file buffer plus
+    those values (the moments are never built, nothing is copied twice)."""
+    path = tmp_path / "stock.ckpt"
+    save_checkpoint(path, FusionModel(ModelConfig(), seed=5).parameters(), meta={})
+    file_mb = path.stat().st_size / 2 ** 20
+    tracemalloc.start()
+    try:
+        model = load_model(path)
+        held, peak = (b / 2 ** 20 for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    values_mb = sum(p.data.nbytes for p in model.parameters()) / 2 ** 20
+    assert values_mb < held < values_mb + 0.5
+    assert peak < file_mb + values_mb + 0.5
 
 
 def test_checkpoint_without_model_keys_loads_as_default(tmp_path):
