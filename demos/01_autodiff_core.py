@@ -37,7 +37,7 @@ print("analytic:", w2.grad, " finite-diff:", np.round(fd, 8))
 print("\n== AdamW on a quadratic ==")
 p = Parameter("w", np.array([5.0, -4.0]))
 for step in range(300):
-    loss = reduce_sum(p.tensor * p.tensor)
+    loss = reduce_sum(p * p)
     loss.backward()
     adamw_step([p], lr=0.05, weight_decay=0.0)
     zero_grads([p])

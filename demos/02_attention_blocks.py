@@ -31,7 +31,7 @@ tokens = Tensor(np.random.default_rng(3).standard_normal((5, 8)))
 print("in", tokens.shape, "-> out", block(tokens).shape)
 for p in block.parameters():
     if not p.name.endswith(".scale"):
-        p.tensor.data = np.zeros_like(p.data)
+        p.data = np.zeros_like(p.data)
 print("identity after zeroing:", np.array_equal(block(tokens).data, tokens.data))
 
 print("\n== patch embedding at the reference geometry ==")

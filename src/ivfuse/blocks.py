@@ -51,7 +51,7 @@ class Linear(Module):
         self.bias = Parameter(f"{name}.bias", np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(x, self.weight.tensor, self.bias.tensor)
+        return T.matmul(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -60,7 +60,7 @@ class LayerNorm(Module):
         self.bias = Parameter(f"{name}.bias", np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.scale.tensor, self.bias.tensor)
+        return T.layer_norm(x, self.scale, self.bias)
 
 
 class Conv2d(Module):
@@ -72,7 +72,7 @@ class Conv2d(Module):
         self.bias = Parameter(f"{name}.bias", np.zeros(c_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.weight.tensor, self.bias.tensor, padding=self.kernel // 2)
+        return T.conv2d(x, self.weight, self.bias, padding=self.kernel // 2)
 
 
 class CrossAttention(Module):
@@ -266,7 +266,7 @@ class Encoder(Module):
 
     def _pos_for(self, gh: int, gw: int) -> Tensor:
         bh, bw = self.base_grid
-        pos = self.pos.tensor
+        pos = self.pos
         if (gh, gw) == (bh, bw):
             return pos
         grid = T.reshape(pos, (bh, bw * self.dim))

@@ -1,5 +1,8 @@
 """Binary checkpoint container for parameters and optimizer state.
 
+It loads into ``Parameter``s (moments and steps when asked for), which
+``restore_parameters`` moves into a live model's.
+
 Byte layout (all integers little-endian, payloads little-endian float64;
 the full normative description lives in docs/file_formats.md):
 
@@ -25,9 +28,10 @@ import math
 import os
 import struct
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
+
+from .optim import Parameter
 
 MAGIC = b"IVFCKPT\x00"
 VERSION = 1
@@ -35,16 +39,6 @@ VERSION = 1
 
 class CheckpointError(ValueError):
     pass
-
-
-@dataclass
-class ParamState:
-    """One parameter as stored; ``m`` and ``v`` None and ``step`` 0 when the
-    checkpoint was read without its optimizer state."""
-    data: np.ndarray
-    m: np.ndarray | None
-    v: np.ndarray | None
-    step: int
 
 
 def _encode_meta(meta: dict[str, str]) -> bytes:
@@ -106,10 +100,11 @@ def save_checkpoint(path, params, meta: dict[str, str] | None = None) -> None:
 
 
 def load_checkpoint(path, moments: bool = True):
-    """Read a checkpoint; returns (meta, {name: ParamState}). With
-    ``moments`` False only the values are built (each ``ParamState`` has
+    """Read a checkpoint; returns (meta, {name: Parameter}). With
+    ``moments`` False only the values are built (each ``Parameter`` has
     ``m``/``v`` None and step 0), but every byte and bound is checked as
-    before. A file that cannot be read raises ``CheckpointError`` too."""
+    before. A NaN or infinite value or moment, or a file that cannot be
+    read, raises ``CheckpointError`` too."""
     try:
         with open(path, "rb") as f:
             raw = f.read()  # one block: freeing it lifts glibc's mmap threshold, so ops reuse heap
@@ -134,11 +129,11 @@ def load_checkpoint(path, moments: bool = True):
     (meta_len,) = struct.unpack("<I", take(4))
     meta = _decode_meta(bytes(take(meta_len)))
     (count,) = struct.unpack("<I", take(4))
-    states: dict[str, ParamState] = {}
+    params: dict[str, Parameter] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
         name = _utf8(bytes(take(name_len)), "parameter name")
-        if name in states:
+        if name in params:
             raise CheckpointError(f"checkpoint holds parameter {name!r} twice")
         (step,) = struct.unpack("<Q", take(8))
         (ndim,) = struct.unpack("<I", take(4))
@@ -146,21 +141,27 @@ def load_checkpoint(path, moments: bool = True):
         size = math.prod(dims)  # exact: a product past int64 must not wrap
         arrs = []
         for i in range(3):
-            piece = take(8 * size)  # the moments' bytes are bounds-checked even when skipped
+            # the moments' bytes are bounds- and finite-checked even when skipped
+            arr = np.frombuffer(take(8 * size), dtype="<f8")
+            if not np.isfinite(arr).all():
+                what = ("value", "first moment", "second moment")[i]
+                raise CheckpointError(f"parameter {name!r} has a NaN or infinite {what}")
             if i and not moments:
                 continue
-            arr = np.frombuffer(piece, dtype="<f8").astype(np.float64)
+            arr = arr.astype(np.float64)
             try:
                 arrs.append(np.ascontiguousarray(arr.reshape(dims)))
             except ValueError as e:  # more dims than numpy supports
                 raise CheckpointError(f"parameter {name!r}: {e}") from e
-        states[name] = ParamState(*arrs, step) if moments else ParamState(arrs[0], None, None, 0)
+        p = params[name] = Parameter(name, arrs[0])
+        if moments:
+            p.m, p.v, p.step = arrs[1], arrs[2], step
     if pos != len(view):
         raise CheckpointError(f"{len(view) - pos} trailing bytes after checkpoint payload")
-    return meta, states
+    return meta, params
 
 
-def restore_parameters(params, states: dict[str, ParamState]) -> None:
+def restore_parameters(params, states: dict[str, Parameter]) -> None:
     """Load saved state into live parameters, matching by name and shape.
     The parameters keep the given arrays; nothing is copied."""
     params = list(params)
@@ -177,4 +178,4 @@ def restore_parameters(params, states: dict[str, ParamState]) -> None:
             raise CheckpointError(
                 f"parameter {p.name}: checkpoint shape {st.data.shape} != model {p.data.shape}"
             )
-        p.tensor.data, p.m, p.v, p.step = st.data, st.m, st.v, st.step
+        p.data, p.m, p.v, p.step = st.data, st.m, st.v, st.step

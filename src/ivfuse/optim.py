@@ -1,9 +1,10 @@
 """Trainable parameters and the AdamW update rule.
 
-A ``Parameter`` owns a gradient-tracking tensor plus its first/second moment
-accumulators and a per-parameter step counter, so checkpoints can restore the
-optimizer mid-run exactly. The moments are allocated at the first
-``adamw_step``, so a model that is only run holds its values alone.
+A ``Parameter`` is a leaf ``Tensor`` that also carries its name, its
+first/second moment accumulators and a per-parameter step counter, so
+checkpoints can restore the optimizer mid-run exactly; ops take it as any
+other tensor. The moments are allocated at the first ``adamw_step``, so a
+model that is only run holds its values alone.
 """
 
 from __future__ import annotations
@@ -17,34 +18,20 @@ ADAMW_EPS = 1e-8
 ADAMW_WEIGHT_DECAY = 0.01
 
 
-class Parameter:
-    """Named leaf tensor with optimizer state. ``m`` and ``v`` are None until
-    the first ``adamw_step`` (or a checkpoint's moments) sets them; a
-    parameter never stepped is saved with zero moments."""
+class Parameter(Tensor):
+    """Named leaf tensor that requires grad, with optimizer state. ``m`` and
+    ``v`` are None until the first ``adamw_step`` (or a checkpoint's
+    moments) sets them; a parameter never stepped is saved with zero
+    moments."""
 
-    __slots__ = ("name", "tensor", "m", "v", "step")
+    __slots__ = ("name", "m", "v", "step")
 
     def __init__(self, name: str, data):
+        super().__init__(data, requires_grad=True)
         self.name = name
-        self.tensor = Tensor(data, requires_grad=True)
         self.m = None
         self.v = None
         self.step = 0
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @property
-    def grad(self):
-        return self.tensor.grad
-
-    @property
-    def shape(self) -> tuple:
-        return self.tensor.data.shape
-
-    def zero_grad(self) -> None:
-        self.tensor.grad = None
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape}, step={self.step})"
@@ -74,9 +61,9 @@ def adamw_step(params, lr: float, weight_decay: float = ADAMW_WEIGHT_DECAY) -> N
         vhat = p.v / (1.0 - b2 ** t)
         new = p.data * (1.0 - lr * weight_decay)
         new -= lr * mhat / (np.sqrt(vhat) + ADAMW_EPS)
-        p.tensor.data = new
+        p.data = new
 
 
 def zero_grads(params) -> None:
     for p in params:
-        p.zero_grad()
+        p.grad = None

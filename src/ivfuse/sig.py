@@ -132,6 +132,10 @@ class MaskSettings:
     def __post_init__(self):
         if self.threshold_policy not in ("otsu", "fixed"):
             raise ValueError(f"threshold_policy must be otsu or fixed, got {self.threshold_policy!r}")
+        if not 0.0 <= self.tau <= 1.0:
+            raise ValueError(f"tau must be in [0, 1], got {self.tau}")
+        if self.noise_level < 0:
+            raise ValueError(f"noise_level must be >= 0, got {self.noise_level}")
 
 
 def otsu_threshold(values: np.ndarray) -> float:
@@ -250,7 +254,8 @@ def write_mask(path, mask: np.ndarray) -> None:
 
 
 def read_mask(path) -> np.ndarray:
-    """Inverse of ``write_mask``; the file must be exactly 8 + ceil(H*W/8) bytes."""
+    """Inverse of ``write_mask``; the file must be exactly 8 + ceil(H*W/8)
+    bytes, and the last byte's padding bits zero."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 8 or raw[:4] != MASK_MAGIC:
@@ -259,6 +264,8 @@ def read_mask(path) -> np.ndarray:
     want = 8 + (h * w + 7) // 8
     if len(raw) != want:
         raise MaskCacheError(f"{path}: {len(raw)} bytes, expected {want} for a {h}x{w} mask")
+    if h * w % 8 and raw[-1] & (0xFF >> h * w % 8):
+        raise MaskCacheError(f"{path}: padding bits after the {h}x{w} mask are not zero")
     bits = np.unpackbits(np.frombuffer(raw[8:], dtype=np.uint8), count=h * w)
     return bits.reshape(h, w).astype(np.float64)
 

@@ -57,6 +57,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.lr < 0:
+            raise ValueError(f"lr must be >= 0, got {self.lr}")
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.crop < self.model.patch:

@@ -356,7 +356,7 @@ def test_criterion_6_ablation_harness(tmp_path):
     no_gaf = FusionModel(small, variant="no-gaf", seed=3)
     before = fuse(no_gaf, pair, sem)
     for p in no_gaf.tdaf.parameters():
-        p.tensor.data = p.data + rng.standard_normal(p.shape)
+        p.data = p.data + rng.standard_normal(p.shape)
     after = fuse(no_gaf, pair, sem)
     assert before.tobytes() == after.tobytes()
 
@@ -366,7 +366,7 @@ def test_criterion_6_ablation_harness(tmp_path):
     shared = {p.name: p for p in full.parameters()}
     for p in variant.parameters():
         if p.name in shared and shared[p.name].shape == p.shape:
-            p.tensor.data = shared[p.name].data.copy()
+            p.data = shared[p.name].data.copy()
     alpha = Tensor(rng.random((144, 1)))
     with T.no_grad():
         a = full.forward(Tensor(vis), Tensor(ir), sem[0], sem[1], alpha_override=alpha).data

@@ -16,8 +16,8 @@ def make_ca(d_q, dim, heads, seed=0):
 
 def set_identity(ca):
     for lin in (ca.w_q, ca.w_k, ca.w_v, ca.w_o):
-        lin.weight.tensor.data = np.eye(*lin.weight.shape)
-        lin.bias.tensor.data = np.zeros_like(lin.bias.data)
+        lin.weight.data = np.eye(*lin.weight.shape)
+        lin.bias.data = np.zeros_like(lin.bias.data)
 
 
 def ca_raw_params(ca):
@@ -164,7 +164,7 @@ def test_grad_mode_attention_runs_in_chunks(rng, monkeypatch):
     kv = Tensor(rng.standard_normal((2, 7, 8)))
     for scale in (1.0, 1000.0):
         for lin in (ca.w_q, ca.w_k):
-            lin.weight.tensor.data = lin.weight.data * scale
+            lin.weight.data = lin.weight.data * scale
         with T.no_grad():
             heads = [t.data for t in ca._heads(q, kv)[:3]]
         assert (T._shift_free_values(*heads) is None) == (scale > 1.0)
@@ -212,7 +212,7 @@ def test_attention_tape_keeps_no_score_array(rng, batch):
 
     assert square() == []
     for lin in (ca.w_q, ca.w_k):
-        lin.weight.tensor.data = lin.weight.data * 1000.0
+        lin.weight.data = lin.weight.data * 1000.0
     with T.no_grad():
         heads = ca._heads(q, kv)[:3]
     assert T._shift_free_values(*(t.data for t in heads)) is None
@@ -240,7 +240,7 @@ def make_block(dim=6, heads=2, seed=3):
 def zero_block(block):
     for p in block.parameters():
         if not p.name.endswith("norm_attn.scale") and not p.name.endswith("norm_ffn.scale"):
-            p.tensor.data = np.zeros_like(p.data)
+            p.data = np.zeros_like(p.data)
 
 
 def test_block_tape_keeps_no_pre_bias_product(rng):
@@ -250,7 +250,7 @@ def test_block_tape_keeps_no_pre_bias_product(rng):
     dim, n = 6, 5
     block = make_block(dim=dim)
     for p in block.parameters():       # nonzero biases set x @ W apart from x @ W + b
-        p.tensor.data = p.data + 0.5 * rng.standard_normal(p.data.shape)
+        p.data = p.data + 0.5 * rng.standard_normal(p.data.shape)
     kept = retained_arrays(block(Tensor(rng.standard_normal((2, n, dim)), requires_grad=True)))
     assert len([a for a in kept if a.shape == (2, n, 4 * dim)]) == 3
     linears = (block.attn.w_q, block.attn.w_k, block.attn.w_v, block.attn.w_o,
@@ -292,8 +292,8 @@ def test_block_gradient_matches_finite_differences(rng):
 
 def test_patch_embed_p1_identity(rng):
     pe = PatchEmbed(3, 1, 3, name="pe", rng=ivrng.derive(0, "pe"))
-    pe.proj.weight.tensor.data = np.eye(3)
-    pe.proj.bias.tensor.data = np.zeros(3)
+    pe.proj.weight.data = np.eye(3)
+    pe.proj.bias.data = np.zeros(3)
     img = rng.standard_normal((3, 2, 4))
     tokens = pe(Tensor(img)).data
     np.testing.assert_allclose(tokens, img.transpose(1, 2, 0).reshape(8, 3), atol=1e-15)
@@ -326,10 +326,10 @@ def test_embed_unembed_inverse_pair(rng):
     pe = PatchEmbed(c, p, d, name="pe", rng=ivrng.derive(0, "inv"))
     pu = PatchUnembed(d, p, c, name="pu", rng=ivrng.derive(1, "inv"))
     mat = rng.standard_normal((d, d)) + 3.0 * np.eye(d)
-    pe.proj.weight.tensor.data = mat
-    pe.proj.bias.tensor.data = np.zeros(d)
-    pu.proj.weight.tensor.data = np.linalg.inv(mat)
-    pu.proj.bias.tensor.data = np.zeros(d)
+    pe.proj.weight.data = mat
+    pe.proj.bias.data = np.zeros(d)
+    pu.proj.weight.data = np.linalg.inv(mat)
+    pu.proj.bias.data = np.zeros(d)
     img = rng.standard_normal((c, h, w))
     back = pu(pe(Tensor(img)), h, w)
     np.testing.assert_allclose(back.data, img, atol=1e-10)

@@ -174,6 +174,23 @@ def test_unreadable_checkpoint_raises_checkpoint_error(tmp_path):
         with pytest.raises(CheckpointError, match="cannot read checkpoint"):
             load_checkpoint(path)
 
+
+@pytest.mark.parametrize("moments", [True, False])
+@pytest.mark.parametrize("which, bad", [("value", math.nan), ("first moment", math.inf),
+                                        ("second moment", -math.inf)])
+def test_non_finite_values_and_moments_rejected(tmp_path, moments, which, bad):
+    """A NaN or infinite stored number is refused, naming the parameter,
+    also in the moments a values-only read does not build."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, [Parameter("w", np.zeros(2))], meta={})
+    raw = bytearray(path.read_bytes())
+    at = len(raw) - 48 + 16 * ("value", "first moment", "second moment").index(which) + 8
+    raw[at:at + 8] = struct.pack("<d", bad)
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError, match=f"parameter 'w' has a NaN or infinite {which}"):
+        load_checkpoint(path, moments=moments)
+
+
 def test_dims_whose_product_overflows_int64_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, [Parameter("w", np.zeros((1, 1, 1, 1)))], meta={})

@@ -503,6 +503,33 @@ def test_unreadable_checkpoint_exits_one_naming_it(dataset, capsys, case):
         assert err.count("\n") == 1 and str(ckpt) in err and not out.exists(), err
 
 
+@pytest.mark.parametrize("which", ["value", "moment"])
+def test_non_finite_checkpoint_exits_one_naming_it(dataset, capsys, which):
+    """A NaN stored as a parameter value or as its first moment makes
+    ``fuse --checkpoint`` and ``train --resume`` exit 1 with one line naming
+    the file, before anything is fused or trained."""
+    root, cfg, tmp = dataset
+    assert main(["train", "--config", str(cfg), "--in", str(root),
+                 "--out", str(tmp / "run")]) == 0
+    raw = bytearray((tmp / "run" / "model.ckpt").read_bytes())
+    at = 16 + int.from_bytes(raw[12:16], "little") + 4        # past the header and count
+    at += 4 + int.from_bytes(raw[at:at + 4], "little") + 8     # first name and step
+    ndim = int.from_bytes(raw[at:at + 4], "little")
+    size = int(np.prod(np.frombuffer(raw[at + 4:at + 4 + 4 * ndim], dtype="<u4")))
+    at += 4 + 4 * ndim + (8 * size if which == "moment" else 0)
+    raw[at:at + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    ckpt = tmp / "nan.ckpt"
+    ckpt.write_bytes(raw)
+    capsys.readouterr()
+    for command, flag in (("fuse", "--checkpoint"), ("train", "--resume")):
+        out = tmp / f"out_{command}"
+        assert main([command, "--config", str(cfg), "--in", str(root), "--out", str(out),
+                     flag, str(ckpt)]) == 1, command
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(ckpt) in err and "NaN" in err, err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["image-in", "image-fused", "mask-dir", "caption-dir",
                                   "config-dir"])
 def test_unreadable_input_exits_one_naming_it(dataset, capsys, case):

@@ -65,7 +65,11 @@ def test_validation_rules():
                           ("checkpoint_every = -1\n", "checkpoint_every"),
                           ("lr = nan\n", "bad value for 'lr'"),
                           ("tau = inf\n", "bad value for 'tau'"),
-                          ("noise_level = -inf\n", "bad value for 'noise_level'")]:
+                          ("noise_level = -inf\n", "bad value for 'noise_level'"),
+                          ("lr = -0.001\n", "lr must be >= 0"),
+                          ("noise_level = -0.5\n", "noise_level must be >= 0"),
+                          ("tau = 1.5\n", r"tau must be in \[0, 1\]"),
+                          ("tau = -0.25\n", r"tau must be in \[0, 1\]")]:
         with pytest.raises(ConfigError, match=message):
             parse_config_text(text)
 

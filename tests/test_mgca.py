@@ -135,8 +135,8 @@ def filled_bundle(rng, n=16, d=8):
 def test_zero_output_projections_zero_reconstruction(rng):
     attn = MaskGuidedAttention(8, 2, name="m", rng=ivrng.derive(1, "z"))
     for ca in (attn.ca_vi_fg, attn.ca_vi_bg, attn.ca_iv_fg, attn.ca_iv_bg):
-        ca.w_o.weight.tensor.data = np.zeros_like(ca.w_o.weight.data)
-        ca.w_o.bias.tensor.data = np.zeros_like(ca.w_o.bias.data)
+        ca.w_o.weight.data = np.zeros_like(ca.w_o.weight.data)
+        ca.w_o.bias.data = np.zeros_like(ca.w_o.bias.data)
     bundle = cross_reconstruct(filled_bundle(rng), attn)
     np.testing.assert_array_equal(bundle.fvi.data, np.zeros((16, 8)))
     np.testing.assert_array_equal(bundle.fiv.data, np.zeros((16, 8)))

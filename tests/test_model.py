@@ -46,7 +46,7 @@ def copy_shared_parameters(src: FusionModel, dst: FusionModel):
     source = {p.name: p for p in src.parameters()}
     for p in dst.parameters():
         if p.name in source and source[p.name].shape == p.shape:
-            p.tensor.data = source[p.name].data.copy()
+            p.data = source[p.name].data.copy()
 
 
 @pytest.mark.parametrize("size", [96, 128])
@@ -131,7 +131,7 @@ def test_no_gaf_invariant_to_tdaf_perturbation(rng):
     before = fuse(model, pair, sem)
     gen = np.random.default_rng(0)
     for p in model.tdaf.parameters():
-        p.tensor.data = p.data + gen.standard_normal(p.shape)
+        p.data = p.data + gen.standard_normal(p.shape)
     after = fuse(model, pair, sem)
     assert before.tobytes() == after.tobytes()
 
@@ -361,7 +361,7 @@ def test_nan_mgca_weight_names_cross_reconstruct_after_both_lanes_stop(rng, monk
     weight = getattr(model.mgca, f"ca_{broken}").w_q.weight
     data = weight.data.copy()
     data[0, 0] = np.nan
-    weight.tensor.data = data
+    weight.data = data
     sets = {id(getattr(model.mgca, f"ca_{name}")): name
             for name in ("vi_fg", "vi_bg", "iv_fg", "iv_bg")}
     finished, real = [], CrossAttention.__call__

@@ -262,6 +262,18 @@ def test_malformed_mask_cache_rejected(tmp_path, keep):
         read_mask(path)
 
 
+def test_mask_cache_with_padding_bits_set_rejected(tmp_path):
+    """The bits after the last pixel are zero: a 3x3 mask whose seven pad
+    bits are set is refused, not read as nine ones."""
+    path = tmp_path / "p.mask"
+    write_mask(path, np.ones((3, 3)))
+    raw = path.read_bytes()
+    assert raw[-2:] == b"\xff\x80"
+    path.write_bytes(raw[:-1] + b"\xff")
+    with pytest.raises(MaskCacheError, match="padding bits"):
+        read_mask(path)
+
+
 @pytest.fixture(scope="module")
 def mutation_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("mutated")
@@ -299,6 +311,22 @@ def test_semantic_generator_uses_mask_cache(tmp_path, rng):
                              MaskSettings(vocabulary=("car",)), cache_dir=str(tmp_path))
     second = gen2.mask_for_pair(vis, ir, pair_id="p0")
     np.testing.assert_array_equal(second.m, first.m)
+
+
+def test_mask_cache_entry_with_padding_bits_set_is_rewritten(tmp_path, rng):
+    """A 5x5 entry (25 bits) whose pad bits are set is a miss: the mask is
+    computed again and the entry rewritten with zero pad bits."""
+    vis = rng.random((3, 5, 5))
+    ir = rng.random((1, 5, 5))
+    cap = LookupCaptioner({image_content_hash(vis): "a car outside"})
+    gen = SemanticGenerator(cap, HashTextEncoder(8), PlantedRegionDenoiser({"car": Rect(1, 1, 2, 2)}),
+                            MaskSettings(vocabulary=("car",)), cache_dir=str(tmp_path))
+    first = gen.mask_for_pair(vis, ir, pair_id="p0")
+    (entry,) = (tmp_path / "masks").iterdir()
+    good = entry.read_bytes()
+    entry.write_bytes(good[:-1] + bytes([good[-1] | 0x7F]))
+    np.testing.assert_array_equal(gen.mask_for_pair(vis, ir, pair_id="p0").m, first.m)
+    assert entry.read_bytes() == good
 
 
 class Exploding:

@@ -105,8 +105,8 @@ def test_concat_route_requires_matching_params(rng):
 def test_zero_gate_conv_gives_half(rng):
     params = make_params()
     for conv in (params.gate_conv_v, params.gate_conv_i):
-        conv.weight.tensor.data = np.zeros_like(conv.weight.data)
-        conv.bias.tensor.data = np.zeros_like(conv.bias.data)
+        conv.weight.data = np.zeros_like(conv.weight.data)
+        conv.bias.data = np.zeros_like(conv.bias.data)
     n, d = 12, 8
     g_v, g_i = compute_gates(Tensor(rng.standard_normal((n, d))),
                              Tensor(rng.standard_normal((n, d))),
@@ -120,9 +120,9 @@ def test_zero_gate_conv_gives_half(rng):
 def test_gate_saturation_at_large_preactivation(rng):
     params = make_params()
     for conv in (params.gate_conv_v, params.gate_conv_i):
-        conv.weight.tensor.data = np.zeros_like(conv.weight.data)
-    params.gate_conv_v.bias.tensor.data = np.full(8, 20.0)
-    params.gate_conv_i.bias.tensor.data = np.full(8, -20.0)
+        conv.weight.data = np.zeros_like(conv.weight.data)
+    params.gate_conv_v.bias.data = np.full(8, 20.0)
+    params.gate_conv_i.bias.data = np.full(8, -20.0)
     g_v, g_i = compute_gates(*(Tensor(rng.standard_normal((12, 8))) for _ in range(4)),
                              params, (3, 4))
     assert np.all(np.abs(g_v.data - 1.0) < 1e-8)
@@ -157,8 +157,8 @@ def test_gate_grid_mismatch_rejected(rng):
 def test_zero_weights_give_half_alpha(rng):
     params = make_params()
     for conv in (params.sa_conv1, params.sa_conv2):
-        conv.weight.tensor.data = np.zeros_like(conv.weight.data)
-        conv.bias.tensor.data = np.zeros_like(conv.bias.data)
+        conv.weight.data = np.zeros_like(conv.weight.data)
+        conv.bias.data = np.zeros_like(conv.bias.data)
     alpha = spatial_attention(Tensor(rng.standard_normal((12, 8))), params, (3, 4))
     np.testing.assert_array_equal(alpha.data, np.full((12, 1), 0.5))
 

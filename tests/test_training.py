@@ -316,7 +316,7 @@ def test_train_holds_one_blas_thread_and_restores_the_count(tmp_path, rng, monke
 
     def corrupted(*args, **kwargs):
         model = FusionModel(*args, **kwargs)
-        model.vis_encoder.pos.tensor.data = np.full(model.vis_encoder.pos.shape, np.nan)
+        model.vis_encoder.pos.data = np.full(model.vis_encoder.pos.shape, np.nan)
         return model
 
     monkeypatch.setattr(Encoder, "__call__", recording)
