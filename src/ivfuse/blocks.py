@@ -146,21 +146,13 @@ class CrossAttention(Module):
 
 
 class FeedForward(Module):
+    """``outer(gelu(inner(x)))`` over the last axis, leading dims as one batch."""
+
     def __init__(self, dim: int, hidden: int, *, name: str, rng):
         self.inner = Linear(dim, hidden, name=f"{name}.inner", rng=rng)
         self.outer = Linear(hidden, dim, name=f"{name}.outer", rng=rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        """Without a tape a batch (B, N, dim) runs one stream at a time, since
-        the hidden layer is four times as wide as ``x``; the bits are the same.
-        With a tape the batch runs as one: split, each weight gradient would
-        be summed stream by stream and round differently, and the tape would
-        keep the concatenated copy too."""
-        if x.ndim == 3 and not T.grad_enabled():
-            return T.concat([self._mlp(x[b:b + 1]) for b in range(x.shape[0])])
-        return self._mlp(x)
-
-    def _mlp(self, x: Tensor) -> Tensor:
         return self.outer(T.gelu(self.inner(x)))
 
 
@@ -278,7 +270,15 @@ class Encoder(Module):
         return T.reshape(grid, (gh * gw, self.dim))
 
     def __call__(self, image: Tensor) -> Tensor:
-        """(C,H,W) -> (N,D); a leading batch dim is carried through."""
+        """(C,H,W) -> (N,D); a leading batch dim is carried through. Without a
+        tape a batch runs one image at a time, so one image's activations are
+        alive at once, with the same bits; with a tape it runs as one, since
+        weight gradients summed image by image would round differently."""
+        if image.ndim == 4 and image.shape[0] > 1 and not T.grad_enabled():
+            return T.concat([self._encode(image[b:b + 1]) for b in range(image.shape[0])])
+        return self._encode(image)
+
+    def _encode(self, image: Tensor) -> Tensor:
         h, w = image.shape[-2], image.shape[-1]
         p = self.patch_embed.patch
         tokens = self.patch_embed(image)

@@ -1,8 +1,8 @@
 """Mask-guided cross-modal feature reconstruction.
 
 Each image times the weight maps (1, M, 1 - M) of the binary mask at pixel
-resolution gives its global, foreground and background streams, which run
-as one batch through its modality's encoder. Foreground/background features
+resolution gives its global, foreground and background streams, which go
+in one call to its modality's encoder. Foreground/background features
 are cross-reconstructed between modalities with four independent attention
 parameter sets, then summed per modality. The two modalities' encoders, and
 then the two directions of the reconstruction (fvi and fiv share no
@@ -43,9 +43,9 @@ def encode_streams(i_vis: Tensor, i_ir: Tensor, mask: MaskSemantics,
     """Run the shared per-modality encoders over global and masked inputs.
 
     Each modality's inputs are one product of its image with the stacked
-    weight maps (1, M, 1 - M), run as a single batched encoder call. The
-    two calls are the lanes of one ``T.lanes`` node, the visible encoder
-    first.
+    weight maps (1, M, 1 - M), passed to its encoder in one call, which runs
+    the streams one after another when there is no tape. The two calls are
+    the lanes of one ``T.lanes`` node, the visible encoder first.
     ``streams`` trims work for ablations: "all", "global" (skip the masked
     passes), or "masked" (skip the global passes); any other is a ValueError.
     A mask of another size than the image raises ``ShapeError``.

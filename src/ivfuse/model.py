@@ -152,9 +152,9 @@ def fuse(model: FusionModel, pair: ImagePair,
     multiples of the patch size are reflect-padded up front and the output
     is cropped back. A call holds OpenBLAS at one thread where its thread
     count can be set (see ``ivfuse.blas``), and then uses two threads: the
-    visible encoder runs on a helper beside the infrared one, then fvi's
-    reconstruction beside fiv's. Its bits do not depend on the machine's
-    core count.
+    visible encoder runs on a helper beside the infrared one, each encoding
+    its three streams one after another, then fvi's reconstruction beside
+    fiv's. Its bits do not depend on the machine's core count.
     Pure given a frozen model, so concurrent calls over different pairs are
     safe, and the last one to finish restores OpenBLAS's thread count;
     parameters must not be mutated while any call is in flight.

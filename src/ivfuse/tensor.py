@@ -13,11 +13,11 @@ reach several parents). ``matmul``'s optional ``bias`` is added in the
 product's own buffer, so ``Linear`` is one node with one finite check.
 
 ``attention`` is one fused node for ``softmax(q @ kt) @ v`` over operands
-of one lead shape. Every call runs the queries in row chunks whose scores,
-over all lead slices, fit in ``_SCORE_BUDGET_BYTES``, and each lead slice
-(one stream and head) of a chunk runs as its own 2-D problem, with or
-without a tape. So the score tile it builds is 1/prod(lead) of the budget
-and stays in the core's cache (the row tiling of FlashAttention, Dao et
+of one lead shape. Every call runs the queries in row chunks, and each lead
+slice (one stream and head) of a chunk runs as its own 2-D problem, with or
+without a tape. The score tile of one slice's chunk fits in
+``_SCORE_BUDGET_BYTES``, so the rows do not depend on the lead shape and the
+tile stays in the core's cache (the row tiling of FlashAttention, Dao et
 al., arXiv 2205.14135); its GEMMs keep the batched product's shapes, and so
 its bits. The tape keeps q, kt, v, the output and one log-sum-exp L per row
 (N_q values per lead slice), no N_q x N_kv array. The backward walks each
@@ -73,9 +73,9 @@ _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
 _LAYER_NORM_EPS = 1e-5
 
-# Largest score array (bytes) one ``attention`` chunk may build. A constant,
-# not a setting: it bounds memory, not results.
-_SCORE_BUDGET_BYTES = 8 * 2**20
+# Score tile bytes one lead slice of an ``attention`` chunk may build (8 MiB over
+# an encoder call's 12 slices). A constant, not a setting: it bounds memory only.
+_SCORE_BUDGET_BYTES = 2**23 // 12
 
 # Largest bound on |q_i . k_j| for which ``attention`` skips the softmax's max
 # shift: e^64 lies deep inside float64. A constant, not a setting: the two
@@ -704,8 +704,8 @@ def attention(q: Tensor, kt: Tensor, v: Tensor) -> Tensor:
     """``softmax(q @ kt) @ v`` as one tape node; q (..., N_q, d), kt (..., d, N_kv)
     and v (..., N_kv, d_v) of one lead shape.
 
-    Queries run in row chunks (see the module docstring); every row takes
-    its softmax over all keys. A NaN or infinite score raises
+    Queries run in chunks of ``_SCORE_BUDGET_BYTES // (8 N_kv)`` rows; every
+    row takes its softmax over all keys. A NaN or infinite score raises
     ``NonFiniteError`` naming ``attention``; zero keys, or operands that do
     not chain or differ in lead shape, ``ShapeError``.
     """
@@ -719,7 +719,7 @@ def attention(q: Tensor, kt: Tensor, v: Tensor) -> Tensor:
     nq, nkv = q.shape[-2], kt.shape[-1]
     v1 = _shift_free_values(q.data, kt.data, v.data)
     out = np.empty(lead + (nq, v.shape[-1]))
-    rows = max(1, _SCORE_BUDGET_BYTES // (8 * max(1, math.prod(lead) * nkv)))
+    rows = max(1, _SCORE_BUDGET_BYTES // (8 * nkv))
     log_z = np.empty(lead + (nq, 1)) if _tracks((q, kt, v)) else None
     for r in range(0, nq, rows):
         _attend(q.data[..., r:r + rows, :], kt.data, v.data, out[..., r:r + rows, :], v1,

@@ -263,12 +263,13 @@ def test_attention_grads(lead, rng):
 
 
 def test_attention_vjp_allocates_one_score_temporary(rng, monkeypatch):
-    """Forward plus VJP at lead (2, 3), N = 512, with chunks of a sixteenth
-    of the dense scores, peak below four chunks: the forward's score chunk
-    and the VJP's two chunk buffers are its only score-sized arrays."""
+    """Forward plus VJP at lead (2, 3), N = 512, with chunks (over all six
+    lead slices) of a sixteenth of the dense scores, peak below four chunks:
+    the forward's score chunk and the VJP's two chunk buffers are its only
+    score-sized arrays."""
     lead, n, dh = (2, 3), 512, 4
     chunk_bytes = 8 * 2 * 3 * n * n // 16
-    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", chunk_bytes)
+    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", chunk_bytes // math.prod(lead))
     q, kt, v = (Tensor(rng.standard_normal(lead + shape), requires_grad=True)
                 for shape in ((n, dh), (dh, n), (n, dh)))
     g = rng.standard_normal(lead + (n, dh))
@@ -293,12 +294,13 @@ def _traced_peak(step):
 
 def test_attention_backward_peak_stays_below_one_dense_score_array(rng, monkeypatch):
     """Grad-mode forward plus backward at lead (3, 4), N = 256, with the
-    budget at an eighth of the dense scores, peaks below one dense score
-    array, in a fresh thread and on this one: on the shift-free branch, and
-    with q and kt scaled x4 so that the bound sends them to the fallback."""
+    per-slice budget at an eighth of one slice's scores, peaks below one
+    dense score array, in a fresh thread and on this one: on the shift-free
+    branch, and with q and kt scaled x4 so that the bound sends them to the
+    fallback."""
     lead, n, dh = (3, 4), 256, 8
     score_bytes = 8 * 3 * 4 * n * n
-    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", score_bytes // 8)
+    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", score_bytes // 8 // math.prod(lead))
     arrays = [rng.standard_normal(lead + shape) for shape in ((n, dh), (dh, n), (n, dh))]
     w = Tensor(rng.standard_normal(lead + (n, dh)))
     for scale in (1.0, 4.0):
@@ -351,7 +353,7 @@ def test_chunked_attention_matches_unfused_chain(q_lead, kv_lead, rng, monkeypat
     also on a lead with a unit dim, as the model's cross-attention has."""
     nq, d, nkv, dv = 13, 4, 9, 5
     lead = q_lead
-    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * math.prod(lead) * nkv * 4)
+    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * nkv * 4)
     rows, real = [], T._attend
 
     def counted(q, *args, **kwargs):
@@ -375,7 +377,7 @@ def test_attention_lead_slices_equal_batched_chunks_bitwise(scale, rng, monkeypa
     on the whole batched chunk bit for bit, on the shift-free branch and
     (scale 40) on the fallback, with a tape and without one."""
     lead, nq, d, nkv, dv = (2, 3), 13, 4, 9, 5
-    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * math.prod(lead) * nkv * 4)
+    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * nkv * 4)
     q = rng.standard_normal(lead + (nq, d)) * scale
     kt = rng.standard_normal(lead + (d, nkv)) * scale
     v = rng.standard_normal(lead + (nkv, dv))
@@ -400,7 +402,7 @@ def test_attention_backwards_on_many_threads_equal_serial_bitwise(rng, monkeypat
     """Each backward has its own chunk buffers: four threads running
     chunked backwards at once give the serial gradients bit for bit."""
     lead, n, dh = (2,), 40, 4
-    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * 2 * n * 8)
+    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * n * 8)
     inputs = [[rng.standard_normal(lead + shape) for shape in ((n, dh), (dh, n), (n, dh))]
               for _ in range(4)]
 

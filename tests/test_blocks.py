@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,17 +115,16 @@ CHUNK_ROWS = 4
 
 
 def score_sizes(monkeypatch, nkv, budget=None):
-    """Wrap T._attend: record the size of each score chunk q @ kt the
-    attention op builds (N_kv columns each), and check it against ``budget``
-    when one is given."""
+    """Wrap T._attend: record the size of each score tile q @ kt the
+    attention op builds for one lead slice of a row chunk (N_kv columns),
+    and check it against ``budget`` when one is given."""
     sizes = []
     real = T._attend
 
     def wrapped(q, kt, *args, **kwargs):
         real(q, kt, *args, **kwargs)
         assert kt.shape[-1] == nkv
-        chunk = np.broadcast_shapes(q.shape[:-2], kt.shape[:-2]) + (q.shape[-2], nkv)
-        sizes.append(8 * int(np.prod(chunk)))
+        sizes.append(8 * q.shape[-2] * nkv)
         assert budget is None or sizes[-1] <= budget
 
     monkeypatch.setattr(T, "_attend", wrapped)
@@ -142,7 +143,7 @@ def test_chunked_inference_matches_dense(rng, monkeypatch, batch, nq, nkv):
     kv = Tensor(rng.standard_normal(batch + (nkv, 4)))
     with T.no_grad():
         dense = ca(q, kv).data
-    budget = 8 * ca.heads * nkv * int(np.prod(batch)) * CHUNK_ROWS
+    budget = 8 * nkv * CHUNK_ROWS
     monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", budget)
     sizes = score_sizes(monkeypatch, nkv, budget)
     with T.no_grad():
@@ -157,7 +158,7 @@ def test_grad_mode_attention_runs_in_chunks(rng, monkeypatch):
     each within the budget: 9 rows as 4 + 4 + 1, with the stock weights
     (shift-free) and with the q and k weights scaled x1000 (fallback)."""
     ca = make_ca(4, 8, 2)
-    row_bytes = 8 * 2 * 2 * 7
+    row_bytes = 8 * 7
     monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", row_bytes * CHUNK_ROWS)
     sizes = score_sizes(monkeypatch, 7, row_bytes * CHUNK_ROWS)
     q = Tensor(rng.standard_normal((2, 9, 4)), requires_grad=True)
@@ -341,6 +342,35 @@ def test_encoder_runs_at_other_resolutions(rng):
     assert t24.shape == (36, 16)
     t32 = enc(Tensor(rng.random((3, 32, 32))))
     assert t32.shape == (64, 16)
+
+
+def _traced(call):
+    """``call()`` and the peak bytes that tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_grad_encoder_runs_one_image_at_a_time(rng):
+    """Without a tape, a three-image batch equals three one-image calls
+    concatenated, and the taped batched call, bit for bit, and its traced
+    peak stays below 1.5x a one-image call's plus the output: only one
+    image's activations are alive at once."""
+    enc = Encoder(3, 4, 64, 4, 2, base_grid=(6, 6), name="enc", rng=ivrng.derive(0, "enc"))
+    images = rng.random((3, 3, 48, 48))
+    with T.no_grad():
+        one, one_peak = _traced(lambda: enc(Tensor(images[:1])))
+        batch, peak = _traced(lambda: enc(Tensor(images)))
+        singles = [enc(Tensor(images[b:b + 1])).data for b in range(3)]
+    taped = enc(Tensor(images))
+    assert taped.requires_grad and not batch.requires_grad
+    np.testing.assert_array_equal(batch.data, np.concatenate(singles))
+    np.testing.assert_array_equal(batch.data, taped.data)
+    np.testing.assert_array_equal(one.data, singles[0])
+    assert peak < 1.5 * one_peak + batch.data.nbytes, f"peak {peak / one_peak:.2f}x one image's"
 
 
 def test_encoder_deterministic(rng):

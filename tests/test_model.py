@@ -77,6 +77,31 @@ def test_stock_fuse_takes_the_shift_free_attention_branch(rng, monkeypatch):
     assert taken and all(taken)
 
 
+def test_stock_forwards_keep_each_score_tile_within_the_budget(rng, monkeypatch):
+    """The budget bounds one lead slice's score tile (q rows x N_kv x 8), not
+    a chunk over all slices: a stock-config ``fuse`` and a taped forward at
+    64^2 build no tile above ``_SCORE_BUDGET_BYTES``, while an encoder chunk
+    over its (stream, head) slices does exceed it."""
+    tiles, chunks = [], []
+    real = T._attend
+
+    def wrapped(q, kt, *args, **kwargs):
+        tiles.append(8 * q.shape[-2] * kt.shape[-1])
+        chunks.append(tiles[-1] * int(np.prod(q.shape[:-2])))
+        return real(q, kt, *args, **kwargs)
+
+    monkeypatch.setattr(T, "_attend", wrapped)
+    model = FusionModel(ModelConfig(), seed=0)
+    vis, ir, rect = synth_pair(0, (64, 64))
+    mask = MaskSemantics(rect.indicator(64, 64))
+    text = TextSemantics(rng.standard_normal((3, 64)))
+    fuse(model, ImagePair("p0", vis, ir), (mask, text))
+    with blas.one_blas_thread():
+        assert model.forward(vis, ir, mask, text).requires_grad
+    assert tiles and max(tiles) <= T._SCORE_BUDGET_BYTES
+    assert max(chunks) > T._SCORE_BUDGET_BYTES
+
+
 def test_fuse_deterministic(rng):
     model = FusionModel(SMALL, seed=1)
     pair = make_pair(rng)
@@ -258,14 +283,14 @@ def record_encoders(monkeypatch, model):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_fuse_equals_grad_mode_forward_bitwise(rng, monkeypatch, variant):
     """On an odd-sized pair that needs reflect padding, with attention forced
-    into several row chunks, ``fuse`` (attention by lead slice, the FFN by
-    stream) equals the clipped grad-mode forward (attention and the FFN
-    batched) bit for bit. Both run on one BLAS thread, as ``fuse`` and
+    into several row chunks, ``fuse`` (attention by lead slice, the encoders
+    by stream) equals the clipped grad-mode forward (attention by lead slice,
+    the encoders batched) bit for bit. Both run on one BLAS thread, as ``fuse`` and
     ``train`` always do (OpenBLAS's own bits depend on its thread count at
     some GEMM shapes), so in both the visible encoder runs on a helper
     thread, with a tape in grad mode."""
     blas_threads()
-    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * 3 * 2 * 42 * 10)
+    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * 42 * 10)
     model = FusionModel(SMALL, variant=variant, seed=21)
     h, w = 13, 11
     pair = make_pair(rng, h, w)
