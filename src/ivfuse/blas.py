@@ -3,11 +3,13 @@
 numpy's wheel bundles OpenBLAS, which by default splits each call over
 every core. Where ivfuse keeps the cores busy itself (the two encoders, then
 MGCA's two directions, of a ``fuse`` and of each training member in its
-forward and its backward), OpenBLAS's extra threads only spin-wait for a
-core. ``one_blas_thread`` sets the bundled library's thread count to one
-through its exported setter. ``model.fuse`` takes it for one forward and
-``training.train`` for its whole loop, and a ``tensor.lanes`` node starts
-its helper thread only when it is built while a hold is ``held``; no model
+forward and its backward, and the two row lanes of each decoder block in a
+``fuse``), OpenBLAS's extra threads only spin-wait for a core.
+``one_blas_thread`` sets the bundled library's thread count to one through
+its exported setter. ``model.fuse`` takes it for one forward and
+``training.train`` for its whole loop. A ``tensor.lanes`` node starts its
+helper thread only when it is built while a hold is ``held``, and
+``tensor.row_lanes`` gives a no-tape decode its helper only then; no model
 stage reads the hold itself. Holds are counted under a lock, so overlapping
 ``fuse`` calls (``fuse --jobs``) are safe: the first holder saves the count
 and the last one out restores it. Where the library or its symbols are

@@ -53,8 +53,11 @@ two threads when it is built while ``blas.one_blas_thread`` is held
 (``fuse`` and ``train`` hold it), the helper in the caller's grad mode, and
 its backward walks them on two threads too; each leaf's gradient is then
 written from one thread only. ``mgca.encode_streams`` runs the two encoders
-this way, and ``mgca.cross_reconstruct`` MGCA's two directions. Each
-attention backward allocates its own two scratch arrays.
+this way, and ``mgca.cross_reconstruct`` MGCA's two directions. Without a
+tape and under the hold, ``row_lanes`` gives a run of blocks one helper
+thread and a split row on ``attention``'s chunk grid; ``fuse``'s decoder,
+which runs in no lane, runs each block's lower rows on it beside the upper
+ones. Each attention backward allocates its own two scratch arrays.
 """
 
 from __future__ import annotations
@@ -700,14 +703,21 @@ def _chunked_attention_vjp(g: np.ndarray, q: np.ndarray, kt: np.ndarray, v: np.n
     return gq, gkt, gv
 
 
+def chunk_rows(n_kv: int) -> int:
+    """Query rows in each chunk of an ``attention`` call over ``n_kv`` keys:
+    as many as fit one lead slice's score tile in ``_SCORE_BUDGET_BYTES``,
+    and at least one."""
+    return max(1, _SCORE_BUDGET_BYTES // (8 * n_kv))
+
+
 def attention(q: Tensor, kt: Tensor, v: Tensor) -> Tensor:
     """``softmax(q @ kt) @ v`` as one tape node; q (..., N_q, d), kt (..., d, N_kv)
     and v (..., N_kv, d_v) of one lead shape.
 
-    Queries run in chunks of ``_SCORE_BUDGET_BYTES // (8 N_kv)`` rows; every
-    row takes its softmax over all keys. A NaN or infinite score raises
-    ``NonFiniteError`` naming ``attention``; zero keys, or operands that do
-    not chain or differ in lead shape, ``ShapeError``.
+    Queries run in chunks of ``chunk_rows(N_kv)`` rows; every row takes its
+    softmax over all keys. A NaN or infinite score raises ``NonFiniteError``
+    naming ``attention``; zero keys, or operands that do not chain or differ
+    in lead shape, ``ShapeError``.
     """
     q, kt, v = _as_tensor(q), _as_tensor(kt), _as_tensor(v)
     if (min(q.ndim, kt.ndim, v.ndim) < 2 or q.shape[-1] != kt.shape[-2]
@@ -719,7 +729,7 @@ def attention(q: Tensor, kt: Tensor, v: Tensor) -> Tensor:
     nq, nkv = q.shape[-2], kt.shape[-1]
     v1 = _shift_free_values(q.data, kt.data, v.data)
     out = np.empty(lead + (nq, v.shape[-1]))
-    rows = max(1, _SCORE_BUDGET_BYTES // (8 * nkv))
+    rows = chunk_rows(nkv)
     log_z = np.empty(lead + (nq, 1)) if _tracks((q, kt, v)) else None
     for r in range(0, nq, rows):
         _attend(q.data[..., r:r + rows, :], kt.data, v.data, out[..., r:r + rows, :], v1,
@@ -732,19 +742,51 @@ def attention(q: Tensor, kt: Tensor, v: Tensor) -> Tensor:
     return Tensor._result("attention", out, (q, kt, v), vjp)
 
 
-# -- two independent sub-graphs -----------------------------------------------
+# -- two lanes ----------------------------------------------------------------
 
 
-def _two_lanes(side_by_side: bool, first, second):
-    """``(first(), second())``: ``first`` on a helper thread beside ``second``
-    on this one, or both in turn here. An error in either surfaces after
-    both have stopped."""
+@contextmanager
+def _helper(side_by_side: bool):
+    """A runner ``two(first, second)`` -> ``(first(), second())`` for the
+    block. With ``side_by_side`` each ``first`` runs on one helper thread, in
+    the grad mode of ``two``'s caller, beside ``second`` on the calling
+    thread; the helper starts with the first call and is joined as the block
+    ends, so an error in either lane leaves the block only after both have
+    stopped. Otherwise both run in turn here, ``first`` first."""
     if not side_by_side:
-        return first(), second()
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        ahead = helper.submit(first)
-        behind = second()
-        return ahead.result(), behind
+        yield lambda first, second: (first(), second())
+        return
+    with ThreadPoolExecutor(max_workers=1) as pool:
+
+        def two(first, second):
+            grad = grad_enabled()
+
+            def run_first():
+                with _grad_mode(grad):
+                    return first()
+
+            ahead = pool.submit(run_first)
+            behind = second()
+            return ahead.result(), behind
+
+        yield two
+
+
+@contextmanager
+def row_lanes(n: int):
+    """``(split, two)`` for a run of blocks over n tokens whose rows couple
+    only through self-attention, when there is no tape, some thread holds
+    OpenBLAS at one thread and the rows span more than one ``attention``
+    chunk; else ``None``. ``split`` is the multiple of ``chunk_rows(n)``
+    nearest n / 2 (ties go up), so each side runs the chunks, and so the
+    bits, of one call over all n rows; ``two`` is a ``_helper`` runner whose
+    one helper thread serves the whole block."""
+    rows = chunk_rows(n)
+    if grad_enabled() or not blas.held() or n <= rows:
+        yield None
+        return
+    with _helper(True) as two:
+        yield rows * ((n + rows) // (2 * rows)), two
 
 
 def lanes(fa, a: Tensor, fb, b: Tensor) -> Tensor:
@@ -763,15 +805,11 @@ def lanes(fa, a: Tensor, fb, b: Tensor) -> Tensor:
     then gets the sum of the two.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    grad, side_by_side = grad_enabled(), blas.held()
+    side_by_side = blas.held()
     a_in, b_in = (Tensor._result("leaf", x.data, (), None, check=False, track=x.requires_grad)
                   for x in (a, b))
-
-    def run_a():
-        with _grad_mode(grad):
-            return fa(a_in)
-
-    out_a, out_b = _two_lanes(side_by_side, run_a, lambda: fb(b_in))
+    with _helper(side_by_side) as two:
+        out_a, out_b = two(lambda: fa(a_in), lambda: fb(b_in))
     if out_a.shape != out_b.shape:
         raise ShapeError(f"lanes: outputs {out_a.shape} and {out_b.shape} differ")
 
@@ -780,7 +818,8 @@ def lanes(fa, a: Tensor, fb, b: Tensor) -> Tensor:
             _walk(out, seed)
 
     def vjp(g):
-        _two_lanes(side_by_side, lambda: walk(out_a, g[0]), lambda: walk(out_b, g[1]))
+        with _helper(side_by_side) as two:
+            two(lambda: walk(out_a, g[0]), lambda: walk(out_b, g[1]))
         return a_in.grad, b_in.grad
 
     return Tensor._result("lanes", np.stack((out_a.data, out_b.data)), (a, b), vjp,

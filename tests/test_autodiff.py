@@ -486,3 +486,47 @@ def test_lanes_keep_the_regime_they_were_built_in(rng, monkeypatch):
         free = backward(loss)
     assert walks == [True] * 3 and started == []
     assert [g.tobytes() for g in held] == [g.tobytes() for g in free]
+
+
+@pytest.mark.parametrize("n, budget_rows, rows, split", [
+    (42, 10, 10, 20),       # 21 lies between 20 and 30
+    (30, 10, 10, 20),       # 15 is a tie between 10 and 20: it goes up
+    (25, 10, 10, 10),
+    (11, 10, 10, 10),       # one chunk and a one-row tail
+    (10, 10, 10, None),     # one chunk: no split
+    (1, 1, 1, None),        # one token
+    (576, None, 151, 302),  # a 96^2 fuse's decoder at the stock budget
+    (1600, None, 54, 810),  # a 160^2 fuse's
+])
+def test_row_lanes_split_on_the_attention_chunk_grid(monkeypatch, n, budget_rows, rows, split):
+    """``T.row_lanes`` splits n rows at the multiple of ``T.chunk_rows(n)``
+    nearest n / 2, and only without a tape, under the OpenBLAS hold and past
+    one chunk."""
+    if blas._controls() is None:
+        pytest.skip("OpenBLAS's thread count cannot be set here")
+    if budget_rows is not None:
+        monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * n * budget_rows)
+    assert T.chunk_rows(n) == rows
+    with T.no_grad(), blas.one_blas_thread(), T.row_lanes(n) as lanes:
+        assert (lanes and lanes[0]) == split
+    with blas.one_blas_thread(), T.row_lanes(n) as lanes:
+        assert lanes is None
+    with T.no_grad(), T.row_lanes(n) as lanes:
+        assert lanes is None
+
+
+def test_row_lanes_run_every_first_lane_on_one_helper_in_the_callers_grad_mode(monkeypatch):
+    """All the calls of one ``T.row_lanes`` runner share one helper thread,
+    started once and joined as the block ends; each first lane runs there in
+    the caller's grad mode, each second on the calling thread."""
+    if blas._controls() is None:
+        pytest.skip("OpenBLAS's thread count cannot be set here")
+    started, real_start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or real_start(self))
+    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * 42 * 10)
+    with T.no_grad(), blas.one_blas_thread(), T.row_lanes(42) as (_, two):
+        runs = [two(lambda: (threading.current_thread(), T.grad_enabled()),
+                    threading.current_thread) for _ in range(3)]
+    assert len(started) == 1 and not started[0].is_alive()
+    assert runs == [((started[0], False), threading.main_thread())] * 3

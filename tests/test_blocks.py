@@ -379,3 +379,16 @@ def test_encoder_deterministic(rng):
     a = enc(Tensor(img)).data
     b = enc(Tensor(img)).data
     np.testing.assert_array_equal(a, b)
+
+
+def test_block_in_row_lanes_equals_block_bitwise(rng, monkeypatch):
+    """A block's rows split on the attention chunk grid, 42 rows in chunks
+    of 10 as 20 + 22 with a ragged tail, give the unsplit block bit for bit:
+    each lane takes its keys and values from all rows."""
+    block = TransformerBlock(16, 2, name="blk", rng=ivrng.derive(0, "lanes"))
+    x = Tensor(rng.standard_normal((42, 16)))
+    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * 42 * 10)
+    with T.no_grad():
+        want = block(x).data
+        got = block.in_row_lanes(x, 20, lambda first, second: (first(), second())).data
+    np.testing.assert_array_equal(got, want)

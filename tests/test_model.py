@@ -1,5 +1,6 @@
 import sys
 import threading
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from ivfuse import blas
 from ivfuse import model as model_module
 from ivfuse import tensor as T
-from ivfuse.blocks import CrossAttention, Encoder
+from ivfuse.blocks import CrossAttention, Encoder, FeedForward, TransformerBlock
 from ivfuse.dataset import ImagePair, synth_pair
 from ivfuse.losses import LossWeights, total_loss
 from ivfuse.model import VARIANTS, FusionModel, ModelConfig, StageError, fuse, reflect_pad
@@ -427,6 +428,146 @@ def test_fuse_without_blas_control_runs_sequentially_with_same_bits(rng, monkeyp
         set_(before)
     assert calls == [("vis", True, False), ("ir", True, False)]
     assert got.tobytes() == want.tobytes()
+
+
+# -- decoder rows as two lanes ------------------------------------------------
+
+
+def record_row_lanes(monkeypatch):
+    """Wrap ``TransformerBlock.in_row_lanes``: note each split row."""
+    splits = []
+    real = TransformerBlock.in_row_lanes
+
+    def recording(self, x, split, two):
+        splits.append(split)
+        return real(self, x, split, two)
+
+    monkeypatch.setattr(TransformerBlock, "in_row_lanes", recording)
+    return splits
+
+
+def count_starts(monkeypatch):
+    """Count ``threading.Thread.start`` calls and ``T.lanes`` nodes built."""
+    counts = {"threads": 0, "lanes": 0}
+    real_start, real_lanes = threading.Thread.start, T.lanes
+
+    def start(self):
+        counts["threads"] += 1
+        real_start(self)
+
+    def lanes(*args):
+        counts["lanes"] += 1
+        return real_lanes(*args)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(T, "lanes", lanes)
+    return counts
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fuse_splits_decoder_rows_with_the_unsplit_bits(rng, monkeypatch, variant):
+    """With attention in chunks of 10 rows, a 13 x 11 pair's 42 decoder
+    tokens run in every block as rows 0-19 and 20-41, and ``fuse`` equals
+    the unsplit decode bit for bit."""
+    blas_threads()
+    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * 42 * 10)
+    model = FusionModel(SMALL, variant=variant, seed=29)
+    pair = make_pair(rng, 13, 11)
+    sem = semantics_for(rng, 13, 11)
+    splits = record_row_lanes(monkeypatch)
+    got = fuse(model, pair, sem)
+    assert splits == [20] * SMALL.depth
+    splits.clear()
+    monkeypatch.setattr(T, "row_lanes", lambda n: nullcontext())
+    want = fuse(model, pair, sem)
+    assert splits == []
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("h, w, budget", [
+    (2, 2, 8),                 # one token, in chunks of one row
+    (12, 12, None),            # 36 tokens in one chunk at the stock budget
+])
+def test_decode_in_one_chunk_starts_no_decoder_thread(rng, monkeypatch, h, w, budget):
+    """A decode whose tokens fit in one attention chunk runs each block
+    whole: ``fuse`` starts one thread per ``T.lanes`` node and no other."""
+    blas_threads()
+    if budget is not None:
+        monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", budget)
+    model = FusionModel(SMALL, seed=30)
+    splits, counts = record_row_lanes(monkeypatch), count_starts(monkeypatch)
+    assert fuse(model, make_pair(rng, h, w), semantics_for(rng, h, w)).shape == (3, h, w)
+    assert splits == []
+    assert counts == {"threads": 2, "lanes": 2}
+
+
+def test_fuse_starts_one_thread_per_lanes_node_and_one_for_the_decode(rng, monkeypatch):
+    """A ``fuse`` of ``full`` whose decoder splits starts one thread per
+    ``T.lanes`` node and one for all its decoder blocks, and none of those
+    is left running. A grad-mode forward under the hold, and a no-tape
+    forward outside ``fuse``, start no decoder thread."""
+    blas_threads()
+    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * 42 * 10)
+    model = FusionModel(ModelConfig(**{**SMALL.__dict__, "depth": 3}), seed=31)
+    pair = make_pair(rng, 13, 11)
+    mask, text = semantics_for(rng, 13, 11)
+    splits, counts = record_row_lanes(monkeypatch), count_starts(monkeypatch)
+    threads = set(threading.enumerate())
+    fuse(model, pair, (mask, text))
+    assert [t.name for t in threading.enumerate() if t not in threads] == []
+    assert splits == [20] * 3
+    assert counts == {"threads": 3, "lanes": 2}
+    splits.clear()
+    counts.update(threads=0, lanes=0)
+    images = (reflect_pad(pair.i_vis, 14, 12), reflect_pad(pair.i_ir, 14, 12))
+    padded = MaskSemantics(reflect_pad(mask.m, 14, 12))
+    with blas.one_blas_thread():
+        assert model.forward(*images, padded, text).requires_grad
+    assert splits == [] and counts == {"threads": 2, "lanes": 2}
+    counts.update(threads=0, lanes=0)
+    with T.no_grad():
+        model.forward(*images, padded, text)
+    assert splits == [] and counts == {"threads": 0, "lanes": 2}
+
+
+@pytest.mark.parametrize("first", ["helper", "caller"])
+def test_nan_decoder_weight_names_decode_after_both_row_lanes_stop(rng, monkeypatch, first):
+    """A NaN in a decoder block's FFN weight fails both row lanes, which
+    share it. Whichever lane fails first, the helper's (rows below the
+    split) or the calling thread's, the other is held back until then, and
+    ``fuse`` raises a ``StageError`` naming decode only once that one has
+    stopped too. No thread is left running, and OpenBLAS's thread count is
+    back at its value before the call."""
+    before = blas_threads()
+    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * 42 * 10)
+    model = FusionModel(SMALL, seed=32)
+    weight = model.decoder_blocks[0].ffn.inner.weight
+    data = weight.data.copy()
+    data[0, 0] = np.nan
+    weight.data = data
+    failed, stopped, real = threading.Event(), [], FeedForward.__call__
+
+    def held_back(self, x):
+        if self is not model.decoder_blocks[0].ffn:
+            return real(self, x)
+        lane = "caller" if threading.current_thread() is threading.main_thread() else "helper"
+        try:
+            if lane != first:
+                assert failed.wait(timeout=30)
+            return real(self, x)
+        finally:
+            stopped.append(lane)
+            if lane == first:
+                failed.set()
+
+    threads = set(threading.enumerate())
+    with monkeypatch.context() as patch:
+        patch.setattr(FeedForward, "__call__", held_back)
+        with pytest.raises(StageError, match="stage decode .*non-finite"):
+            fuse(model, make_pair(rng, 13, 11), semantics_for(rng, 13, 11))
+        assert stopped == sorted(["caller", "helper"], key=lambda lane: lane != first)
+    assert [t.name for t in threading.enumerate() if t not in threads] == []
+    assert blas_threads() == before
 
 
 def test_grad_mode_starts_no_thread_and_leaves_blas_alone(rng, monkeypatch):
