@@ -1,19 +1,22 @@
 """Hold OpenBLAS at one thread while Python threads share the cores.
 
 numpy's wheel bundles OpenBLAS, which by default splits each call over
-every core. Where ivfuse keeps the cores busy itself (the two encoders, then
-MGCA's two directions, of a ``fuse`` and of each training member in its
-forward and its backward, and the two row lanes of each decoder block in a
-``fuse``), OpenBLAS's extra threads only spin-wait for a core.
-``one_blas_thread`` sets the bundled library's thread count to one through
-its exported setter. ``model.fuse`` takes it for one forward and
-``training.train`` for its whole loop. A ``tensor.lanes`` node starts its
-helper thread only when it is built while a hold is ``held``, and
-``tensor.row_lanes`` gives a no-tape decode its helper only then; no model
-stage reads the hold itself. Holds are counted under a lock, so overlapping
-``fuse`` calls (``fuse --jobs``) are safe: the first holder saves the count
-and the last one out restores it. Where the library or its symbols are
-missing, nothing is held.
+every core. Where ivfuse keeps the cores busy itself, OpenBLAS's extra
+threads only spin-wait for a core. ``one_blas_thread`` sets the bundled
+library's thread count to one through its exported setter; ``model.fuse``
+takes it for one forward and ``training.train`` for its whole loop.
+
+One rule: a thread that holds OpenBLAS at one thread runs the two lanes of
+``tensor.two`` (the two encoders, then MGCA's two directions, forward and
+backward, and the row halves of each ``fuse`` decoder block) on its hold's
+single helper thread beside itself; other threads run them in turn. The
+outermost hold on a thread creates the helper (``helper``), a one-worker
+executor whose thread starts with its first lane and is joined as the hold
+ends, before the count is restored; a nested hold reuses it. Holds on the
+count are counted under a lock, so overlapping ``fuse`` calls (``fuse``
+under ``--jobs``), each with its own helper, are safe: the first holder
+saves the count and the last one out restores it. Where the library or its
+symbols are missing, nothing is held and no thread has a helper.
 
 OpenBLAS rounds some GEMM shapes differently on one thread than on two (a
 (174, 16) @ (16, 500) product, for one), so results computed under a hold,
@@ -28,15 +31,17 @@ import functools
 import glob
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
 
 # OpenBLAS's thread count is one setting for the whole process, so the holds
-# on it are counted process-wide too.
+# on it are counted process-wide too; each holding thread's helper is its own.
 _lock = threading.Lock()
 _holders = 0
 _saved = 1
+_local = threading.local()
 
 
 @functools.cache
@@ -56,15 +61,16 @@ def _controls():
     return None
 
 
-def held() -> bool:
-    """Whether some thread holds OpenBLAS at one thread now."""
-    return _holders > 0
+def helper() -> ThreadPoolExecutor | None:
+    """The calling thread's hold's one-worker helper, or None without one."""
+    return getattr(_local, "helper", None)
 
 
 @contextmanager
 def one_blas_thread():
-    """Hold OpenBLAS at one thread inside the block, where its thread count
-    can be set; elsewhere the block runs without a hold."""
+    """Hold OpenBLAS at one thread inside the block, with a helper for the
+    calling thread, where its thread count can be set; elsewhere the block
+    runs without a hold or a helper."""
     global _holders, _saved
     controls = _controls()
     if controls is None:
@@ -77,9 +83,15 @@ def one_blas_thread():
             if _saved != 1:
                 set_(1)
         _holders += 1
+    outer = helper() is None
+    if outer:
+        _local.helper = ThreadPoolExecutor(max_workers=1)
     try:
         yield
     finally:
+        if outer:
+            _local.helper.shutdown()
+            _local.helper = None
         with _lock:
             _holders -= 1
             if _holders == 0 and _saved != 1:

@@ -171,10 +171,10 @@ class TransformerBlock(Module):
         x = x + self.ffn(self.norm_ffn(x))
         return x
 
-    def in_row_lanes(self, x: Tensor, split: int, two) -> Tensor:
+    def in_row_lanes(self, x: Tensor, split: int) -> Tensor:
         """``self(x)`` for (N, D) tokens without a tape, the rows below
-        ``split`` as the first lane of ``two`` (a ``T.row_lanes`` runner)
-        and the rest as its second. Only attention couples rows, so each
+        ``split`` (see ``T.row_split``) as the first lane of ``T.two`` and
+        the rest as its second. Only attention couples rows, so each
         lane takes its queries from its own rows and its keys and values
         from all N."""
         normed = self.norm_attn(x)
@@ -183,7 +183,7 @@ class TransformerBlock(Module):
             y = x[r] + self.attn(normed[r], normed)
             return y + self.ffn(self.norm_ffn(y))
 
-        return T.concat(two(lambda: rows(slice(0, split)), lambda: rows(slice(split, None))))
+        return T.concat(T.two(lambda: rows(slice(0, split)), lambda: rows(slice(split, None))))
 
 
 def _check_divisible(h: int, w: int, p: int) -> None:

@@ -118,7 +118,8 @@ def _check_checkpoint(model: FusionModel, path, config: RunConfig) -> None:
 def _fuse_to(model, pairs, semantics, out_dir: Path, jobs: int) -> int:
     """Fuse pairs on ``jobs`` threads, writing ``<pair>.png`` for each success.
 
-    Each ``fuse`` holds OpenBLAS at one thread for its own forward.
+    Each ``fuse`` holds OpenBLAS at one thread for its own forward, with
+    that hold's one helper thread, so a job runs on two threads at most.
     A failed pair is reported and skipped; the exit code is 2 if any failed.
     """
     code = 0

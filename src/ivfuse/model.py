@@ -107,9 +107,9 @@ class FusionModel(Module):
         _stage.name = "token-fusion"
         tokens = self._fuse_tokens(bundle, text, alpha_override)
         _stage.name = "decode"
-        with T.row_lanes(tokens.shape[0]) as lanes:
-            for block in self.decoder_blocks:
-                tokens = block(tokens) if lanes is None else block.in_row_lanes(tokens, *lanes)
+        split = T.row_split(tokens.shape[0])
+        for block in self.decoder_blocks:
+            tokens = block(tokens) if split is None else block.in_row_lanes(tokens, split)
         logits = self.unembed(tokens, h, w)
         return T.sigmoid(logits)
 
@@ -152,13 +152,13 @@ def fuse(model: FusionModel, pair: ImagePair,
     ``semantics`` is the pair's (mask, text). Dimensions that are not
     multiples of the patch size are reflect-padded up front and the output
     is cropped back. A call holds OpenBLAS at one thread where its thread
-    count can be set (see ``ivfuse.blas``), and then uses two threads: the
-    visible encoder runs on a helper beside the infrared one, each encoding
-    its three streams one after another, then fvi's reconstruction beside
-    fiv's, then in each decoder block the lower token rows on one more
-    helper, shared by all the blocks, beside the upper ones (split on
-    attention's chunk grid, see ``T.row_lanes``). Its bits do not depend on
-    the machine's core count.
+    count can be set (see ``ivfuse.blas``), and so uses two threads, its
+    own and its hold's one helper, joined before it returns or raises: the
+    visible encoder runs on the helper beside the infrared one, each
+    encoding its three streams one after another, then fvi's reconstruction
+    beside fiv's, then in each decoder block the lower token rows beside the
+    upper ones (split on attention's chunk grid, see ``T.row_split``). Its
+    bits do not depend on the machine's core count.
     Pure given a frozen model, so concurrent calls over different pairs are
     safe, and the last one to finish restores OpenBLAS's thread count;
     parameters must not be mutated while any call is in flight.

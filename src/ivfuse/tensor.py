@@ -48,23 +48,23 @@ Concurrency: tensors are treated as immutable once built, so inference over
 a frozen parameter set is safe from many workers; anything that mutates
 parameters (optimizer steps, grad zeroing) needs exclusive access. No
 interior locking is provided. Grad mode is per thread (``no_grad``).
-``lanes`` runs two sub-graphs that share no leaf needing a gradient, on
-two threads when it is built while ``blas.one_blas_thread`` is held
-(``fuse`` and ``train`` hold it), the helper in the caller's grad mode, and
-its backward walks them on two threads too; each leaf's gradient is then
-written from one thread only. ``mgca.encode_streams`` runs the two encoders
-this way, and ``mgca.cross_reconstruct`` MGCA's two directions. Without a
-tape and under the hold, ``row_lanes`` gives a run of blocks one helper
-thread and a split row on ``attention``'s chunk grid; ``fuse``'s decoder,
-which runs in no lane, runs each block's lower rows on it beside the upper
-ones. Each attention backward allocates its own two scratch arrays.
+One rule: ``two(first, second)`` runs ``first`` on the helper of the
+calling thread's ``blas.one_blas_thread`` hold (``fuse`` and ``train``
+take it), in the caller's grad mode, beside ``second`` on the caller; a
+thread without a hold runs both in turn. A ``lanes`` node runs two
+sub-graphs that share no leaf needing a gradient through ``two``, forward
+and backward, so each leaf's gradient is written from one thread only: the
+two encoders (``mgca.encode_streams``), then MGCA's two directions. In
+``fuse``'s decoder each block runs its rows below ``row_split``'s row (on
+``attention``'s chunk grid) as the first lane and the rest as the second.
+Each attention backward allocates its own two scratch arrays.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait
 from contextlib import contextmanager
 
 import numpy as np
@@ -745,48 +745,40 @@ def attention(q: Tensor, kt: Tensor, v: Tensor) -> Tensor:
 # -- two lanes ----------------------------------------------------------------
 
 
-@contextmanager
-def _helper(side_by_side: bool):
-    """A runner ``two(first, second)`` -> ``(first(), second())`` for the
-    block. With ``side_by_side`` each ``first`` runs on one helper thread, in
-    the grad mode of ``two``'s caller, beside ``second`` on the calling
-    thread; the helper starts with the first call and is joined as the block
-    ends, so an error in either lane leaves the block only after both have
-    stopped. Otherwise both run in turn here, ``first`` first."""
-    if not side_by_side:
-        yield lambda first, second: (first(), second())
-        return
-    with ThreadPoolExecutor(max_workers=1) as pool:
+def two(first, second):
+    """``(first(), second())``. Where the calling thread holds OpenBLAS at
+    one thread, ``first`` runs on its hold's helper (``blas.helper()``) in
+    this thread's grad mode beside ``second`` here, and the call returns
+    only once both have stopped, so an error in either lane surfaces after
+    the other is done; otherwise both run here in turn, ``first`` first."""
+    pool = blas.helper()
+    if pool is None:
+        return first(), second()
+    grad = grad_enabled()
 
-        def two(first, second):
-            grad = grad_enabled()
+    def run_first():
+        with _grad_mode(grad):
+            return first()
 
-            def run_first():
-                with _grad_mode(grad):
-                    return first()
-
-            ahead = pool.submit(run_first)
-            behind = second()
-            return ahead.result(), behind
-
-        yield two
+    ahead = pool.submit(run_first)
+    try:
+        behind = second()
+    finally:
+        wait((ahead,))
+    return ahead.result(), behind
 
 
-@contextmanager
-def row_lanes(n: int):
-    """``(split, two)`` for a run of blocks over n tokens whose rows couple
-    only through self-attention, when there is no tape, some thread holds
-    OpenBLAS at one thread and the rows span more than one ``attention``
-    chunk; else ``None``. ``split`` is the multiple of ``chunk_rows(n)``
-    nearest n / 2 (ties go up), so each side runs the chunks, and so the
-    bits, of one call over all n rows; ``two`` is a ``_helper`` runner whose
-    one helper thread serves the whole block."""
+def row_split(n: int) -> int | None:
+    """The row at which a run of blocks over n tokens, whose rows couple
+    only through self-attention, splits into the two lanes of ``two``:
+    the multiple of ``chunk_rows(n)`` nearest n / 2 (ties go up), so each
+    side runs the chunks, and so the bits, of one call over all n rows.
+    None under a tape, where the calling thread has no helper, or where
+    the n rows fit in one ``attention`` chunk."""
     rows = chunk_rows(n)
-    if grad_enabled() or not blas.held() or n <= rows:
-        yield None
-        return
-    with _helper(True) as two:
-        yield rows * ((n + rows) // (2 * rows)), two
+    if grad_enabled() or blas.helper() is None or n <= rows:
+        return None
+    return rows * ((n + rows) // (2 * rows))
 
 
 def lanes(fa, a: Tensor, fb, b: Tensor) -> Tensor:
@@ -794,22 +786,18 @@ def lanes(fa, a: Tensor, fb, b: Tensor) -> Tensor:
     share no leaf that requires grad; ``fa(a)`` and ``fb(b)`` must have one
     shape.
 
-    The node reads ``blas.held()`` once, as it is built. While some thread
-    holds OpenBLAS at one thread, ``fa`` runs on a helper thread in this
-    thread's grad mode beside ``fb`` on this one, and the node's VJP walks
-    the two sub-graphs on the same two threads, whether or not the hold is
-    still taken then; otherwise all of it runs here in turn, ``fa`` first.
-    The bits are the same either way. Each lane starts from a fresh leaf
-    holding its input, so its walk stops there, and that leaf's gradient is
-    the one the node passes on; ``a`` and ``b`` may be one tensor, which
-    then gets the sum of the two.
+    The forward runs ``fa`` and ``fb`` as the lanes of ``two``, and so does
+    the node's VJP with the walks of their sub-graphs: each goes side by
+    side where the thread running it, building or walking, holds OpenBLAS
+    at one thread, and in turn elsewhere. The bits are the same either way.
+    Each lane starts from a fresh leaf holding its input, so its walk stops
+    there, and that leaf's gradient is the one the node passes on; ``a``
+    and ``b`` may be one tensor, which then gets the sum of the two.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    side_by_side = blas.held()
     a_in, b_in = (Tensor._result("leaf", x.data, (), None, check=False, track=x.requires_grad)
                   for x in (a, b))
-    with _helper(side_by_side) as two:
-        out_a, out_b = two(lambda: fa(a_in), lambda: fb(b_in))
+    out_a, out_b = two(lambda: fa(a_in), lambda: fb(b_in))
     if out_a.shape != out_b.shape:
         raise ShapeError(f"lanes: outputs {out_a.shape} and {out_b.shape} differ")
 
@@ -818,8 +806,7 @@ def lanes(fa, a: Tensor, fb, b: Tensor) -> Tensor:
             _walk(out, seed)
 
     def vjp(g):
-        with _helper(side_by_side) as two:
-            two(lambda: walk(out_a, g[0]), lambda: walk(out_b, g[1]))
+        two(lambda: walk(out_a, g[0]), lambda: walk(out_b, g[1]))
         return a_in.grad, b_in.grad
 
     return Tensor._result("lanes", np.stack((out_a.data, out_b.data)), (a, b), vjp,

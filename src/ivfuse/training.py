@@ -161,9 +161,9 @@ def train(config: TrainConfig, pairs: list[ImagePair], semantics, out_dir,
 
     history: list[dict] = []
     mode = "a" if start_step > 0 and os.path.exists(history_path) else "w"
-    # under the hold the two encoders of each member, then MGCA's two
-    # directions, run side by side in the forward and the backward (``mgca``),
-    # and the bits do not depend on the machine's core count
+    # the hold's one helper, joined before this returns or raises, runs each
+    # member's visible encoder, then fvi's reconstruction, beside the other
+    # lane (``mgca``); the bits do not depend on the machine's core count
     with open(history_path, mode, encoding="utf-8") as log, one_blas_thread():
         if mode == "w":
             log.write(HISTORY_HEADER + "\n")

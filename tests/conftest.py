@@ -12,9 +12,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture(autouse=True)
 def no_leaked_hold_or_thread():
-    """Fail a test that leaves OpenBLAS held at one thread or, where its
-    thread count can be read, at another count than it found, or a thread
-    it started still running (after ten seconds' grace to finish)."""
+    """Fail a test that leaves OpenBLAS held at one thread, the main thread
+    with a hold's helper, or, where its thread count can be read, OpenBLAS
+    at another count than it found, or a thread it started still running
+    (after ten seconds' grace to finish)."""
     controls = blas._controls()
     blas_threads = controls[0]() if controls else None
     before = set(threading.enumerate())
@@ -23,7 +24,8 @@ def no_leaked_hold_or_thread():
     for t in started:
         t.join(timeout=10)
     assert not [t.name for t in started if t.is_alive()], "the test left threads running"
-    assert not blas.held(), "the test left OpenBLAS held at one thread"
+    assert blas._holders == 0, "the test left OpenBLAS held at one thread"
+    assert blas.helper() is None, "the test left the main thread with a helper"
     if controls:
         assert controls[0]() == blas_threads, "the test left OpenBLAS at another thread count"
 

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -443,12 +444,13 @@ def test_attention_with_large_scores_equals_chain_bitwise(rng):
     np.testing.assert_array_equal(inference, chain[0])
 
 
-def test_lanes_keep_the_regime_they_were_built_in(rng, monkeypatch):
-    """``T.lanes`` reads the OpenBLAS hold once, as the node is built. A node
-    built under ``one_blas_thread`` walks its lanes on two threads even when
-    ``backward`` runs after the hold is released; one built without the hold
-    starts no thread even when ``backward`` runs inside it. The gradients
-    are the same bits either way."""
+def test_lanes_go_side_by_side_where_the_walking_thread_holds(rng, monkeypatch):
+    """Whether a ``T.lanes`` node's backward walks its lanes on two threads
+    is decided by the thread walking it: a node built under
+    ``one_blas_thread`` and walked after the hold is released walks them in
+    turn and starts no thread; one built without the hold and walked inside
+    it walks the first on the hold's helper, which starts once and is joined
+    as the hold ends. The gradients are the same bits either way."""
     if blas._controls() is None:
         pytest.skip("OpenBLAS's thread count cannot be set here")
     x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
@@ -478,14 +480,15 @@ def test_lanes_keep_the_regime_they_were_built_in(rng, monkeypatch):
 
     with blas.one_blas_thread():
         loss = build()
-    assert not blas.held()
-    held = backward(loss)
-    assert sorted(walks) == [False, True, True] and len(started) == 1
+    assert blas._holders == 0
+    in_turn = backward(loss)
+    assert walks == [True] * 3 and started == []
     loss = build()
     with blas.one_blas_thread():
-        free = backward(loss)
-    assert walks == [True] * 3 and started == []
-    assert [g.tobytes() for g in held] == [g.tobytes() for g in free]
+        side_by_side = backward(loss)
+    assert sorted(walks) == [False, True, True] and len(started) == 1
+    assert not started[0].is_alive()
+    assert [g.tobytes() for g in side_by_side] == [g.tobytes() for g in in_turn]
 
 
 @pytest.mark.parametrize("n, budget_rows, rows, split", [
@@ -499,34 +502,48 @@ def test_lanes_keep_the_regime_they_were_built_in(rng, monkeypatch):
     (1600, None, 54, 810),  # a 160^2 fuse's
 ])
 def test_row_lanes_split_on_the_attention_chunk_grid(monkeypatch, n, budget_rows, rows, split):
-    """``T.row_lanes`` splits n rows at the multiple of ``T.chunk_rows(n)``
-    nearest n / 2, and only without a tape, under the OpenBLAS hold and past
-    one chunk."""
+    """``T.row_split`` splits n rows at the multiple of ``T.chunk_rows(n)``
+    nearest n / 2, and only without a tape, on a thread holding OpenBLAS at
+    one thread and past one chunk."""
     if blas._controls() is None:
         pytest.skip("OpenBLAS's thread count cannot be set here")
     if budget_rows is not None:
         monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * n * budget_rows)
     assert T.chunk_rows(n) == rows
-    with T.no_grad(), blas.one_blas_thread(), T.row_lanes(n) as lanes:
-        assert (lanes and lanes[0]) == split
-    with blas.one_blas_thread(), T.row_lanes(n) as lanes:
-        assert lanes is None
-    with T.no_grad(), T.row_lanes(n) as lanes:
-        assert lanes is None
+    with T.no_grad(), blas.one_blas_thread():
+        assert T.row_split(n) == split
+    with blas.one_blas_thread():
+        assert T.row_split(n) is None
+    with T.no_grad():
+        assert T.row_split(n) is None
 
 
 def test_row_lanes_run_every_first_lane_on_one_helper_in_the_callers_grad_mode(monkeypatch):
-    """All the calls of one ``T.row_lanes`` runner share one helper thread,
-    started once and joined as the block ends; each first lane runs there in
-    the caller's grad mode, each second on the calling thread."""
+    """All the ``T.two`` calls inside one hold share its one helper thread,
+    started by the first call and joined as the hold ends; each first lane
+    runs there in the caller's grad mode, each second on the calling
+    thread. A ``two`` whose second lane raises does so only once its first
+    has stopped."""
     if blas._controls() is None:
         pytest.skip("OpenBLAS's thread count cannot be set here")
     started, real_start = [], threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start",
                         lambda self: started.append(self) or real_start(self))
-    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * 42 * 10)
-    with T.no_grad(), blas.one_blas_thread(), T.row_lanes(42) as (_, two):
-        runs = [two(lambda: (threading.current_thread(), T.grad_enabled()),
-                    threading.current_thread) for _ in range(3)]
+    stopped = []
+
+    def slow():
+        time.sleep(0.1)
+        stopped.append("first")
+
+    def broken():
+        raise RuntimeError("second lane broke")
+
+    with T.no_grad(), blas.one_blas_thread():
+        runs = [T.two(lambda: (threading.current_thread(), T.grad_enabled()),
+                      threading.current_thread) for _ in range(3)]
+        with pytest.raises(RuntimeError, match="second lane broke"):
+            T.two(slow, broken)
+        assert stopped == ["first"]
+        assert len(started) == 1 and started[0].is_alive()
     assert len(started) == 1 and not started[0].is_alive()
     assert runs == [((started[0], False), threading.main_thread())] * 3

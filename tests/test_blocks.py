@@ -390,5 +390,5 @@ def test_block_in_row_lanes_equals_block_bitwise(rng, monkeypatch):
     monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * 42 * 10)
     with T.no_grad():
         want = block(x).data
-        got = block.in_row_lanes(x, 20, lambda first, second: (first(), second())).data
+        got = block.in_row_lanes(x, 20).data
     np.testing.assert_array_equal(got, want)

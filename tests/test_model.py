@@ -1,6 +1,5 @@
 import sys
 import threading
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -438,9 +437,9 @@ def record_row_lanes(monkeypatch):
     splits = []
     real = TransformerBlock.in_row_lanes
 
-    def recording(self, x, split, two):
+    def recording(self, x, split):
         splits.append(split)
-        return real(self, x, split, two)
+        return real(self, x, split)
 
     monkeypatch.setattr(TransformerBlock, "in_row_lanes", recording)
     return splits
@@ -478,7 +477,7 @@ def test_fuse_splits_decoder_rows_with_the_unsplit_bits(rng, monkeypatch, varian
     got = fuse(model, pair, sem)
     assert splits == [20] * SMALL.depth
     splits.clear()
-    monkeypatch.setattr(T, "row_lanes", lambda n: nullcontext())
+    monkeypatch.setattr(T, "row_split", lambda n: None)
     want = fuse(model, pair, sem)
     assert splits == []
     assert got.tobytes() == want.tobytes()
@@ -490,7 +489,8 @@ def test_fuse_splits_decoder_rows_with_the_unsplit_bits(rng, monkeypatch, varian
 ])
 def test_decode_in_one_chunk_starts_no_decoder_thread(rng, monkeypatch, h, w, budget):
     """A decode whose tokens fit in one attention chunk runs each block
-    whole: ``fuse`` starts one thread per ``T.lanes`` node and no other."""
+    whole: ``fuse`` starts its hold's one helper thread for its two
+    ``T.lanes`` nodes and no other."""
     blas_threads()
     if budget is not None:
         monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", budget)
@@ -498,14 +498,15 @@ def test_decode_in_one_chunk_starts_no_decoder_thread(rng, monkeypatch, h, w, bu
     splits, counts = record_row_lanes(monkeypatch), count_starts(monkeypatch)
     assert fuse(model, make_pair(rng, h, w), semantics_for(rng, h, w)).shape == (3, h, w)
     assert splits == []
-    assert counts == {"threads": 2, "lanes": 2}
+    assert counts == {"threads": 1, "lanes": 2}
 
 
-def test_fuse_starts_one_thread_per_lanes_node_and_one_for_the_decode(rng, monkeypatch):
-    """A ``fuse`` of ``full`` whose decoder splits starts one thread per
-    ``T.lanes`` node and one for all its decoder blocks, and none of those
-    is left running. A grad-mode forward under the hold, and a no-tape
-    forward outside ``fuse``, start no decoder thread."""
+def test_fuse_starts_one_helper_thread_for_its_lanes_and_its_decode(rng, monkeypatch):
+    """A ``fuse`` of ``full`` whose decoder splits starts one thread, its
+    hold's helper, for both ``T.lanes`` nodes and all its decoder blocks,
+    and does not leave it running. A grad-mode forward under the hold starts
+    one too, and splits no decoder rows; a no-tape forward outside ``fuse``
+    starts none."""
     blas_threads()
     monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * 42 * 10)
     model = FusionModel(ModelConfig(**{**SMALL.__dict__, "depth": 3}), seed=31)
@@ -516,18 +517,66 @@ def test_fuse_starts_one_thread_per_lanes_node_and_one_for_the_decode(rng, monke
     fuse(model, pair, (mask, text))
     assert [t.name for t in threading.enumerate() if t not in threads] == []
     assert splits == [20] * 3
-    assert counts == {"threads": 3, "lanes": 2}
+    assert counts == {"threads": 1, "lanes": 2}
     splits.clear()
     counts.update(threads=0, lanes=0)
     images = (reflect_pad(pair.i_vis, 14, 12), reflect_pad(pair.i_ir, 14, 12))
     padded = MaskSemantics(reflect_pad(mask.m, 14, 12))
     with blas.one_blas_thread():
         assert model.forward(*images, padded, text).requires_grad
-    assert splits == [] and counts == {"threads": 2, "lanes": 2}
+    assert splits == [] and counts == {"threads": 1, "lanes": 2}
     counts.update(threads=0, lanes=0)
     with T.no_grad():
         model.forward(*images, padded, text)
     assert splits == [] and counts == {"threads": 0, "lanes": 2}
+
+
+def test_holds_and_their_helpers_belong_to_threads(rng, monkeypatch):
+    """While the main thread holds OpenBLAS at one thread, a ``T.lanes``
+    node built and walked on another thread without a hold of its own runs
+    its lanes there in turn and starts no thread, with the bits of the same
+    node run on the main thread. A ``fuse`` inside an outer hold reuses that
+    hold's helper: it starts one thread, still idle when ``fuse`` returns,
+    and joined as the outer hold ends."""
+    blas_threads()
+    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    w = [Tensor(rng.standard_normal((3, 3)), requires_grad=True) for _ in range(2)]
+    ran_on = []
+
+    def lane(i):
+        def run(t):
+            ran_on.append(threading.current_thread())
+            return T.matmul(t, w[i])
+        return run
+
+    def step():
+        out = T.lanes(lane(0), x, lane(1), x)
+        T.reduce_sum(out * out).backward()
+        grads = [t.grad.tobytes() for t in [x] + w]
+        for t in [x] + w:
+            t.grad = None
+        return grads
+
+    want = step()
+    ran_on.clear()
+    counts, got = count_starts(monkeypatch), []
+    other = threading.Thread(target=lambda: got.extend(step()))
+    with blas.one_blas_thread():
+        other.start()
+        other.join(timeout=60)
+    assert counts["threads"] == 1 and not other.is_alive()
+    assert ran_on == [other, other] and got == want
+
+    monkeypatch.setattr(T, "_SCORE_BUDGET_BYTES", 8 * 42 * 10)
+    model = FusionModel(SMALL, seed=33)
+    splits = record_row_lanes(monkeypatch)
+    counts["threads"] = 0
+    threads = set(threading.enumerate())
+    with blas.one_blas_thread():
+        fuse(model, make_pair(rng, 13, 11), semantics_for(rng, 13, 11))
+        assert splits == [20] and counts["threads"] == 1
+        assert [t for t in threading.enumerate() if t not in threads] != []
+    assert [t.name for t in threading.enumerate() if t not in threads] == []
 
 
 @pytest.mark.parametrize("first", ["helper", "caller"])
@@ -594,7 +643,7 @@ def test_no_grad_forward_outside_fuse_runs_encoders_in_turn(rng, monkeypatch):
     with T.no_grad():
         model.forward(rng.random((3, 12, 12)), rng.random((1, 12, 12)), mask, text)
     assert calls == [("vis", True, False), ("ir", True, False)]
-    assert not blas.held()
+    assert blas._holders == 0
 
 
 def test_concurrent_fuse_calls_restore_blas(rng):

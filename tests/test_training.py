@@ -301,13 +301,17 @@ def test_diverged_training_keeps_last_checkpoint(tmp_path, rng):
 @pytest.mark.parametrize("nan_in", [None, "vis"])
 def test_train_holds_one_blas_thread_and_restores_the_count(tmp_path, rng, monkeypatch, nan_in):
     """``train`` runs every encoder on one OpenBLAS thread, the visible one on
-    a helper thread, and puts back the count set before it (two here) when
-    it returns, and also when a lane raises: a NaN in the visible encoder's
-    positional table, met on the helper thread, ends the run as
-    ``TrainingDiverged``."""
+    its hold's one helper thread, and puts back the count set before it (two
+    here) when it returns, and also when a lane raises: a NaN in the visible
+    encoder's positional table, met on the helper thread, ends the run as
+    ``TrainingDiverged``. Either way the call starts one thread, joined
+    before it returns or raises."""
     get, set_ = blas._controls() or pytest.skip("OpenBLAS's thread count cannot be set here")
     pairs, semantics = make_dataset(rng, n=2)
     seen, real = [], Encoder.__call__
+    started, real_start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or real_start(self))
 
     def recording(self, image):
         seen.append((self.patch_embed.c_in, threading.current_thread() is threading.main_thread(),
@@ -331,7 +335,8 @@ def test_train_holds_one_blas_thread_and_restores_the_count(tmp_path, rng, monke
             assert err.value.step == 0
         else:
             train(tiny_config(epochs=1), pairs, semantics, tmp_path / "run")
-        assert get() == 2 and not blas.held()
+        assert get() == 2 and blas._holders == 0
+        assert len(started) == 1 and not started[0].is_alive()
     finally:
         set_(before)
     assert {(channels, on_main) for channels, on_main, _ in seen} == {(3, False), (1, True)}
